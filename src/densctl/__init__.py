@@ -7,6 +7,8 @@ eigenproblem, spectral stability certificates, Crank-Nicolson density
 evolution, Monte Carlo path-integral estimation, and analytic inverse
 design of the cost from a target density.
 """
+__version__ = "0.1.0"
+
 from .config import RunConfig, SamplingOptions, SolverOptions, load_config, parse_config
 from .errors import (
     ConfigError,
@@ -98,8 +100,6 @@ from .spectral import (
     spectral_gap,
     verify_hjb_residual,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdjointOperator", "ConfigError", "ConstraintReport", "DensctlError",

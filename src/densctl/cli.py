@@ -201,7 +201,7 @@ def cmd_solve(run: _Run) -> int:
 def cmd_spectrum(run: _Run, controlled: bool) -> int:
     spec = run.spec
     g = spec.grid
-    k = run.k if run.k is not None else min(32, max(2, g.size // 4))
+    k = run.default_k()
     if k < 1 or k > g.size:
         raise ConfigError(f"k = {k} outside the valid range 1..{g.size}")
     if controlled:

@@ -138,6 +138,22 @@ class InverseSolution:
         return self.target.grid
 
 
+def _design(p_inf: ScalarField, spec: ProblemSpec) -> InverseSolution:
+    phi = spec.phi_field()
+    Psi = desirability_from_target(p_inf, phi)
+    q, c = cost_from_target(Psi, spec)
+    R = control_cost_from_diffusion(spec.diffusion_field(), spec.lam)
+    u = control_from_target(p_inf, phi, R)
+    v = ScalarField(spec.grid, -spec.lam * np.log(Psi.values))
+    p_norm = ScalarField(spec.grid, _normalized_target(p_inf, warn=False))
+    diag = {
+        "target_mass": float(spec.grid.quadrature_weights() @ p_inf.values),
+        "q_max": float(q.values.max()),
+    }
+    return InverseSolution(target=p_norm, Psi=Psi, q=q, c=c, v=v, u=u,
+                           lam=spec.lam, diagnostics=diag)
+
+
 def solve_inverse(spec: ProblemSpec) -> InverseSolution:
     """Full inverse design for an inverse-mode problem.
 
@@ -148,21 +164,7 @@ def solve_inverse(spec: ProblemSpec) -> InverseSolution:
     if spec.mode != "inverse":
         raise InverseError("problem has a cost q; inverse design needs a "
                            "target density instead")
-    phi = spec.phi_field()
-    p_t = spec.target_field()
-    Psi = desirability_from_target(p_t, phi)
-    q, c = cost_from_target(Psi, spec)
-    Sig = spec.diffusion_field()
-    R = control_cost_from_diffusion(Sig, spec.lam)
-    u = control_from_target(p_t, phi, R)
-    v = ScalarField(spec.grid, -spec.lam * np.log(Psi.values))
-    p_norm = ScalarField(spec.grid, _normalized_target(p_t, warn=False))
-    diag = {
-        "target_mass": float(spec.grid.quadrature_weights() @ p_t.values),
-        "q_max": float(q.values.max()),
-    }
-    return InverseSolution(target=p_norm, Psi=Psi, q=q, c=c, v=v, u=u,
-                           lam=spec.lam, diagnostics=diag)
+    return _design(spec.target_field(), spec)
 
 
 @dataclass(frozen=True)
@@ -200,29 +202,20 @@ def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec) -> RoundtripReport:
     g = p_inf.grid
     if g != spec.grid:
         raise InverseError("target grid does not match the problem grid")
-    phi = spec.phi_field()
-    Sig = spec.diffusion_field()
-    Psi = desirability_from_target(p_inf, phi)
-    q, c_inv = cost_from_target(Psi, spec)
-    R = control_cost_from_diffusion(Sig, spec.lam)
-    u_inv = control_from_target(p_inf, phi, R)
-    p_norm = _normalized_target(p_inf, warn=False)
+    inv = _design(p_inf, spec)
+    forward = solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
+                                  inv.q, spec.lam)
 
-    forward = solve_hjb_principal(Sig, phi, q, spec.lam)
-
+    p_norm = inv.target.values
     dens_err = float(np.abs(forward.p.values - p_norm).max() / p_norm.max())
     mask = g.interior_mask(2)
-    du = np.abs(forward.u.values - u_inv.values)[mask].max()
-    ctrl_err = float(du / max(1.0, float(np.abs(u_inv.values).max())))
+    du = np.abs(forward.u.values - inv.u.values)[mask].max()
+    ctrl_err = float(du / max(1.0, float(np.abs(inv.u.values).max())))
 
     ctrl_op = controlled_operator(forward)
     gap = spectral_gap(eig_generator(ctrl_op, 2))
 
-    inv_sol = InverseSolution(
-        target=ScalarField(g, p_norm), Psi=Psi, q=q, c=c_inv,
-        v=ScalarField(g, -spec.lam * np.log(Psi.values)), u=u_inv,
-        lam=spec.lam)
     return RoundtripReport(
-        density_error=dens_err, c_inverse=c_inv, c_forward=forward.c,
+        density_error=dens_err, c_inverse=inv.c, c_forward=forward.c,
         control_error=ctrl_err, controlled_gap=gap,
-        forward=forward, inverse=inv_sol)
+        forward=forward, inverse=inv)

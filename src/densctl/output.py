@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-VERSION = "0.1.0"
+from . import __version__ as VERSION
 
 
 def sha256_bytes(data: bytes) -> str:

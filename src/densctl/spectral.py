@@ -8,10 +8,16 @@ product is then automatic.
 
 The stationary value equation is solved through the desirability
 substitution: the largest eigenpair of S - D(q/lam) gives Psi and the
-average cost c = -lam mu_0. The eigensolver's vector is polished with a
-few inverse-power steps through a Cholesky factor of (shift I - M);
-for monotone stencils those triangular solves keep the iterate
-entrywise positive, which is what the positivity gate checks.
+average cost c = -lam mu_0. Both jobs run shift-invert Lanczos
+(ARPACK) about a shift just above a bound on the spectrum, through a
+sparse LU factored in symmetric mode without pivoting; dense eigh only
+serves k >= N - 1, which ARPACK cannot. The factor's inertia certifies
+that nothing lies above the shift, so an indefinite (nonmonotone)
+stencil is refused. The principal vector is polished with a few
+inverse-power steps through such a factor of (shift I - M); for
+monotone stencils its factors are M-matrices, so the triangular
+solves keep the iterate entrywise positive, which is what the
+positivity gate checks.
 """
 from __future__ import annotations
 
@@ -35,7 +41,6 @@ from .fields import (
 from .model import LAMBDA, drift_from_potential
 from .operators import GeneratorOperator, assemble_generator
 
-DENSE_LIMIT = 4000
 PSI_LOG_FLOOR = float(np.log(1e-290))
 PERRON_TOLERANCE = 1e-12
 
@@ -70,18 +75,40 @@ def _symmetrized(op: GeneratorOperator) -> tuple[sp.csr_matrix, np.ndarray]:
     return S, sqmu
 
 
-def _descending_eigh(S: sp.csr_matrix, sqmu: np.ndarray, k: int):
-    N = S.shape[0]
-    if N <= DENSE_LIMIT:
-        dense = S.toarray()
+def _shifted_lu(A: sp.csr_matrix, shift: float):
+    """LU of shift I - A; for symmetric A an LDL^T, whose inertia is
+    checked so that no eigenvalue of A lies above shift."""
+    B = (sp.identity(A.shape[0], format="csr") * shift - A).tocsc()
+    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    above = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    if above:
+        raise SpectralError(
+            f"{above} eigenvalue(s) above {shift:.6g}: the operator is "
+            "indefinite (nonmonotone stencil; refine the grid) or too "
+            "ill-conditioned to factor (Psi clipped at PSI_LOG_FLOOR; "
+            "shrink the domain)")
+    return lu
+
+
+def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
+    """Top k eigenpairs of symmetric A, descending; bound >= its spectrum."""
+    N = A.shape[0]
+    if k >= N - 1:
+        # ARPACK needs k < ncv < N, so it returns at most N - 2 pairs
+        dense = A.toarray()
         dense = 0.5 * (dense + dense.T)
         vals, vecs = sla.eigh(dense, subset_by_index=[N - k, N - 1])
     else:
-        # shift a little into the positive half plane: S is negative
-        # semidefinite, so S - sigma I is nonsingular and shift-invert
+        # shift a little above the bound (zero for the negative
+        # semidefinite S): A - sigma I is nonsingular and shift-invert
         # targets the top of the spectrum
-        sigma = 1e-6 * max(1.0, float(np.abs(S.diagonal()).max()))
-        vals, vecs = spla.eigsh(S, k=k, sigma=sigma, which="LM", v0=sqmu)
+        sigma = bound + 1e-6 * max(1.0, float(np.abs(A.diagonal()).max()))
+        lu = _shifted_lu(A, sigma)
+        inv = spla.LinearOperator(A.shape, matvec=lambda x: -lu.solve(x),
+                                  dtype=float)
+        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                OPinv=inv)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 
@@ -92,22 +119,24 @@ def eig_generator(op: GeneratorOperator, k: int) -> Spectrum:
     if not 1 <= k <= N:
         raise SpectralError(f"k must be between 1 and {N}, got {k}")
     S, sqmu = _symmetrized(op)
-    vals, vecs = _descending_eigh(S, sqmu, k)
+    vals, vecs = _top_eigenpairs(S, 0.0, k, sqmu)
 
     if abs(vals[0]) > 1e-8:
         raise SpectralError(
             f"leading eigenvalue {vals[0]:.3e} is not zero; "
             "operator kernel lost")
-    vals = vals.copy()
     vals[0] = 0.0
     # sqrt(mu) is the exact kernel vector of S up to assembly rounding,
     # and sum(mu) = 1, so it is already normalized
-    vecs = vecs.copy()
     vecs[:, 0] = sqmu / np.linalg.norm(sqmu)
 
-    residuals = np.empty(k)
-    for n in range(k):
-        residuals[n] = np.linalg.norm(S @ vecs[:, n] - vals[n] * vecs[:, n])
+    residuals = np.linalg.norm(S @ vecs - vecs * vals, axis=0)
+    n = int(np.argmax(residuals / np.maximum(1.0, np.abs(vals))))
+    if not residuals[n] <= 1e-6 * max(1.0, abs(vals[n])):
+        raise SpectralError(
+            f"eigenpair {n} did not converge (residual {residuals[n]:.3e}); "
+            "likely cause: Psi clipped at PSI_LOG_FLOOR left the controlled "
+            "operator too ill-conditioned, shrink the domain")
 
     funcs = (vecs / sqmu[:, None]).T
     for n in range(k):
@@ -148,28 +177,14 @@ class HJBSolution:
         return self.Psi.grid
 
 
-def _purify_principal(M_dense, mu0: float, x0: np.ndarray, iterations: int = 3):
+def _purify_principal(M: sp.csr_matrix, mu0: float, x0: np.ndarray,
+                      iterations: int = 3) -> np.ndarray:
     """Inverse-power polish of the principal eigenvector.
 
     shift I - M is SPD for any shift > mu0; solving through its
-    Cholesky factor contracts every other mode by ~1e-6 per pass.
+    LU factor contracts every other mode by ~1e-6 per pass.
     """
-    shift = mu0 + 1e-6 * max(1.0, abs(mu0))
-    B = -M_dense.copy()
-    B[np.diag_indices_from(B)] += shift
-    cf = sla.cho_factor(B, lower=True)
-    x = x0.copy()
-    for _ in range(iterations):
-        x = sla.cho_solve(cf, x)
-        x /= np.linalg.norm(x)
-    return x
-
-
-def _purify_principal_sparse(M: sp.csr_matrix, mu0: float, x0: np.ndarray,
-                             iterations: int = 3):
-    shift = mu0 + 1e-6 * max(1.0, abs(mu0))
-    B = (sp.identity(M.shape[0], format="csr") * shift - M).tocsc()
-    lu = spla.splu(B)
+    lu = _shifted_lu(M, mu0 + 1e-6 * max(1.0, abs(mu0)))
     x = x0.copy()
     for _ in range(iterations):
         x = lu.solve(x)
@@ -197,19 +212,10 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     S, sqmu = _symmetrized(op)
     M = (S - sp.diags(q.values / lam)).tocsr()
 
-    N = g.size
-    if N <= DENSE_LIMIT:
-        Md = M.toarray()
-        Md = 0.5 * (Md + Md.T)
-        vals, _ = sla.eigh(Md, subset_by_index=[N - 1, N - 1])
-        mu0 = float(vals[0])
-        x = _purify_principal(Md, mu0, sqmu)
-        mu0 = float(x @ (Md @ x))
-    else:
-        vals, vecs = spla.eigsh(M, k=1, which="LA", v0=sqmu)
-        mu0 = float(vals[0])
-        x = _purify_principal_sparse(M, mu0, sqmu)
-        mu0 = float(x @ (M @ x))
+    # S is negative semidefinite, so nothing in M lies above -min(q)/lam
+    vals, _ = _top_eigenpairs(M, -float(q.values.min()) / lam, 1, sqmu)
+    x = _purify_principal(M, float(vals[0]), sqmu)
+    mu0 = float(x @ (M @ x))
 
     if x.sum() < 0.0:
         x = -x
@@ -244,7 +250,7 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
         "eig_residual": resid,
         "min_eigvec": min_x,
         "nonmonotone_couplings": op.n_nonmonotone,
-        "path": "dense" if N <= DENSE_LIMIT else "shift-invert",
+        "path": "shift-invert+polish",
     }
     return HJBSolution(
         Psi=ScalarField(g, psi), c=float(c), v=ScalarField(g, v),

@@ -10,9 +10,14 @@ feedback u = -2x, stationary density N(0, 1/4).
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import densctl as dc
 from densctl.errors import SpectralError
+from densctl.spectral import PERRON_TOLERANCE
 
 from conftest import assemble, ou_spec
 
@@ -201,3 +206,101 @@ class TestResidualVerification:
             bad, ou401.q_field(), ou401.diffusion_field(), ou401.phi_field()
         )
         assert r_bad > 5 * r_good
+
+
+class TestUnconvergedSpectrumRefused:
+    # the grid2d benchmark problem on boxes wide enough that Psi hits
+    # PSI_LOG_FLOOR at the corners, so v reaches ~1335 there and the
+    # controlled operator spans hundreds of orders of magnitude
+    @pytest.mark.parametrize("half, n", [(5.0, 65), (4.5, 45)])
+    def test_floor_clipped_controlled_spectrum(self, half, n):
+        g = dc.Grid((-half, -half), (half, half), (n, n))
+        spec = dc.ProblemSpec(grid=g, phi="(x1^2 + x2^2)/2",
+                              Sigma=[["2", "1"], ["1", "2"]],
+                              q="4*x1^2 + 4*x1*x2 + 4*x2^2")
+        sol = dc.solve_hjb_principal(
+            spec.diffusion_field(), spec.phi_field(), spec.q_field()
+        )
+        try:
+            s = dc.eig_generator(dc.controlled_operator(sol), 8)
+        except SpectralError as e:
+            assert "PSI_LOG_FLOOR" in str(e)
+            return
+        assert s.residuals.max() <= 1e-6
+        assert s.eigenvalues[1] < 0.0
+
+
+def _check_against_dense_reference(spec, k):
+    op = assemble(spec)
+    d = sp.diags(1.0 / np.sqrt(op.mu))
+    S = (d @ (-op.K) @ d).toarray()
+    S = 0.5 * (S + S.T)
+    full = sla.eigh(S, eigvals_only=True)[::-1]
+    ref = full[:k]
+    # steep potentials on coarse grids make |S| huge, and the reference
+    # is itself only accurate to a few eps |S|
+    floor = 1e-12 * np.abs(full).max()
+    if ref[0] > 1e-8 + floor:
+        # a nonmonotone stencil on a coarse grid can lose negative
+        # semidefiniteness; the solver must refuse, not skip past it
+        with pytest.raises(SpectralError):
+            dc.eig_generator(op, k)
+    else:
+        s = dc.eig_generator(op, k)
+        assert np.all(np.abs(s.eigenvalues - ref)
+                      <= 1e-9 * np.maximum(1.0, np.abs(ref)) + floor)
+
+    q = spec.q_field().values
+    mu0_ref, x_ref = sla.eigh(S - np.diag(q / dc.LAMBDA),
+                              subset_by_index=[op.size - 1, op.size - 1])
+    x_ref = x_ref[:, 0] * np.sign(x_ref[:, 0].sum())
+    try:
+        sol = dc.solve_hjb_principal(
+            spec.diffusion_field(), spec.phi_field(), spec.q_field()
+        )
+    except SpectralError:
+        # refusing is right only where the reference fails the Perron
+        # gate or the stencil is indefinite
+        assert (x_ref.min() < -PERRON_TOLERANCE * np.abs(x_ref).max()
+                or ref[0] > 1e-8 + floor)
+        return
+    mu0 = sol.diagnostics["mu0"]
+    assert abs(mu0 - mu0_ref[0]) <= 1e-9 * max(1.0, abs(mu0_ref[0])) + floor
+    assert sol.diagnostics["min_eigvec"] >= -PERRON_TOLERANCE
+    x = sol.Psi.values * np.sqrt(op.mu)
+    assert np.abs(x / np.linalg.norm(x) - x_ref).max() <= 1e-8 + floor
+
+
+@st.composite
+def _random_problem(draw):
+    coef = st.floats(0.2, 2.0)
+    n1, n2 = draw(st.integers(9, 15)), draw(st.integers(9, 15))
+    half = draw(st.floats(2.0, 3.5))
+    # Sigma = L L^T with L lower triangular and a positive diagonal
+    l11, l22 = draw(st.floats(0.6, 1.8)), draw(st.floats(0.6, 1.8))
+    l21 = draw(st.floats(-1.0, 1.0))
+    sigma = np.array([[l11**2, l11 * l21], [l11 * l21, l21**2 + l22**2]])
+    quartic = draw(st.floats(0.0, 0.3))
+    phi = (f"{draw(coef):.6f}*x1^2 + {draw(coef):.6f}*x2^2 + "
+           f"{quartic:.6f}*(x1^4 + x2^4)")
+    q = f"{draw(st.floats(0.0, 3.0)):.6f}*x1^2 + {draw(st.floats(0.0, 3.0)):.6f}*x2^2"
+    g = dc.Grid((-half, -half), (half, half), (n1, n2))
+    spec = dc.ProblemSpec(grid=g, phi=phi,
+                          Sigma=[[f"{v:.6f}" for v in row] for row in sigma],
+                          q=q)
+    return spec, draw(st.integers(2, 6))
+
+
+class TestDenseReference:
+    @given(_random_problem())
+    @settings(max_examples=25, deadline=None)
+    def test_random_problem_matches_dense_eigh(self, problem):
+        _check_against_dense_reference(*problem)
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_tiny_grid_dense_fallback(self, k):
+        g = dc.Grid((-2.0, -2.0), (2.0, 2.0), (3, 3))
+        spec = dc.ProblemSpec(grid=g, phi="(x1^2 + x2^2)/2",
+                              Sigma=[["2", "1"], ["1", "2"]],
+                              q="x1^2 + x2^2")
+        _check_against_dense_reference(spec, k)
