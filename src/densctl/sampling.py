@@ -253,9 +253,12 @@ def _run_chunk(dyn: _Dynamics, cfg: SdeConfig, stream_base: int, lo: int,
         outside = (x_new < lows) | (x_new > lows + spans)
         if outside.any():
             exited |= outside.any(axis=1)
-            # reflective fold with period 2 * span
+            # reflective fold with period 2 * span, applied only to the
+            # entries outside: the fold moves inside entries by an ulp,
+            # which would tie a path's bytes to the rest of its chunk
             y = np.mod(x_new - lows, 2.0 * spans)
-            x_new = lows + (spans - np.abs(y - spans))
+            x_new = np.where(outside, lows + (spans - np.abs(y - spans)),
+                             x_new)
         x = x_new
         if k + 1 == rec_next:
             out_states[lo:lo + P, rec_slot] = x

@@ -68,6 +68,19 @@ class TestDeterminism:
             np.testing.assert_array_equal(runs[0].terminal, other.terminal)
             np.testing.assert_array_equal(runs[0].cost_integral, other.cost_integral)
 
+    @pytest.mark.parametrize("mode", ["uncontrolled", "steady", "feedback"])
+    def test_reflecting_paths_do_not_depend_on_chunking(self, ou401, ou_hjb,
+                                                        mode):
+        # a uniform start puts particles at the wall, so paths reflect
+        ens = dc.uniform_ensemble(ou401.grid, 512, 3)
+        runs = [dc.simulate_sde(ou401, cfg(n_paths=512, T=0.2, mode=mode,
+                                           chunk_paths=chunk),
+                                ens, hjb=ou_hjb)
+                for chunk in (1024, 37)]
+        assert runs[0].exited.any()
+        np.testing.assert_array_equal(runs[0].terminal, runs[1].terminal)
+        np.testing.assert_array_equal(runs[0].exited, runs[1].exited)
+
     def test_seed_changes_results(self, ou401):
         a = dc.simulate_sde(ou401, cfg(seed=1), x0=(0.5,))
         b = dc.simulate_sde(ou401, cfg(seed=2), x0=(0.5,))
