@@ -85,6 +85,7 @@ from .sampling import (
     TrajectoryBatch,
     estimate_c_mc,
     histogram_density,
+    path_integral_desirabilities,
     path_integral_desirability,
     simulate_density_feedback,
     simulate_sde,
@@ -119,7 +120,8 @@ __all__ = [
     "evolve_perturbation", "expand_in_eigenbasis", "fit_decay_rate",
     "free_variables", "gradient_field", "gradient_values",
     "histogram_density", "interpolate_values", "load_config",
-    "parse_config", "parse_expression", "path_integral_desirability",
+    "parse_config", "parse_expression", "path_integral_desirabilities",
+    "path_integral_desirability",
     "project_mass_zero", "roundtrip_verify", "simulate_density_feedback",
     "simulate_sde", "solve_hjb_principal", "solve_inverse", "spectral_gap",
     "to_string", "tv_distance", "uniform_ensemble", "validate_spec",

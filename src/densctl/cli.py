@@ -2,12 +2,15 @@
 
 Commands bind a JSON run configuration to the solver pipeline and
 write plot-ready CSV plus JSON summaries into a per-run directory
-named by the config hash. Exit codes: 0 success, 1 numerical or
+named by a hash of the config and of every resolved option that
+changes the artifacts (seed, k, --controlled, evolve's --perturb,
+--mode, --dt and --T). Exit codes: 0 success, 1 numerical or
 constraint failure, 2 usage or configuration error.
 
 Flag precedence is flag > environment > config file; the recognized
 environment variables are DENSCTL_OUT, DENSCTL_SEED, DENSCTL_THREADS
-and DENSCTL_QUIET.
+and DENSCTL_QUIET. The thread count is validated and recorded in the
+manifest, but sampling runs on one thread, so it never changes results.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from .sampling import (
     SdeConfig,
     estimate_c_mc,
     histogram_density,
-    path_integral_desirability,
+    path_integral_desirabilities,
     simulate_density_feedback,
     simulate_sde,
     tv_distance,
@@ -97,15 +100,17 @@ class _Run:
         if not self.quiet:
             print(msg)
 
-    def writer(self, command: str) -> RunWriter:
+    def writer(self, command: str, **options) -> RunWriter:
+        """Artifact writer keyed by the config and the resolved options
+        that change the artifacts; never by --threads, --out or --quiet."""
         return RunWriter(self.out_base, command, self.cfg.digest,
+                         dict(seed=self.seed, k=self.k, **options),
                          seed=self.seed, threads=self.threads)
 
     def sde_config(self, **overrides) -> SdeConfig:
         s = self.cfg.sampling
         kw = dict(dt=s.dt, T=s.T, n_paths=s.n_paths, seed=self.seed,
-                  mode=s.mode, threads=self.threads,
-                  chunk_paths=s.chunk_paths)
+                  mode=s.mode)
         kw.update(overrides)
         return SdeConfig(**kw)
 
@@ -217,7 +222,7 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
         gap = -float(s.eigenvalues[1])
 
     coords = g.node_coords()
-    w = run.writer("spectrum")
+    w = run.writer("spectrum", controlled=controlled)
     w.csv("eigenvalues.csv", ["index", "eigenvalue", "residual"],
           [np.arange(k, dtype=float), s.eigenvalues, s.residuals])
     w.csv("modes.csv",
@@ -287,7 +292,7 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
 
     fitted = fit_decay_rate(traj.times, traj.norm_rho, 0.5 / rate, 3.0 / rate)
 
-    w = run.writer("evolve")
+    w = run.writer("evolve", perturb=perturb, mode=mode_index, dt=dt, T=T)
     w.csv("trajectory.csv", ["t", "mass", "rho_norm"],
           [traj.times, traj.mass, traj.norm_rho])
     w.csv("densities.csv",
@@ -374,11 +379,8 @@ def cmd_sample_desirability(run: _Run) -> int:
     if pts.shape[1] != spec.grid.dim:
         raise ConfigError("[sampling] queries dimension does not match grid")
 
-    est = []
-    for qi, y in enumerate(queries):
-        est.append(path_integral_desirability(
-            spec, spec.q, sol.c, spec.lam, tuple(y), cfg,
-            stream_base=qi * cfg.n_paths))
+    est = path_integral_desirabilities(spec, spec.q, sol.c, spec.lam, pts,
+                                       cfg)
     psi_grid = interpolate_values(spec.grid, sol.Psi.values, pts)
 
     g = spec.grid
@@ -525,7 +527,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the sampling seed")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for sampling")
+                        help="thread count recorded in the manifest; "
+                        "accepted for compatibility, it has no effect on "
+                        "results")
     common.add_argument("--k", type=int, default=argparse.SUPPRESS,
                         help="number of eigenmodes")
     common.add_argument("--quiet", action="store_true",

@@ -23,8 +23,8 @@ _DYNAMICS_KEYS = {"phi", "sigma", "Sigma"}
 _COST_KEYS = {"q"}
 _TARGET_KEYS = {"p_inf"}
 _SOLVER_KEYS = {"k", "dt", "T", "controlled"}
-_SAMPLING_KEYS = {"dt", "T", "n_paths", "seed", "threads", "chunk_paths",
-                  "mode", "x0", "queries", "n_particles"}
+_SAMPLING_KEYS = {"dt", "T", "n_paths", "seed", "threads", "mode", "x0",
+                  "queries", "n_particles"}
 _OUTPUT_KEYS = {"dir"}
 _SECTIONS = {"grid", "dynamics", "cost", "target", "solver", "sampling",
              "output"}
@@ -44,8 +44,7 @@ class SamplingOptions:
     T: float = 5.0
     n_paths: int = 10000
     seed: int = 0
-    threads: int = 1
-    chunk_paths: int = 1024
+    threads: int = 1                # recorded in the manifest only
     mode: str = "uncontrolled"
     x0: tuple[float, ...] | None = None
     queries: tuple[tuple[float, ...], ...] | None = None
@@ -152,9 +151,6 @@ def _parse_sampling(data: dict) -> SamplingOptions:
         kw["seed"] = _int_value(data["seed"], "sampling", "seed", 0)
     if "threads" in data:
         kw["threads"] = _int_value(data["threads"], "sampling", "threads", 1)
-    if "chunk_paths" in data:
-        kw["chunk_paths"] = _int_value(data["chunk_paths"], "sampling",
-                                       "chunk_paths", 1)
     if "mode" in data:
         if not isinstance(data["mode"], str) or data["mode"] not in DRIFT_MODES:
             raise ConfigError(f"[sampling] mode must be one of {DRIFT_MODES}")

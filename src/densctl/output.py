@@ -83,14 +83,18 @@ class RunManifest:
 class RunWriter:
     """Collects a run's artifacts in one directory and logs the manifest.
 
-    The directory name is <command>-<first 12 hex of the config hash>,
-    so identical configs land in the same place and reruns overwrite
-    their own previous artifacts.
+    The directory name is <command>-<first 12 hex of a hash over the
+    config hash and `options`>, where `options` holds every resolved
+    option that changes the artifacts, so identical runs land in the
+    same place and reruns overwrite their own previous artifacts.
     """
 
     def __init__(self, base_dir: str, command: str, config_hash: str,
-                 seed: int | None = None, threads: int | None = None):
-        self.dir = os.path.join(base_dir, f"{command}-{config_hash[:12]}")
+                 options: dict, seed: int | None = None,
+                 threads: int | None = None):
+        key = json.dumps({"config": config_hash, **options}, sort_keys=True)
+        self.dir = os.path.join(
+            base_dir, f"{command}-{sha256_bytes(key.encode())[:12]}")
         os.makedirs(self.dir, exist_ok=True)
         self.manifest = RunManifest(
             command=command, config_hash=config_hash, seed=seed,

@@ -1,21 +1,23 @@
 """SDE simulation and Monte Carlo estimators.
 
 Every path owns a counter-based random stream keyed by (seed, path
-index), so results are bit-identical for any thread count and any
-chunking of the path range. Two stream ids at the top of the 64-bit
-range are reserved: 2^64 - 1 drives bootstrap resampling and 2^64 - 2
-draws initial ensembles, which is why user seeds must stay below
-2^64 - 2. Reductions always run in path-index order.
+index), so a path's result does not depend on which other paths run
+beside it: results are bit-identical for any chunking of the path range
+and any batching of start points. Two stream ids at the top of the
+64-bit range are reserved: 2^64 - 1 drives bootstrap resampling and
+2^64 - 2 draws initial ensembles, which is why user seeds must stay
+below 2^64 - 2. Reductions always run in path-index order.
 
 Integration is Euler-Maruyama with reflection at the box boundary
 (matching the zero-flux PDE boundary); reflected paths are flagged so
 truncation bias is visible. Running costs use the left-endpoint rule,
-consistent with the weak order of the integrator.
+consistent with the weak order of the integrator. Noise is drawn in
+time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m floats however
+long the horizon (m noise dimensions).
 """
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +32,9 @@ from .spectral import HJBSolution
 BOOTSTRAP_STREAM = 2**64 - 1
 INIT_STREAM = 2**64 - 2
 BOOTSTRAP_SAMPLES = 200
+BOOTSTRAP_BLOCK = 2**20  # resampling indices drawn at once
+CHUNK_PATHS = 8192       # paths integrated side by side
+BLOCK_STEPS = 256        # time steps of noise drawn at once
 FD_STEP = 1e-5
 
 _MODE_ALIASES = {
@@ -49,8 +54,6 @@ class SdeConfig:
     n_paths: int
     seed: int
     mode: str = "uncontrolled"
-    threads: int = 1
-    chunk_paths: int = 1024
     record: bool = False
     record_stride: int = 1
 
@@ -64,8 +67,8 @@ class SdeConfig:
         if not 0 <= int(self.seed) < INIT_STREAM:
             raise SamplingError(
                 f"seed must lie in [0, 2^64 - 3], got {self.seed}")
-        if self.threads < 1 or self.chunk_paths < 1 or self.record_stride < 1:
-            raise SamplingError("threads, chunk_paths, record_stride must be >= 1")
+        if self.record_stride < 1:
+            raise SamplingError("record_stride must be >= 1")
         mode = _MODE_ALIASES.get(self.mode)
         if mode is None:
             raise SamplingError(f"unknown drift mode {self.mode!r}")
@@ -212,71 +215,81 @@ class _Dynamics:
 # ---------------------------------------------------------------------------
 # path engine
 
-def _run_chunk(dyn: _Dynamics, cfg: SdeConfig, stream_base: int, lo: int,
-               x0: np.ndarray, cost_expr: Expr | None, cost_shift: float,
-               lam: float, record_steps: list[int],
-               out_terminal, out_cost, out_exited, out_excluded, out_states):
-    P = x0.shape[0]
-    n_steps = cfg.n_steps
-    noise = np.empty((P, n_steps, dyn.m))
-    for j in range(P):
-        key = np.array([cfg.seed, stream_base + lo + j], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        noise[j] = gen.standard_normal((n_steps, dyn.m))
+def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
+               stream_base: int = 0, record_steps: tuple | list = (),
+               cost_expr: Expr | None = None, cost_shift: float = 0.0):
+    """Euler-Maruyama over all paths; the one step loop of the module.
 
-    lows = np.asarray(dyn.grid.lows)
-    spans = np.asarray(dyn.grid.highs) - lows
-    sqdt = np.sqrt(cfg.dt)
-    x = x0.copy()
+    Paths run side by side in chunks of CHUNK_PATHS; each chunk draws
+    its noise BLOCK_STEPS steps at a time from per-path generators that
+    live for the whole chunk. Returns terminal states, cost integrals,
+    exit and exclusion flags, and the states at `record_steps`.
+    """
+    P, n = x0.shape
+    n_steps = cfg.n_steps
+    terminal = np.empty((P, n))
     cost = np.zeros(P)
     exited = np.zeros(P, dtype=bool)
     excluded = np.zeros(P, dtype=bool)
+    states = np.empty((P, len(record_steps), n))
+    slot = {step: i for i, step in enumerate(record_steps)}
+    lows = np.asarray(dyn.grid.lows)
+    spans = np.asarray(dyn.grid.highs) - lows
+    sqdt = np.sqrt(cfg.dt)
+    noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps), dyn.m))
 
-    rec_iter = iter(record_steps)
-    rec_next = next(rec_iter, -1)
-    rec_slot = 0
-    if rec_next == 0:
-        out_states[lo:lo + P, 0] = x
-        rec_slot = 1
-        rec_next = next(rec_iter, -1)
-
-    for k in range(n_steps):
-        if cost_expr is not None:
-            cost += (cfg.dt / lam) * (evaluate(cost_expr, x) - cost_shift)
-        step = dyn.drift(x) * cfg.dt + np.einsum(
-            "pij,pj->pi", dyn.noise(x), noise[:, k, :]) * sqdt
-        x_new = x + step
-        bad = ~np.isfinite(x_new).all(axis=1)
-        if bad.any():
-            excluded |= bad
-            x_new[bad] = x[bad]
-        outside = (x_new < lows) | (x_new > lows + spans)
-        if outside.any():
-            exited |= outside.any(axis=1)
-            # reflective fold with period 2 * span, applied only to the
-            # entries outside: the fold moves inside entries by an ulp,
-            # which would tie a path's bytes to the rest of its chunk
-            y = np.mod(x_new - lows, 2.0 * spans)
-            x_new = np.where(outside, lows + (spans - np.abs(y - spans)),
-                             x_new)
-        x = x_new
-        if k + 1 == rec_next:
-            out_states[lo:lo + P, rec_slot] = x
-            rec_slot += 1
-            rec_next = next(rec_iter, -1)
+    for lo in range(0, P, CHUNK_PATHS):
+        hi = min(lo + CHUNK_PATHS, P)
+        gens = [np.random.Generator(np.random.Philox(key=np.array(
+            [cfg.seed, stream_base + j], dtype=np.uint64)))
+            for j in range(lo, hi)]
+        x = x0[lo:hi].copy()
+        if 0 in slot:
+            states[lo:hi, slot[0]] = x
+        for k0 in range(0, n_steps, BLOCK_STEPS):
+            block = noise[:hi - lo, :min(BLOCK_STEPS, n_steps - k0)]
+            for gen, row in zip(gens, block):
+                gen.standard_normal(out=row)
+            for b in range(block.shape[1]):
+                if cost_expr is not None:
+                    cost[lo:hi] += (cfg.dt / dyn.spec.lam) * (
+                        evaluate(cost_expr, x) - cost_shift)
+                step = dyn.drift(x) * cfg.dt + np.einsum(
+                    "pij,pj->pi", dyn.noise(x), block[:, b, :]) * sqdt
+                x_new = x + step
+                bad = ~np.isfinite(x_new).all(axis=1)
+                if bad.any():
+                    excluded[lo:hi] |= bad
+                    x_new[bad] = x[bad]
+                outside = (x_new < lows) | (x_new > lows + spans)
+                if outside.any():
+                    exited[lo:hi] |= outside.any(axis=1)
+                    # reflective fold with period 2 * span, applied only to
+                    # the entries outside: the fold moves inside entries by
+                    # an ulp, which would tie a path's bytes to its chunk
+                    y = np.mod(x_new - lows, 2.0 * spans)
+                    x_new = np.where(outside, lows + (spans - np.abs(y - spans)),
+                                     x_new)
+                x = x_new
+                if k0 + b + 1 in slot:
+                    states[lo:hi, slot[k0 + b + 1]] = x
+        terminal[lo:hi] = x
 
     if cost_expr is not None:
         excluded |= ~np.isfinite(cost)
+    return terminal, cost, exited, excluded, states
 
-    out_terminal[lo:lo + P] = x
-    out_cost[lo:lo + P] = cost
-    out_exited[lo:lo + P] = exited
-    out_excluded[lo:lo + P] = excluded
+
+def _feedback_table(grid: Grid, target: ScalarField) -> np.ndarray:
+    """grad(log p) of a positive target density on the grid nodes."""
+    if target.values.min() <= 0.0:
+        raise SamplingError("feedback target density must be positive")
+    return gradient_values(grid, np.log(target.values))
 
 
 def _resolve_x0(x0, n_paths: int, dim: int) -> np.ndarray:
     if isinstance(x0, Ensemble):
-        return x0.positions.copy()
+        return x0.positions
     pt = np.asarray(x0, dtype=float).reshape(-1)
     if pt.shape[0] != dim:
         raise SamplingError(f"start point has dimension {pt.shape[0]}, grid {dim}")
@@ -293,10 +306,11 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     """Integrate an Euler-Maruyama path batch.
 
     x0 is a single start point or an Ensemble (whose count then
-    overrides cfg.n_paths). Steady-control mode takes the control from
-    `control` or `hjb`; density-feedback mode takes the target density
-    from `target` or `hjb`. The running cost integral of
-    (q - shift)/lam is accumulated when cost_expr is given.
+    overrides cfg.n_paths); path j draws from stream stream_base + j.
+    Steady-control mode takes the control from `control` or `hjb`;
+    density-feedback mode takes the target density from `target` or
+    `hjb`. The running cost integral of (q - shift)/lam is accumulated
+    when cost_expr is given.
     """
     grid = spec.grid
     control_values = None
@@ -312,9 +326,7 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
             target = hjb.p
         if target is None:
             raise SamplingError("density-feedback mode needs `target` or `hjb`")
-        if target.values.min() <= 0.0:
-            raise SamplingError("feedback target density must be positive")
-        grad_logp = gradient_values(grid, np.log(target.values))
+        grad_logp = _feedback_table(grid, target)
 
     if isinstance(cost_expr, str):
         cost_expr = parse_expression(cost_expr)
@@ -325,46 +337,24 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 
     dyn = _Dynamics(spec, cfg.mode, control_values, grad_logp)
     x0_arr = _resolve_x0(x0, cfg.n_paths, grid.dim)
-    P = x0_arr.shape[0]
     n_steps = cfg.n_steps
 
     record_steps: list[int] = []
     times = None
-    states = None
     if cfg.record:
         record_steps = list(range(0, n_steps + 1, cfg.record_stride))
         if record_steps[-1] != n_steps:
             record_steps.append(n_steps)
         times = cfg.dt * np.asarray(record_steps, dtype=float)
-        states = np.empty((P, len(record_steps), grid.dim))
 
-    terminal = np.empty((P, grid.dim))
-    cost = np.empty(P)
-    exited = np.empty(P, dtype=bool)
-    excluded = np.empty(P, dtype=bool)
-
-    chunks = [(a, min(a + cfg.chunk_paths, P))
-              for a in range(0, P, cfg.chunk_paths)]
-
-    def work(bounds):
-        a, b = bounds
-        _run_chunk(dyn, cfg, stream_base, a, x0_arr[a:b], cost_expr,
-                   cost_shift, spec.lam, record_steps,
-                   terminal, cost, exited, excluded, states)
-
-    if cfg.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            list(ex.map(work, chunks))
-    else:
-        for bounds in chunks:
-            work(bounds)
-
+    terminal, cost, exited, excluded, states = _integrate(
+        dyn, cfg, x0_arr, stream_base, record_steps, cost_expr, cost_shift)
     if excluded.all():
         raise SamplingError("every path blew up; check the drift and dt")
     return TrajectoryBatch(
         terminal=terminal, cost_integral=cost, exited=exited,
         excluded=excluded, seed=cfg.seed, horizon=cfg.horizon,
-        times=times, states=states)
+        times=times, states=states if cfg.record else None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,27 +367,52 @@ def _uncontrolled(cfg: SdeConfig) -> SdeConfig:
 def path_integral_desirability(spec: ProblemSpec, q, c: float, lam: float,
                                y, cfg: SdeConfig,
                                stream_base: int = 0) -> Estimate:
-    """Monte Carlo desirability at one point.
+    """Monte Carlo desirability at one point; see
+    path_integral_desirabilities."""
+    return path_integral_desirabilities(spec, q, c, lam, [y], cfg,
+                                        stream_base)[0]
 
-    Averages exp(-integral (q - c)/lam) over uncontrolled paths started
-    at y with terminal weight one; the estimate carries the usual scale
-    gauge of the desirability, so compare ratios, not values.
+
+def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
+                                 points, cfg: SdeConfig,
+                                 stream_base: int = 0) -> list[Estimate]:
+    """Monte Carlo desirability at each of several points, in one batch.
+
+    Averages exp(-integral (q - c)/lam) over cfg.n_paths uncontrolled
+    paths started at each point with terminal weight one; the estimates
+    carry the usual scale gauge of the desirability, so compare ratios,
+    not values. Path j of point i draws stream
+    stream_base + i * n_paths + j, so each estimate equals a single-point
+    call with stream_base + i * n_paths.
     """
-    batch = simulate_sde(spec, _uncontrolled(cfg), y, cost_expr=q,
+    n_paths = cfg.n_paths
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    if pts.shape[1] != spec.grid.dim:
+        raise SamplingError(f"start point has dimension {pts.shape[1]}, "
+                            f"grid {spec.grid.dim}")
+    starts = Ensemble(positions=np.repeat(pts, n_paths, axis=0))
+    batch = simulate_sde(spec, _uncontrolled(cfg), starts, cost_expr=q,
                          cost_shift=c, stream_base=stream_base)
-    keep = ~batch.excluded
-    weights = np.exp(-batch.cost_integral[keep])
-    n = int(weights.shape[0])
-    value = float(weights.mean())
-    stderr = float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    degenerate = stderr > 0.5 * abs(value)
-    if degenerate:
-        warnings.warn("desirability estimator is degenerate "
-                      f"(stderr/mean = {stderr / max(abs(value), 1e-300):.2f})",
-                      stacklevel=2)
-    return Estimate(value=value, stderr=stderr, n_used=n,
-                    n_excluded=batch.n_excluded,
-                    n_exited=int(batch.exited.sum()), degenerate=degenerate)
+    estimates = []
+    for i in range(pts.shape[0]):
+        rows = slice(i * n_paths, (i + 1) * n_paths)
+        excluded = batch.excluded[rows]
+        if excluded.all():
+            raise SamplingError("every path blew up; check the drift and dt")
+        weights = np.exp(-batch.cost_integral[rows][~excluded])
+        n = int(weights.shape[0])
+        value = float(weights.mean())
+        stderr = float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        degenerate = stderr > 0.5 * abs(value)
+        if degenerate:
+            warnings.warn(
+                "desirability estimator is degenerate (stderr/mean = "
+                f"{stderr / max(abs(value), 1e-300):.2f})", stacklevel=2)
+        estimates.append(Estimate(
+            value=value, stderr=stderr, n_used=n,
+            n_excluded=int(excluded.sum()),
+            n_exited=int(batch.exited[rows].sum()), degenerate=degenerate))
+    return estimates
 
 
 def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
@@ -424,8 +439,11 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
 
     gen = np.random.Generator(np.random.Philox(
         key=np.array([cfg.seed, BOOTSTRAP_STREAM], dtype=np.uint64)))
-    idx = gen.integers(0, n, size=(BOOTSTRAP_SAMPLES, n))
-    boot_means = weights[idx].mean(axis=1)
+    boot_means = np.empty(BOOTSTRAP_SAMPLES)
+    rows = max(1, BOOTSTRAP_BLOCK // n)
+    for a in range(0, BOOTSTRAP_SAMPLES, rows):
+        idx = gen.integers(0, n, size=(min(rows, BOOTSTRAP_SAMPLES - a), n))
+        boot_means[a:a + idx.shape[0]] = weights[idx].mean(axis=1)
     boot_means = np.maximum(boot_means, 1e-300)
     boot = -(lam / T) * np.log(boot_means)
     stderr = float(boot.std(ddof=1))
@@ -464,45 +482,12 @@ def simulate_density_feedback(spec: ProblemSpec, p_target: ScalarField,
     """
     if ens0 is None:
         ens0 = uniform_ensemble(spec.grid, cfg.n_paths, cfg.seed)
-    cfg = replace(cfg, mode="feedback")
-
     n_steps = cfg.n_steps
-    if snapshot_times:
-        steps = sorted({min(max(int(round(t / cfg.dt)), 0), n_steps)
-                        for t in snapshot_times} | {0, n_steps})
-    else:
-        steps = [0, n_steps]
-
-    # reuse the batch engine but record only the requested stamps
-    grid = spec.grid
-    if p_target.values.min() <= 0.0:
-        raise SamplingError("feedback target density must be positive")
-    grad_logp = gradient_values(
-        grid, np.log(np.maximum(p_target.values, 1e-300)))
-    dyn = _Dynamics(spec, "feedback", None, grad_logp)
-
-    P = ens0.count
-    terminal = np.empty((P, grid.dim))
-    cost = np.empty(P)
-    exited = np.empty(P, dtype=bool)
-    excluded = np.empty(P, dtype=bool)
-    states = np.empty((P, len(steps), grid.dim))
-
-    chunks = [(a, min(a + cfg.chunk_paths, P))
-              for a in range(0, P, cfg.chunk_paths)]
-
-    def work(bounds):
-        a, b = bounds
-        _run_chunk(dyn, cfg, 0, a, ens0.positions[a:b], None, 0.0,
-                   spec.lam, steps, terminal, cost, exited, excluded, states)
-
-    if cfg.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            list(ex.map(work, chunks))
-    else:
-        for bounds in chunks:
-            work(bounds)
-
+    steps = sorted({min(max(int(round(t / cfg.dt)), 0), n_steps)
+                    for t in snapshot_times or ()} | {0, n_steps})
+    dyn = _Dynamics(spec, "feedback", None,
+                    _feedback_table(spec.grid, p_target))
+    states = _integrate(dyn, cfg, ens0.positions, record_steps=steps)[-1]
     return [Ensemble(positions=states[:, i, :], time=step * cfg.dt,
                      seed=cfg.seed)
             for i, step in enumerate(steps)]

@@ -206,7 +206,7 @@ def test_08_path_integral_cross_validation(ou401, ou_hjb):
     q = ou401.q
     points = [-1.0, -0.5, 0.0, 0.5, 1.0]
     cfg = dc.SdeConfig(dt=1e-3, T=5.0, n_paths=10_000, seed=2024,
-                       mode="uncontrolled", threads=1, chunk_paths=10_000)
+                       mode="uncontrolled")
 
     t0 = time.perf_counter()
     ests = [dc.path_integral_desirability(ou401, q, ou_hjb.c, ou401.lam, [y],
@@ -249,7 +249,7 @@ def test_09_feedback_ensemble_reaches_target(ou401):
     spec = dataclasses.replace(ou401, q=None,
                                target=dc.parse_expression("exp(-2*x1^2)"))
     cfg = dc.SdeConfig(dt=1e-2, T=10.0, n_paths=100_000, seed=31,
-                       mode="feedback", threads=4, chunk_paths=8192)
+                       mode="feedback")
 
     t0 = time.perf_counter()
     snaps = dc.simulate_density_feedback(spec, target, cfg,

@@ -11,7 +11,9 @@ import sys
 import numpy as np
 import pytest
 
+from densctl import SdeConfig, load_config, path_integral_desirability
 from densctl.cli import main
+from densctl.output import format_float
 
 FORWARD = {
     "grid": {"lows": [-6.0], "highs": [6.0], "counts": [201]},
@@ -86,6 +88,11 @@ class TestExitCodes:
         bad2 = dict(FORWARD)
         bad2["solver"] = {"k": 6, "mystery": 1}
         assert run(["check"], tmp_path, config=bad2)[0] == 2
+
+    def test_chunk_paths_key_is_unknown(self, tmp_path, capsys):
+        bad = dict(FORWARD, sampling=dict(FORWARD["sampling"], chunk_paths=64))
+        assert run(["check"], tmp_path, config=bad)[0] == 2
+        assert "chunk_paths" in capsys.readouterr().err
 
     def test_mode_mismatch(self, tmp_path):
         assert run(["solve"], tmp_path, config=INVERSE)[0] == 2
@@ -210,6 +217,24 @@ class TestDeterminism:
             if f.suffix == ".csv":
                 assert f.read_bytes() == (outs[1] / f.name).read_bytes()
 
+    def test_desirability_csv_matches_single_point_estimates(self, tmp_path):
+        code, out = run(["sample", "desirability"], tmp_path)
+        assert code == 0
+        d = only_dir(out, "sample-desirability")
+        c = json.loads((d / "summary.json").read_text())["c"]
+        spec = load_config(str(tmp_path / "cfg.json")).spec
+        s = FORWARD["sampling"]
+        cfg = SdeConfig(dt=s["dt"], T=s["T"], n_paths=s["n_paths"],
+                        seed=s["seed"])
+        rows = (d / "desirability.csv").read_text().splitlines()[1:]
+        for qi, row in enumerate(rows):
+            x1, *fields = row.split(",")
+            e = path_integral_desirability(
+                spec, spec.q, c, spec.lam, (float(x1),), cfg,
+                stream_base=qi * cfg.n_paths)
+            expect = [e.value, e.stderr, e.n_used, e.n_excluded]
+            assert fields[:4] == [format_float(v) for v in expect]
+
     def test_solve_rerun_identical(self, tmp_path):
         cfg = write_config(tmp_path, FORWARD)
         for tag in ("a", "b"):
@@ -219,6 +244,29 @@ class TestDeterminism:
         b = only_dir(tmp_path / "b", "solve")
         assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+class TestRunDirectories:
+    def test_options_that_change_bytes_get_their_own_directory(self, tmp_path):
+        cfg = write_config(tmp_path, FORWARD)
+        out = tmp_path / "out"
+        for extra in (["sample", "paths", "--seed", "1"],
+                      ["sample", "paths", "--seed", "2"],
+                      ["spectrum"], ["spectrum", "--controlled"],
+                      ["spectrum", "--k", "3"]):
+            assert main(extra + ["--config", cfg, "--out", str(out),
+                                 "--quiet"]) == 0
+        names = [d.name for d in out.iterdir()]
+        assert sum(n.startswith("sample-paths-") for n in names) == 2
+        assert sum(n.startswith("spectrum-") for n in names) == 3
+
+    def test_threads_do_not_change_the_directory(self, tmp_path):
+        cfg = write_config(tmp_path, FORWARD)
+        for threads in ("1", "3"):
+            assert main(["sample", "paths", "--config", cfg, "--threads",
+                         threads, "--out", str(tmp_path / "out"),
+                         "--quiet"]) == 0
+        only_dir(tmp_path / "out", "sample-paths")
 
 
 class TestPrecedence:

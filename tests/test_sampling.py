@@ -5,6 +5,8 @@ they are reproducible; the exact identities (constant cost, constant
 shift, drift table equivalence) hold to rounding and are tested tight.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,28 +60,53 @@ class TestConfig:
 
 
 class TestDeterminism:
-    def test_threads_and_chunks_do_not_change_results(self, ou401):
-        runs = []
-        for threads, chunk in ((1, 64), (4, 64), (4, 37), (2, 1000)):
-            c = cfg(n_paths=300, threads=threads, chunk_paths=chunk)
-            batch = dc.simulate_sde(ou401, c, x0=(0.5,))
-            runs.append(batch)
-        for other in runs[1:]:
-            np.testing.assert_array_equal(runs[0].terminal, other.terminal)
-            np.testing.assert_array_equal(runs[0].cost_integral, other.cost_integral)
-
-    @pytest.mark.parametrize("mode", ["uncontrolled", "steady", "feedback"])
-    def test_reflecting_paths_do_not_depend_on_chunking(self, ou401, ou_hjb,
-                                                        mode):
+    def test_chunks_and_blocks_do_not_change_results(self, ou401, ou_hjb,
+                                                      monkeypatch):
         # a uniform start puts particles at the wall, so paths reflect
         ens = dc.uniform_ensemble(ou401.grid, 512, 3)
-        runs = [dc.simulate_sde(ou401, cfg(n_paths=512, T=0.2, mode=mode,
-                                           chunk_paths=chunk),
-                                ens, hjb=ou_hjb)
-                for chunk in (1024, 37)]
-        assert runs[0].exited.any()
-        np.testing.assert_array_equal(runs[0].terminal, runs[1].terminal)
-        np.testing.assert_array_equal(runs[0].exited, runs[1].exited)
+        for mode in ("uncontrolled", "steady", "feedback"):
+            c = cfg(n_paths=512, T=0.2, mode=mode, record=True,
+                    record_stride=7)
+            ref = dc.simulate_sde(ou401, c, ens, hjb=ou_hjb, cost_expr=ou401.q)
+            with monkeypatch.context() as m:
+                m.setattr(dc.sampling, "CHUNK_PATHS", 37)
+                m.setattr(dc.sampling, "BLOCK_STEPS", 16)
+                small = dc.simulate_sde(ou401, c, ens, hjb=ou_hjb,
+                                        cost_expr=ou401.q)
+            assert ref.exited.any()
+            np.testing.assert_array_equal(ref.terminal, small.terminal)
+            np.testing.assert_array_equal(ref.states, small.states)
+            np.testing.assert_array_equal(ref.cost_integral, small.cost_integral)
+            np.testing.assert_array_equal(ref.exited, small.exited)
+
+    def test_noise_memory_is_bounded_by_the_time_block(self, ou401):
+        # 4000 steps of one-dimensional noise for 256 paths is 8.2 MB
+        c = cfg(dt=1e-4, T=0.4, n_paths=256)
+        tracemalloc.start()
+        try:
+            dc.simulate_sde(ou401, c, x0=(0.5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
+    def test_bootstrap_blocks_do_not_change_the_estimate(self, ou401,
+                                                         monkeypatch):
+        c = cfg(n_paths=300, T=0.5)
+        y0 = dc.Ensemble(positions=np.zeros((300, 1)))
+        ref = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
+        monkeypatch.setattr(dc.sampling, "BOOTSTRAP_BLOCK", 7 * 300 + 1)
+        assert dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0) == ref
+
+    def test_batched_desirability_matches_single_points(self, ou401, ou_hjb):
+        c = cfg(n_paths=100, T=0.5)
+        pts = [(-1.0,), (0.0,), (1.5,)]
+        batch = dc.path_integral_desirabilities(ou401, ou401.q, ou_hjb.c,
+                                                2.0, pts, c)
+        singles = [dc.path_integral_desirability(ou401, ou401.q, ou_hjb.c,
+                                                 2.0, y, c, stream_base=i * 100)
+                   for i, y in enumerate(pts)]
+        assert batch == singles
 
     def test_seed_changes_results(self, ou401):
         a = dc.simulate_sde(ou401, cfg(seed=1), x0=(0.5,))
@@ -109,7 +136,7 @@ class TestDriftModes:
         spec = dc.ProblemSpec(grid=g, phi="20000*x1^2", sigma=[["0.01"]], q="0")
         errs = []
         for dt in (0.01, 0.005):
-            c = cfg(dt=dt, T=1.0, n_paths=512, threads=2)
+            c = cfg(dt=dt, T=1.0, n_paths=512)
             out = dc.simulate_sde(spec, c, x0=(1.0,))
             errs.append(abs(out.terminal.mean() - np.exp(-2.0)))
         assert errs[0] <= 5e-3
@@ -117,7 +144,7 @@ class TestDriftModes:
 
     def test_stationary_variance_of_uncontrolled_process(self, ou401):
         # Sigma = 2 with phi = x^2 equilibrates to variance 1/2
-        c = cfg(dt=1e-3, T=4.0, n_paths=20000, seed=7, threads=4)
+        c = cfg(dt=1e-3, T=4.0, n_paths=20000, seed=7)
         out = dc.simulate_sde(ou401, c, x0=(0.0,))
         var = out.terminal[:, 0].var(ddof=1)
         se = 0.5 * np.sqrt(2.0 / (c.n_paths - 1))
@@ -134,7 +161,7 @@ class TestDriftModes:
 
     def test_controlled_ensemble_contracts_to_target(self, ou401, ou_hjb):
         # controlled stationary density has variance 1/4
-        c = cfg(dt=1e-3, T=4.0, n_paths=20000, seed=19, threads=4, mode="steady")
+        c = cfg(dt=1e-3, T=4.0, n_paths=20000, seed=19, mode="steady")
         out = dc.simulate_sde(ou401, c, x0=(0.0,), hjb=ou_hjb)
         var = out.terminal[:, 0].var(ddof=1)
         se = 0.25 * np.sqrt(2.0 / (c.n_paths - 1))
@@ -189,7 +216,7 @@ class TestEstimators:
 
     def test_desirability_matches_grid_ratios(self, ou401, ou_hjb):
         qs = [(-1.0,), (0.0,), (1.0,)]
-        c = cfg(dt=1e-3, T=5.0, n_paths=4000, seed=123, threads=4)
+        c = cfg(dt=1e-3, T=5.0, n_paths=4000, seed=123)
         ests = [
             dc.path_integral_desirability(
                 ou401, ou401.q, ou_hjb.c, 2.0, y, c, stream_base=i * c.n_paths
@@ -208,7 +235,7 @@ class TestEstimators:
             assert abs(r - ref) <= 4 * se
 
     def test_rate_estimate_brackets_spectral_value(self, ou401, ou_hjb):
-        c = cfg(dt=1e-3, T=10.0, n_paths=3000, seed=5, threads=4)
+        c = cfg(dt=1e-3, T=10.0, n_paths=3000, seed=5)
         y0 = dc.Ensemble(positions=np.zeros((3000, 1)))
         est = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
         assert est.stderr > 0
@@ -249,7 +276,7 @@ class TestHistogramAndTv:
 
     def test_histogram_statistical_consistency(self, ou401):
         # equilibrated controlled-free ensemble vs Gibbs density
-        c = cfg(dt=2e-3, T=6.0, n_paths=40000, seed=31, threads=4)
+        c = cfg(dt=2e-3, T=6.0, n_paths=40000, seed=31)
         out = dc.simulate_sde(ou401, c, x0=(0.0,))
         ens = dc.Ensemble(positions=out.terminal, time=c.horizon, seed=c.seed)
         hist = dc.histogram_density(ens, ou401.grid)
@@ -270,7 +297,7 @@ class TestDensityFeedbackLoop:
         tgt /= w @ tgt
         target = dc.ScalarField(g, tgt)
         c = dc.SdeConfig(dt=1e-2, T=8.0, n_paths=20000, seed=9,
-                         mode="feedback", threads=4)
+                         mode="feedback")
         snaps = dc.simulate_density_feedback(ou401, target, c,
                                              snapshot_times=[0.0, 2.0, 8.0])
         assert len(snaps) == 3
