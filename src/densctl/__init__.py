@@ -22,6 +22,8 @@ from .errors import (
 )
 from .expressions import (
     ExpressionError,
+    compile_expression,
+    derivative,
     evaluate,
     free_variables,
     parse_expression,
@@ -36,6 +38,7 @@ from .fields import (
     eval_tensor_field,
     gradient_field,
     gradient_values,
+    interpolant,
     interpolate_values,
 )
 from .grid import Grid
@@ -113,13 +116,14 @@ __all__ = [
     "TensorField", "TrajectoryBatch", "ValidationReport", "VectorField",
     "ScalarField",
     "adjoint_of", "apply", "assemble_generator", "confinement_report",
-    "control_cost_from_diffusion", "control_from_target", "cost_from_target",
+    "compile_expression", "control_cost_from_diffusion", "control_from_target",
+    "cost_from_target", "derivative",
     "controlled_operator", "desirability_from_target", "drift_from_potential",
     "dump_operator", "eig_generator", "eigen_evolution", "estimate_c_mc",
     "eval_scalar_field", "eval_tensor_field", "evaluate", "evolve_fp",
     "evolve_perturbation", "expand_in_eigenbasis", "fit_decay_rate",
     "free_variables", "gradient_field", "gradient_values",
-    "histogram_density", "interpolate_values", "load_config",
+    "histogram_density", "interpolant", "interpolate_values", "load_config",
     "parse_config", "parse_expression", "path_integral_desirabilities",
     "path_integral_desirability",
     "project_mass_zero", "roundtrip_verify", "simulate_density_feedback",

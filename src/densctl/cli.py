@@ -401,6 +401,7 @@ def cmd_sample_desirability(run: _Run) -> int:
         "T": cfg.T,
         "dt": cfg.dt,
         "degenerate": [e.degenerate for e in est],
+        "ess": [e.ess for e in est],
     })
     w.close()
     for y, e in zip(queries, est):
@@ -434,6 +435,7 @@ def cmd_sample_cost(run: _Run) -> int:
         "T": cfg.T,
         "dt": cfg.dt,
         "degenerate": est.degenerate,
+        "ess": est.ess,
     })
     w.close()
     run.say(f"c_hat = {est.value:.6g} +- {est.stderr:.2g} "

@@ -5,8 +5,9 @@ Variables are x1, x2, ... (1-indexed). Supported syntax: numeric literals,
 parentheses, and the functions exp, log, sqrt, sin, cos, tanh, abs (one
 argument) and min, max (two arguments).
 
-This module only parses, prints and evaluates. Derivatives of expressions
-are always taken numerically by the callers.
+This module parses, prints and evaluates trees, compiles a tree once
+into a closure for repeated evaluation, and takes symbolic partial
+derivatives of trees.
 """
 from __future__ import annotations
 
@@ -216,38 +217,166 @@ def evaluate(expr: Expr, coords: np.ndarray) -> np.ndarray:
     Variable indices beyond n raise ExpressionError. Nonfinite results are
     returned as-is; callers decide whether they are acceptable.
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2:
-        raise ValueError("coords must have shape (m, n)")
-    out = _eval(expr, coords)
-    return np.broadcast_to(np.asarray(out, dtype=float), (coords.shape[0],)).copy()
+    return compile_expression(expr)(coords)
 
 
-def _eval(expr: Expr, coords: np.ndarray):
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.index > coords.shape[1]:
+def compile_expression(expr: Expr):
+    """Turn a tree into a function of coords (m, n) -> fresh array (m,).
+
+    The tree is walked once, here; constant subtrees are folded. The
+    function behaves as `evaluate`: floating-point warnings are silenced
+    and a variable index beyond n raises ExpressionError.
+    """
+    body = _compile(expr)
+    need = max(free_variables(expr), default=0)
+    const = not callable(body)
+
+    def compiled(coords: np.ndarray) -> np.ndarray:
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim != 2:
+            raise ValueError("coords must have shape (m, n)")
+        if need > coords.shape[1]:
             raise ExpressionError(
-                f"variable x{expr.index} exceeds dimension {coords.shape[1]}", 0)
-        return coords[:, expr.index - 1]
-    if isinstance(expr, Neg):
-        return -_eval(expr.arg, coords)
-    if isinstance(expr, BinOp):
-        a = _eval(expr.left, coords)
-        b = _eval(expr.right, coords)
+                f"variable x{need} exceeds dimension {coords.shape[1]}", 0)
+        if const:
+            return np.full(coords.shape[0], body)
         with np.errstate(all="ignore"):
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if expr.op == "/":
-                return a / b
-            return np.power(a, b)
-    with np.errstate(all="ignore"):
-        return _FN_IMPL[expr.name](*(_eval(a, coords) for a in expr.args))
+            out = body(coords)
+        # a bare variable is a view of coords; hand out a copy
+        return out.copy() if isinstance(expr, Var) else out
+
+    return compiled
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power}
+
+
+def _compile(expr: Expr):
+    """A float for a constant subtree, else a closure over coords."""
+    if isinstance(expr, Num):
+        return np.float64(expr.value)
+    if isinstance(expr, Var):
+        i = expr.index - 1
+        return lambda x: x[:, i]
+    if isinstance(expr, Neg):
+        parts, fn = [_compile(expr.arg)], np.negative
+    elif isinstance(expr, BinOp):
+        parts, fn = [_compile(expr.left), _compile(expr.right)], _BINARY[expr.op]
+    else:
+        parts, fn = [_compile(a) for a in expr.args], _FN_IMPL[expr.name]
+    if not any(callable(p) for p in parts):
+        with np.errstate(all="ignore"):
+            return np.float64(fn(*parts))
+    if len(parts) == 1:
+        (a,) = parts
+        return lambda x: fn(a(x))
+    a, b = parts
+    if not callable(a):
+        return lambda x: fn(a, b(x))
+    if not callable(b):
+        return lambda x: fn(a(x), b)
+    return lambda x: fn(a(x), b(x))
+
+
+# ---------------------------------------------------------------------------
+# symbolic differentiation
+
+def _is_num(e: Expr, v: float) -> bool:
+    return isinstance(e, Num) and e.value == v
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0):
+        return b
+    if _is_num(b, 0.0):
+        return a
+    return BinOp("+", a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    if _is_num(b, 0.0):
+        return a
+    return _neg(b) if _is_num(a, 0.0) else BinOp("-", a, b)
+
+
+def _neg(a: Expr) -> Expr:
+    if isinstance(a, Num):
+        return Num(-a.value)
+    return a.arg if isinstance(a, Neg) else Neg(a)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return Num(0.0)
+    if _is_num(a, 1.0):
+        return b
+    return a if _is_num(b, 1.0) else BinOp("*", a, b)
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    if _is_num(a, 0.0) or _is_num(b, 1.0):
+        return a
+    return BinOp("/", a, b)
+
+
+def _pow(a: Expr, b: Expr) -> Expr:
+    return a if _is_num(b, 1.0) else BinOp("^", a, b)
+
+
+def _sign(a: Expr) -> Expr:
+    # a/|a| with sign(0) = 0, the central-difference slope of |a| at 0
+    return BinOp("/", a, Call("max", (Call("abs", (a,)), Num(1e-300))))
+
+
+def derivative(expr: Expr, k: int) -> Expr:
+    """Symbolic partial derivative with respect to x_k (1-based).
+
+    Sums and products by the usual rules, with 0 and 1 folded; |a| has
+    slope sign(a) with sign(0) = 0, and min/max are differentiated as
+    (a + b -/+ |a - b|)/2, so a tie takes the mean of both slopes.
+    """
+    if k not in free_variables(expr):
+        return Num(0.0)
+    if isinstance(expr, Var):
+        return Num(1.0)
+    if isinstance(expr, Neg):
+        return _neg(derivative(expr.arg, k))
+    if isinstance(expr, BinOp):
+        a, b, op = expr.left, expr.right, expr.op
+        da, db = derivative(a, k), derivative(b, k)
+        if op == "+":
+            return _add(da, db)
+        if op == "-":
+            return _sub(da, db)
+        if op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if op == "/":
+            return _div(_sub(da, _mul(expr, db)), b)
+        if _is_num(db, 0.0):
+            e = Num(b.value - 1.0) if isinstance(b, Num) else _sub(b, Num(1.0))
+            return _mul(_mul(b, _pow(a, e)), da)
+        log_a = Call("log", (a,))
+        if _is_num(da, 0.0):
+            return _mul(_mul(expr, log_a), db)
+        return _mul(expr, _add(_mul(db, log_a), _div(_mul(b, da), a)))
+    name, args = expr.name, expr.args
+    if name in ("min", "max"):
+        a, b = args
+        gap = Call("abs", (BinOp("-", a, b),))
+        half = BinOp("-" if name == "min" else "+", BinOp("+", a, b), gap)
+        return derivative(BinOp("/", half, Num(2.0)), k)
+    (a,) = args
+    outer = {
+        "exp": lambda: expr,
+        "log": lambda: BinOp("/", Num(1.0), a),
+        "sqrt": lambda: BinOp("/", Num(0.5), expr),
+        "sin": lambda: Call("cos", (a,)),
+        "cos": lambda: Neg(Call("sin", (a,))),
+        "tanh": lambda: BinOp("-", Num(1.0), BinOp("^", expr, Num(2.0))),
+        "abs": lambda: _sign(a),
+    }[name]()
+    return _mul(outer, derivative(a, k))
 
 
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 30, "^": 40, "atom": 50}

@@ -170,6 +170,50 @@ def mixed_second_derivative_values(grid: Grid, values: np.ndarray,
     return gradient_values(grid, g)[:, l]
 
 
+def interpolant(grid: Grid, values: np.ndarray):
+    """Multilinear interpolation of one nodal table, set up once.
+
+    values is (N,) or (N, c) in flat node order. Returns a function of
+    points (P, n), which are clamped to the box, giving (P,) or (P, c);
+    the strides and corner offsets are built here, not per call.
+    """
+    vals = np.asarray(values, dtype=float)
+    n = grid.dim
+    lows = np.asarray(grid.lows)
+    spacing = np.asarray(grid.spacing)
+    top = np.asarray(grid.counts) - 2.0
+    strides = np.ones(n, dtype=np.int64)
+    for k in range(n - 2, -1, -1):
+        strides[k] = strides[k + 1] * grid.counts[k + 1]
+    # corner c sits at offset bit k of c along axis k
+    bits = [[(c >> k) & 1 for k in range(n)] for c in range(1 << n)]
+    offsets = [int(np.dot(b, strides)) for b in bits]
+
+    def interpolate(points: np.ndarray) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        t = (points - lows) / spacing
+        # lower corner, clamped to the box; fmax sends NaN to 0 so the
+        # gather stays in range and NaN reaches the result through hi
+        i0 = np.fmin(np.fmax(np.floor(t), 0.0), top)
+        hi = np.minimum(np.maximum(t - i0, 0.0), 1.0)
+        lo = 1.0 - hi
+        base = i0[:, -1]
+        for k in range(n - 1):
+            base = base + strides[k] * i0[:, k]
+        base = base.astype(np.int64)
+        out = None
+        for b, off in zip(bits, offsets):
+            w = hi[:, 0] if b[0] else lo[:, 0]
+            for k in range(1, n):
+                w = w * (hi[:, k] if b[k] else lo[:, k])
+            term = np.take(vals, base + off if off else base, axis=0)
+            term *= w if vals.ndim == 1 else w[:, None]
+            out = term if out is None else out + term
+        return out
+
+    return interpolate
+
+
 def interpolate_values(grid: Grid, values: np.ndarray,
                        points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of nodal values at arbitrary points.
@@ -177,29 +221,7 @@ def interpolate_values(grid: Grid, values: np.ndarray,
     values is (N,) or (N, c) in flat node order; points (P, n) are
     clamped to the box before interpolation. Returns (P,) or (P, c).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(values, dtype=float)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    n = grid.dim
-    lows = np.asarray(grid.lows)
-    strides = np.ones(n, dtype=np.int64)
-    for k in range(n - 2, -1, -1):
-        strides[k] = strides[k + 1] * grid.counts[k + 1]
-
-    t = (points - lows) / np.asarray(grid.spacing)
-    i0 = np.clip(np.floor(t).astype(np.int64), 0,
-                 np.asarray(grid.counts) - 2)
-    frac = np.clip(t - i0, 0.0, 1.0)
-
-    out = np.zeros((points.shape[0], vals.shape[1]))
-    for corner in range(1 << n):
-        offs = np.array([(corner >> k) & 1 for k in range(n)], dtype=np.int64)
-        flat = (i0 + offs) @ strides
-        weight = np.prod(np.where(offs == 1, frac, 1.0 - frac), axis=1)
-        out += weight[:, None] * vals[flat]
-    return out[:, 0] if squeeze else out
+    return interpolant(grid, values)(points)
 
 
 def tensor_divergence_values(grid: Grid, tensor: np.ndarray) -> np.ndarray:

@@ -8,12 +8,19 @@ the cost multiplier lam is structurally fixed at 2.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ModelError
-from .expressions import EXPR_TYPES, Expr, free_variables, parse_expression
+from .expressions import (
+    EXPR_TYPES,
+    BinOp,
+    Expr,
+    free_variables,
+    parse_expression,
+)
 from .fields import (
     ScalarField,
     TensorField,
@@ -141,6 +148,20 @@ class ProblemSpec:
         if self.sigma is not None:
             return eval_matrix(self.sigma, points)
         return np.linalg.cholesky(eval_matrix(self.Sigma, points))
+
+    def diffusion_exprs(self) -> ExprMatrix:
+        """Sigma as expression trees; sum_p sigma_ip sigma_kp when sigma
+        is given."""
+        if self.Sigma is not None:
+            return self.Sigma
+        s = self.sigma
+
+        def entry(i: int, k: int) -> Expr:
+            terms = [BinOp("*", si, sk) for si, sk in zip(s[i], s[k])]
+            return functools.reduce(lambda a, b: BinOp("+", a, b), terms)
+
+        return tuple(tuple(entry(i, k) for k in range(len(s)))
+                     for i in range(len(s)))
 
     def diffusion_field(self) -> TensorField:
         vals = self.diffusion_at(self.grid.node_coords())

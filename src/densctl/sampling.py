@@ -14,6 +14,13 @@ truncation bias is visible. Running costs use the left-endpoint rule,
 consistent with the weak order of the integrator. Noise is drawn in
 time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m floats however
 long the horizon (m noise dimensions).
+
+The drift, noise and cost of a run are compiled once, before the first
+step: grad(phi) and div(Sigma) are symbolic derivatives of the
+expression trees, every tree becomes a closure, and grid tables are
+read through an interpolant whose stencil is built once. A step is then
+array arithmetic and one in-box test, which also catches non-finite
+states; exclusion and reflection run only when that test fails.
 """
 from __future__ import annotations
 
@@ -21,10 +28,18 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import SamplingError
-from .expressions import Expr, evaluate, free_variables, parse_expression
-from .fields import ScalarField, VectorField, gradient_values, interpolate_values
+from .expressions import (
+    Expr,
+    Num,
+    compile_expression,
+    derivative,
+    free_variables,
+    parse_expression,
+)
+from .fields import ScalarField, VectorField, gradient_values, interpolant
 from .grid import Grid
 from .model import ProblemSpec
 from .spectral import HJBSolution
@@ -35,7 +50,6 @@ BOOTSTRAP_SAMPLES = 200
 BOOTSTRAP_BLOCK = 2**20  # resampling indices drawn at once
 CHUNK_PATHS = 8192       # paths integrated side by side
 BLOCK_STEPS = 256        # time steps of noise drawn at once
-FD_STEP = 1e-5
 
 _MODE_ALIASES = {
     "uncontrolled": "uncontrolled",
@@ -129,87 +143,103 @@ class Estimate:
     n_excluded: int = 0
     n_exited: int = 0
     degenerate: bool = False
+    ess: float = 0.0    # Kish effective sample size of the path weights
 
 
 # ---------------------------------------------------------------------------
 # drift and noise evaluation along paths
 
-def _fd_steps(x: np.ndarray) -> np.ndarray:
-    return FD_STEP * np.maximum(1.0, np.abs(x))
-
-
-def _grad_expr(expr: Expr, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar expression at points."""
-    P, n = x.shape
-    out = np.empty((P, n))
-    for k in range(n):
-        e = _fd_steps(x[:, k])
-        xp = x.copy()
-        xp[:, k] += e
-        xm = x.copy()
-        xm[:, k] -= e
-        out[:, k] = (evaluate(expr, xp) - evaluate(expr, xm)) / (2.0 * e)
+def _columns(fns: list, x: np.ndarray) -> np.ndarray:
+    """Stack compiled scalar functions of x (P, n) as columns (P, len)."""
+    if len(fns) == 1:
+        return fns[0](x)[:, None]
+    out = np.empty((x.shape[0], len(fns)))
+    for k, f in enumerate(fns):
+        out[:, k] = f(x)
     return out
 
 
 class _Dynamics:
-    """Per-step drift/noise evaluator for one simulation setup."""
+    """The Euler-Maruyama increment of one run, compiled once.
 
-    def __init__(self, spec: ProblemSpec, mode: str,
+    grad(phi) and div Sigma are symbolic derivatives of the expression
+    trees (with sigma given, div Sigma differentiates the products of
+    sigma sigma^T); Sigma and sigma entries are compiled closures; the
+    steady control or grad(log p) table is read through an interpolant
+    built once. Constant diffusion folds -Sigma/2 and sqrt(dt) sigma into
+    fixed matrices.
+    """
+
+    def __init__(self, spec: ProblemSpec, cfg: SdeConfig,
                  control_values: np.ndarray | None = None,
                  feedback_grad_logp: np.ndarray | None = None):
-        self.spec = spec
         self.grid = spec.grid
-        self.mode = mode
-        self.n = spec.grid.dim
+        self.mode = cfg.mode
+        self.dt = cfg.dt
+        self.sqdt = np.sqrt(cfg.dt)
+        n = spec.grid.dim
+        self.m = len(spec.sigma[0]) if spec.sigma is not None else n
+        if self.mode == "steady" and control_values is None:
+            raise SamplingError("steady-control mode needs a control field")
+        if self.mode == "feedback" and feedback_grad_logp is None:
+            raise SamplingError("density-feedback mode needs a target density")
+        table = (control_values if self.mode == "steady" else
+                 feedback_grad_logp if self.mode == "feedback" else None)
+        self.table = None if table is None else interpolant(self.grid, table)
+        self.gphi = [compile_expression(derivative(spec.phi, k + 1))
+                     for k in range(n)]
+        # the drift is div(Sigma)/2 + half * Sigma v, where v is grad(phi)
+        # with half = -1/2, or grad(log p) with half = +1/2 under feedback
+        self.half = 0.5 if self.mode == "feedback" else -0.5
         self.const_diffusion = spec.diffusion_is_constant()
         if self.const_diffusion:
-            origin = np.zeros((1, self.n))
-            self.Sigma0 = spec.diffusion_at(origin)[0]
-            self.noise0 = spec.noise_at(origin)[0]
-        self.m = (len(spec.sigma[0]) if spec.sigma is not None else self.n)
-        self.control_values = control_values        # (N, n) grid table
-        self.feedback_grad_logp = feedback_grad_logp  # (N, n) grid table
-        if mode == "steady" and control_values is None:
-            raise SamplingError("steady-control mode needs a control field")
-        if mode == "feedback" and feedback_grad_logp is None:
-            raise SamplingError("density-feedback mode needs a target density")
+            origin = np.zeros((1, n))
+            self.drift_matrix = np.ascontiguousarray(
+                (self.half * spec.diffusion_at(origin)[0]).T)
+            self.noise_matrix = np.ascontiguousarray(
+                (self.sqdt * spec.noise_at(origin)[0]).T)
+            return
+        self.given_sigma = spec.sigma is not None
+        mat = spec.sigma if self.given_sigma else spec.Sigma
+        self.entries = [[compile_expression(e) for e in row] for row in mat]
+        Sig = spec.diffusion_exprs()
+        # (div Sigma)_i = sum_k d Sigma_ik / dx_k, zero terms dropped
+        self.div = [[compile_expression(d) for k in range(n)
+                     if (d := derivative(Sig[i][k], k + 1)) != Num(0.0)]
+                    for i in range(n)]
 
-    def _sigma_at(self, x: np.ndarray) -> np.ndarray:
-        if self.const_diffusion:
-            return np.broadcast_to(self.Sigma0, (x.shape[0], self.n, self.n))
-        return self.spec.diffusion_at(x)
-
-    def _div_sigma(self, x: np.ndarray) -> np.ndarray:
+    def div_sigma(self, x: np.ndarray) -> np.ndarray:
+        """div Sigma at paths x (P, n)."""
         if self.const_diffusion:
             return np.zeros_like(x)
         out = np.zeros_like(x)
-        for k in range(self.n):
-            e = _fd_steps(x[:, k])
-            xp = x.copy()
-            xp[:, k] += e
-            xm = x.copy()
-            xm[:, k] -= e
-            dS = (self.spec.diffusion_at(xp) - self.spec.diffusion_at(xm))
-            out += dS[:, :, k] / (2.0 * e)[:, None]
+        for i, terms in enumerate(self.div):
+            for f in terms:
+                out[:, i] += f(x)
         return out
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        half_div = 0.5 * self._div_sigma(x)
-        sig = self._sigma_at(x)
-        if self.mode == "feedback":
-            glp = interpolate_values(self.grid, self.feedback_grad_logp, x)
-            return half_div + 0.5 * np.einsum("pij,pj->pi", sig, glp)
-        gphi = _grad_expr(self.spec.phi, x)
-        b = half_div - 0.5 * np.einsum("pij,pj->pi", sig, gphi)
-        if self.mode == "steady":
-            b = b + interpolate_values(self.grid, self.control_values, x)
-        return b
-
-    def noise(self, x: np.ndarray) -> np.ndarray:
+    def increment(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """b(x) dt + sigma(x) sqrt(dt) dw for paths x (P, n), dw (P, m)."""
+        v = self.table(x) if self.mode == "feedback" else _columns(self.gphi, x)
         if self.const_diffusion:
-            return np.broadcast_to(self.noise0, (x.shape[0], self.n, self.m))
-        return self.spec.noise_at(x)
+            # np.dot: a matmul by a 1 x 1 matrix costs several times more
+            b = np.dot(v, self.drift_matrix)
+            if self.mode == "steady":
+                b += self.table(x)
+            return b * self.dt + np.dot(dw, self.noise_matrix)
+        vals = np.empty((x.shape[0], len(self.entries), len(self.entries[0])))
+        for i, row in enumerate(self.entries):
+            for j, f in enumerate(row):
+                vals[:, i, j] = f(x)
+        if self.given_sigma:
+            root, Sig = vals, vals @ np.swapaxes(vals, 1, 2)
+        else:
+            # the noise factor is the Cholesky root of this step's Sigma
+            root, Sig = np.linalg.cholesky(vals), vals
+        b = 0.5 * self.div_sigma(x) + self.half * np.einsum("pij,pj->pi", Sig, v)
+        if self.mode == "steady":
+            b += self.table(x)
+        return b * self.dt + np.einsum("pij,pj->pi", root, dw) * self.sqdt
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +247,16 @@ class _Dynamics:
 
 def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
                stream_base: int = 0, record_steps: tuple | list = (),
-               cost_expr: Expr | None = None, cost_shift: float = 0.0):
+               cost_expr: Expr | None = None, cost_shift: float = 0.0,
+               cost_lam: float = 1.0):
     """Euler-Maruyama over all paths; the one step loop of the module.
 
     Paths run side by side in chunks of CHUNK_PATHS; each chunk draws
     its noise BLOCK_STEPS steps at a time from per-path generators that
-    live for the whole chunk. Returns terminal states, cost integrals,
-    exit and exclusion flags, and the states at `record_steps`.
+    live for the whole chunk. The cost integral is that of
+    (cost_expr - cost_shift)/cost_lam. Returns terminal states, cost
+    integrals, exit and exclusion flags, and the states at
+    `record_steps`.
     """
     P, n = x0.shape
     n_steps = cfg.n_steps
@@ -235,7 +268,9 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     slot = {step: i for i, step in enumerate(record_steps)}
     lows = np.asarray(dyn.grid.lows)
     spans = np.asarray(dyn.grid.highs) - lows
-    sqdt = np.sqrt(cfg.dt)
+    highs = lows + spans
+    running_cost = None if cost_expr is None else compile_expression(cost_expr)
+    cost_scale = cfg.dt / cost_lam
     noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps), dyn.m))
 
     for lo in range(0, P, CHUNK_PATHS):
@@ -251,25 +286,27 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
             for gen, row in zip(gens, block):
                 gen.standard_normal(out=row)
             for b in range(block.shape[1]):
-                if cost_expr is not None:
-                    cost[lo:hi] += (cfg.dt / dyn.spec.lam) * (
-                        evaluate(cost_expr, x) - cost_shift)
-                step = dyn.drift(x) * cfg.dt + np.einsum(
-                    "pij,pj->pi", dyn.noise(x), block[:, b, :]) * sqdt
-                x_new = x + step
-                bad = ~np.isfinite(x_new).all(axis=1)
-                if bad.any():
-                    excluded[lo:hi] |= bad
-                    x_new[bad] = x[bad]
-                outside = (x_new < lows) | (x_new > lows + spans)
-                if outside.any():
-                    exited[lo:hi] |= outside.any(axis=1)
-                    # reflective fold with period 2 * span, applied only to
-                    # the entries outside: the fold moves inside entries by
-                    # an ulp, which would tie a path's bytes to its chunk
-                    y = np.mod(x_new - lows, 2.0 * spans)
-                    x_new = np.where(outside, lows + (spans - np.abs(y - spans)),
-                                     x_new)
+                if running_cost is not None:
+                    cost[lo:hi] += cost_scale * (running_cost(x) - cost_shift)
+                x_new = x + dyn.increment(x, block[:, b])
+                # one test per step; it also fails on NaN, so the
+                # exclusion and reflection below run only when needed
+                if not ((x_new >= lows) & (x_new <= highs)).all():
+                    bad = ~np.isfinite(x_new).all(axis=1)
+                    if bad.any():
+                        excluded[lo:hi] |= bad
+                        x_new[bad] = x[bad]
+                    outside = (x_new < lows) | (x_new > highs)
+                    if outside.any():
+                        exited[lo:hi] |= outside.any(axis=1)
+                        # reflective fold with period 2 * span, applied only
+                        # to the entries outside: the fold moves inside
+                        # entries by an ulp, which would tie a path's bytes
+                        # to its chunk
+                        y = np.mod(x_new - lows, 2.0 * spans)
+                        x_new = np.where(outside,
+                                         lows + (spans - np.abs(y - spans)),
+                                         x_new)
                 x = x_new
                 if k0 + b + 1 in slot:
                     states[lo:hi, slot[k0 + b + 1]] = x
@@ -302,7 +339,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
                  target: ScalarField | None = None,
                  cost_expr: Expr | str | None = None,
                  cost_shift: float = 0.0,
-                 stream_base: int = 0) -> TrajectoryBatch:
+                 stream_base: int = 0,
+                 lam: float | None = None) -> TrajectoryBatch:
     """Integrate an Euler-Maruyama path batch.
 
     x0 is a single start point or an Ensemble (whose count then
@@ -310,7 +348,7 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     Steady-control mode takes the control from `control` or `hjb`;
     density-feedback mode takes the target density from `target` or
     `hjb`. The running cost integral of (q - shift)/lam is accumulated
-    when cost_expr is given.
+    when cost_expr is given; lam defaults to spec.lam.
     """
     grid = spec.grid
     control_values = None
@@ -335,7 +373,7 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
         if fv and max(fv) > grid.dim:
             raise SamplingError("cost expression uses variables beyond the grid")
 
-    dyn = _Dynamics(spec, cfg.mode, control_values, grad_logp)
+    dyn = _Dynamics(spec, cfg, control_values, grad_logp)
     x0_arr = _resolve_x0(x0, cfg.n_paths, grid.dim)
     n_steps = cfg.n_steps
 
@@ -348,7 +386,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
         times = cfg.dt * np.asarray(record_steps, dtype=float)
 
     terminal, cost, exited, excluded, states = _integrate(
-        dyn, cfg, x0_arr, stream_base, record_steps, cost_expr, cost_shift)
+        dyn, cfg, x0_arr, stream_base, record_steps, cost_expr, cost_shift,
+        spec.lam if lam is None else lam)
     if excluded.all():
         raise SamplingError("every path blew up; check the drift and dt")
     return TrajectoryBatch(
@@ -359,6 +398,12 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 
 # ---------------------------------------------------------------------------
 # estimators
+
+def _kish_ess(cost: np.ndarray) -> float:
+    """(sum w)^2 / sum w^2 of the weights exp(-cost), scaled to max 1."""
+    w = np.exp(cost.min() - cost)
+    return float(w.sum() ** 2 / (w * w).sum())
+
 
 def _uncontrolled(cfg: SdeConfig) -> SdeConfig:
     return cfg if cfg.mode == "uncontrolled" else replace(cfg, mode="uncontrolled")
@@ -381,7 +426,9 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
     Averages exp(-integral (q - c)/lam) over cfg.n_paths uncontrolled
     paths started at each point with terminal weight one; the estimates
     carry the usual scale gauge of the desirability, so compare ratios,
-    not values. Path j of point i draws stream
+    not values. The mean and the relative standard error are taken in
+    log space, so tiny weights neither underflow nor lose their spread.
+    Path j of point i draws stream
     stream_base + i * n_paths + j, so each estimate equals a single-point
     call with stream_base + i * n_paths.
     """
@@ -392,26 +439,29 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
                             f"grid {spec.grid.dim}")
     starts = Ensemble(positions=np.repeat(pts, n_paths, axis=0))
     batch = simulate_sde(spec, _uncontrolled(cfg), starts, cost_expr=q,
-                         cost_shift=c, stream_base=stream_base)
+                         cost_shift=c, stream_base=stream_base, lam=lam)
     estimates = []
     for i in range(pts.shape[0]):
         rows = slice(i * n_paths, (i + 1) * n_paths)
         excluded = batch.excluded[rows]
         if excluded.all():
             raise SamplingError("every path blew up; check the drift and dt")
-        weights = np.exp(-batch.cost_integral[rows][~excluded])
-        n = int(weights.shape[0])
-        value = float(weights.mean())
-        stderr = float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        degenerate = stderr > 0.5 * abs(value)
+        cost = batch.cost_integral[rows][~excluded]
+        n = int(cost.shape[0])
+        value = float(np.exp(logsumexp(-cost) - np.log(n)))
+        # weights scaled so that the largest is one
+        w = np.exp(cost.min() - cost)
+        rel = float(w.std(ddof=1) / (w.mean() * np.sqrt(n))) if n > 1 else 0.0
+        # a mean that underflows to zero has no usable error bar
+        degenerate = rel > 0.5 or value == 0.0
         if degenerate:
-            warnings.warn(
-                "desirability estimator is degenerate (stderr/mean = "
-                f"{stderr / max(abs(value), 1e-300):.2f})", stacklevel=2)
+            warnings.warn("desirability estimator is degenerate (stderr/mean "
+                          f"= {rel:.2f}, psi_hat = {value:.3g})", stacklevel=2)
         estimates.append(Estimate(
-            value=value, stderr=stderr, n_used=n,
+            value=value, stderr=value * rel, n_used=n,
             n_excluded=int(excluded.sum()),
-            n_exited=int(batch.exited[rows].sum()), degenerate=degenerate))
+            n_exited=int(batch.exited[rows].sum()), degenerate=degenerate,
+            ess=_kish_ess(cost)))
     return estimates
 
 
@@ -426,7 +476,7 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
     resampling stream.
     """
     batch = simulate_sde(spec, _uncontrolled(cfg), y0, cost_expr=q,
-                         cost_shift=0.0)
+                         cost_shift=0.0, lam=lam)
     keep = ~batch.excluded
     weights = np.exp(-batch.cost_integral[keep])
     n = int(weights.shape[0])
@@ -454,7 +504,8 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
                       f"against c_hat {value:.3g})", stacklevel=2)
     return Estimate(value=value, stderr=stderr, n_used=n,
                     n_excluded=batch.n_excluded,
-                    n_exited=int(batch.exited.sum()), degenerate=degenerate)
+                    n_exited=int(batch.exited.sum()), degenerate=degenerate,
+                    ess=_kish_ess(batch.cost_integral[keep]))
 
 
 def uniform_ensemble(grid: Grid, count: int, seed: int) -> Ensemble:
@@ -485,7 +536,7 @@ def simulate_density_feedback(spec: ProblemSpec, p_target: ScalarField,
     n_steps = cfg.n_steps
     steps = sorted({min(max(int(round(t / cfg.dt)), 0), n_steps)
                     for t in snapshot_times or ()} | {0, n_steps})
-    dyn = _Dynamics(spec, "feedback", None,
+    dyn = _Dynamics(spec, replace(cfg, mode="feedback"), None,
                     _feedback_table(spec.grid, p_target))
     states = _integrate(dyn, cfg, ens0.positions, record_steps=steps)[-1]
     return [Ensemble(positions=states[:, i, :], time=step * cfg.dt,

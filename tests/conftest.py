@@ -5,10 +5,27 @@ benchmark problems themselves are cheap to rebuild and are exposed as
 plain constructors so individual tests can vary resolution.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import densctl as dc
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _src_on_subprocess_path():
+    """Let `python -m densctl...` children import the package from src.
+
+    pytest's `pythonpath` setting reaches only the pytest process itself.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 def ou_spec(counts=401, q="6*x1^2"):

@@ -181,6 +181,18 @@ class TestSamplingCommands:
         code2, _ = run(["sample", "cost"], tmp_path)
         assert code2 == 0
 
+    def test_summaries_report_ess(self, tmp_path):
+        assert run(["sample", "desirability"], tmp_path)[0] == 0
+        assert run(["sample", "cost"], tmp_path)[0] == 0
+        out = tmp_path / "out"
+        s = json.loads((only_dir(out, "sample-desirability") /
+                        "summary.json").read_text())
+        assert len(s["ess"]) == 5
+        assert all(1.0 <= e <= s["n_paths"] for e in s["ess"])
+        s = json.loads((only_dir(out, "sample-cost") /
+                        "summary.json").read_text())
+        assert 1.0 <= s["ess"] <= s["n_used"]
+
     def test_feedback(self, tmp_path):
         code, out = run(["sample", "feedback"], tmp_path)
         assert code == 0

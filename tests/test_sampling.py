@@ -6,6 +6,7 @@ shift, drift table equivalence) hold to rounding and are tested tight.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,42 @@ class TestDeterminism:
         finally:
             tracemalloc.stop()
         assert peak <= 2e6
+
+    def test_constant_diffusion_step_memory_is_per_step(self, ou401):
+        # the noise block of 2048 paths x 256 steps is 4.2 MB and the run
+        # peaks at 5.6 MB; an increment array as wide as the block would
+        # add another 4.2 MB
+        c = cfg(dt=1e-3, T=0.512, n_paths=2048)
+        tracemalloc.start()
+        try:
+            dc.simulate_sde(ou401, c, x0=(0.5,), cost_expr=ou401.q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7e6
+
+    @pytest.mark.parametrize("diffusion", [
+        {"Sigma": [["2", "1"], ["1", "2"]]},
+        {"Sigma": [["1 + x1^2/4", "0.5"], ["0.5", "1 + x2^2/4"]]},
+        {"sigma": [["1 + sin(x2)/3", "0.3"], ["0.2*x1", "1"]]},
+    ], ids=["constant", "Sigma(x)", "sigma(x)"])
+    def test_chunks_do_not_change_2d_results(self, diffusion, monkeypatch):
+        g = dc.Grid((-3.5, -3.5), (3.5, 3.5), (25, 25))
+        spec = dc.ProblemSpec(grid=g, phi="(x1^2 + x2^2)/2", q="x1^2",
+                              **diffusion)
+        target = dc.ScalarField(g, np.exp(-spec.phi_field().values))
+        ens = dc.uniform_ensemble(g, 300, 3)
+        for mode in ("uncontrolled", "feedback"):
+            c = cfg(dt=2e-3, T=0.1, n_paths=300, mode=mode)
+            ref = dc.simulate_sde(spec, c, ens, target=target, cost_expr=spec.q)
+            with monkeypatch.context() as m:
+                m.setattr(dc.sampling, "CHUNK_PATHS", 37)
+                m.setattr(dc.sampling, "BLOCK_STEPS", 16)
+                small = dc.simulate_sde(spec, c, ens, target=target,
+                                        cost_expr=spec.q)
+            assert ref.exited.any()
+            np.testing.assert_array_equal(ref.terminal, small.terminal)
+            np.testing.assert_array_equal(ref.cost_integral, small.cost_integral)
 
     def test_bootstrap_blocks_do_not_change_the_estimate(self, ou401,
                                                          monkeypatch):
@@ -213,6 +250,32 @@ class TestEstimators:
         est = dc.estimate_c_mc(ou401, "3.7", 2.0, c, y0)
         assert abs(est.value - 3.7) <= 1e-12
         assert est.n_excluded == 0
+
+    def test_lam_argument_scales_the_cost(self, ou401):
+        # a constant cost q over T = 2 weighs exp(-q T / lam) whatever the
+        # spec's own lam
+        c = cfg(n_paths=64, T=2.0)
+        est = dc.path_integral_desirability(ou401, "3.7", 0.0, 4.0, (0,), c)
+        assert abs(est.value - np.exp(-1.85)) <= 1e-12
+        y0 = dc.Ensemble(positions=np.zeros((64, 1)))
+        assert abs(dc.estimate_c_mc(ou401, "3.7", 4.0, c, y0).value
+                   - 3.7) <= 1e-12
+
+    def test_long_horizon_stderr_does_not_underflow(self, ou401):
+        # weights near 1e-238: their squares underflow in linear space
+        c = cfg(dt=1e-2, T=400.0, n_paths=64, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = dc.path_integral_desirability(ou401, ou401.q, 0.0, 2.0,
+                                                (0.0,), c)
+        assert 0.0 < est.value < 1e-200
+        assert est.stderr > 0.0 or est.degenerate
+        assert 1.0 <= est.ess <= 64
+
+    def test_ess_of_equal_weights_is_the_path_count(self, ou401):
+        est = dc.path_integral_desirability(ou401, "2", 0.0, 2.0, (0.0,),
+                                            cfg(n_paths=64))
+        assert est.ess == 64.0
 
     def test_desirability_matches_grid_ratios(self, ou401, ou_hjb):
         qs = [(-1.0,), (0.0,), (1.0,)]
