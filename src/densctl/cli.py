@@ -8,9 +8,9 @@ changes the artifacts (seed, k, --controlled, evolve's --perturb,
 constraint failure, 2 usage or configuration error.
 
 Flag precedence is flag > environment > config file; the recognized
-environment variables are DENSCTL_OUT, DENSCTL_SEED, DENSCTL_THREADS
-and DENSCTL_QUIET. The thread count is validated and recorded in the
-manifest, but sampling runs on one thread, so it never changes results.
+environment variables are DENSCTL_OUT, DENSCTL_SEED and DENSCTL_QUIET.
+--threads is still parsed, for scripts that pass it, and ignored:
+every command runs on one thread.
 """
 from __future__ import annotations
 
@@ -85,14 +85,6 @@ class _Run:
             seed = _env_int("DENSCTL_SEED")
         self.seed = int(seed) if seed is not None else cfg.sampling.seed
 
-        threads = getattr(args, "threads", None)
-        if threads is None:
-            threads = _env_int("DENSCTL_THREADS")
-        self.threads = int(threads) if threads is not None \
-            else cfg.sampling.threads
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-
         k = getattr(args, "k", None)
         self.k = int(k) if k is not None else cfg.solver.k
 
@@ -102,10 +94,10 @@ class _Run:
 
     def writer(self, command: str, **options) -> RunWriter:
         """Artifact writer keyed by the config and the resolved options
-        that change the artifacts; never by --threads, --out or --quiet."""
+        that change the artifacts; never by --out or --quiet."""
         return RunWriter(self.out_base, command, self.cfg.digest,
                          dict(seed=self.seed, k=self.k, **options),
-                         seed=self.seed, threads=self.threads)
+                         seed=self.seed)
 
     def sde_config(self, **overrides) -> SdeConfig:
         s = self.cfg.sampling
@@ -529,9 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the sampling seed")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="thread count recorded in the manifest; "
-                        "accepted for compatibility, it has no effect on "
-                        "results")
+                        help="ignored; accepted for compatibility "
+                        "(every command runs on one thread)")
     common.add_argument("--k", type=int, default=argparse.SUPPRESS,
                         help="number of eigenmodes")
     common.add_argument("--quiet", action="store_true",

@@ -22,9 +22,9 @@ _GRID_KEYS = {"lows", "highs", "counts"}
 _DYNAMICS_KEYS = {"phi", "sigma", "Sigma"}
 _COST_KEYS = {"q"}
 _TARGET_KEYS = {"p_inf"}
-_SOLVER_KEYS = {"k", "dt", "T", "controlled"}
-_SAMPLING_KEYS = {"dt", "T", "n_paths", "seed", "threads", "mode", "x0",
-                  "queries", "n_particles"}
+_SOLVER_KEYS = {"k", "dt", "T"}
+_SAMPLING_KEYS = {"dt", "T", "n_paths", "seed", "mode", "x0", "queries",
+                  "n_particles"}
 _OUTPUT_KEYS = {"dir"}
 _SECTIONS = {"grid", "dynamics", "cost", "target", "solver", "sampling",
              "output"}
@@ -35,7 +35,6 @@ class SolverOptions:
     k: int | None = None            # modes for spectrum commands
     dt: float | None = None         # evolve step; default 0.1/|xi_1|
     T: float | None = None          # evolve horizon; default 5/|xi_1|
-    controlled: bool = False        # spectrum of the controlled operator
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,6 @@ class SamplingOptions:
     T: float = 5.0
     n_paths: int = 10000
     seed: int = 0
-    threads: int = 1                # recorded in the manifest only
     mode: str = "uncontrolled"
     x0: tuple[float, ...] | None = None
     queries: tuple[tuple[float, ...], ...] | None = None
@@ -149,8 +147,6 @@ def _parse_sampling(data: dict) -> SamplingOptions:
         kw["n_paths"] = _int_value(data["n_paths"], "sampling", "n_paths", 1)
     if "seed" in data:
         kw["seed"] = _int_value(data["seed"], "sampling", "seed", 0)
-    if "threads" in data:
-        kw["threads"] = _int_value(data["threads"], "sampling", "threads", 1)
     if "mode" in data:
         if not isinstance(data["mode"], str) or data["mode"] not in DRIFT_MODES:
             raise ConfigError(f"[sampling] mode must be one of {DRIFT_MODES}")
@@ -184,10 +180,6 @@ def _parse_solver(data: dict) -> SolverOptions:
         kw["dt"] = _float_value(data["dt"], "solver", "dt")
     if "T" in data:
         kw["T"] = _float_value(data["T"], "solver", "T")
-    if "controlled" in data:
-        if not isinstance(data["controlled"], bool):
-            raise ConfigError("[solver] controlled must be true or false")
-        kw["controlled"] = data["controlled"]
     return SolverOptions(**kw)
 
 

@@ -4,7 +4,8 @@ A ProblemSpec bundles the domain, the potential phi, the noise matrix
 sigma (or the diffusion Sigma = sigma sigma^T directly), and either a
 state cost q (forward mode) or a target stationary density (inverse
 mode). The control weight is tied to the noise: R = 2 Sigma^{-1}, so
-the cost multiplier lam is structurally fixed at 2.
+the cost multiplier lam is structurally fixed at 2. The box boundary
+is always zero-flux (reflecting).
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .expressions import (
     parse_expression,
 )
 from .fields import (
+    SPD_TOLERANCE,
     ScalarField,
     TensorField,
     VectorField,
@@ -69,8 +71,6 @@ class ProblemSpec:
     q: Expr | None = None
     target: Expr | None = None
     lam: float = LAMBDA
-    eps_spd: float = 1e-8
-    boundary: str = "zero-flux"
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _as_expr(self.phi))
@@ -91,8 +91,6 @@ class ProblemSpec:
         # stationary value equation; any other lam breaks the transform
         if self.lam != LAMBDA:
             raise ModelError(f"lam must equal {LAMBDA} exactly, got {self.lam}")
-        if self.boundary != "zero-flux":
-            raise ModelError(f"unsupported boundary: {self.boundary!r}")
         n = self.grid.dim
         for name, e in [("phi", self.phi), ("q", self.q), ("target", self.target)]:
             if e is None:
@@ -291,8 +289,8 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
     lam_min = Sig.min_eigenvalue()
     findings.append(Finding(
         "diffusion-spd",
-        "PASS" if lam_min >= spec.eps_spd else "FAIL",
-        f"min eigenvalue over nodes = {lam_min:.3e} (threshold {spec.eps_spd:.1e})"))
+        "PASS" if lam_min >= SPD_TOLERANCE else "FAIL",
+        f"min eigenvalue over nodes = {lam_min:.3e} (threshold {SPD_TOLERANCE:.1e})"))
 
     # confinement is a property of the stationary exponent: phi before the
     # solve in forward mode, -log(target) in inverse mode

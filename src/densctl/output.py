@@ -2,8 +2,8 @@
 
 CSV files carry a header row and 17-significant-digit floats, so they
 round-trip losslessly and are byte-identical across reruns with the
-same inputs. Timestamps (and anything else that varies between
-identical reruns, like the thread count) live only in manifest.json.
+same inputs. Timestamps, which vary between identical reruns, live
+only in manifest.json.
 """
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ class RunManifest:
     command: str
     config_hash: str
     seed: int | None = None
-    threads: int | None = None
     version: str = VERSION
     started: str = ""
     finished: str = ""
@@ -72,7 +71,6 @@ class RunManifest:
             "command": self.command,
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "threads": self.threads,
             "version": self.version,
             "started": self.started,
             "finished": self.finished,
@@ -90,15 +88,13 @@ class RunWriter:
     """
 
     def __init__(self, base_dir: str, command: str, config_hash: str,
-                 options: dict, seed: int | None = None,
-                 threads: int | None = None):
+                 options: dict, seed: int | None = None):
         key = json.dumps({"config": config_hash, **options}, sort_keys=True)
         self.dir = os.path.join(
             base_dir, f"{command}-{sha256_bytes(key.encode())[:12]}")
         os.makedirs(self.dir, exist_ok=True)
         self.manifest = RunManifest(
             command=command, config_hash=config_hash, seed=seed,
-            threads=threads,
             started=datetime.now(timezone.utc).isoformat())
 
     def path(self, name: str) -> str:

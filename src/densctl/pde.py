@@ -1,10 +1,18 @@
 """Crank-Nicolson evolution of densities and density perturbations.
 
 Full densities evolve under the Fokker-Planck operator A, perturbations
-p~ = p/p_inf - 1 under the generator G. Both use the same implicit
-midpoint stepping; the factorization of (I - dt/2 op) is done once per
-call. Mass conservation is inherited from the zero weighted-column-sum
-structure of A, not re-imposed.
+p~ = p/p_inf - 1 under the generator G. Both run one stepper in the
+frame of the symmetric S = -D(1/sqrt(mu)) K D(1/sqrt(mu)), mu = w * rho,
+that the eigensolver uses: a perturbation f maps to y = sqrt(mu) f and
+a density p to y = sqrt(w/rho) p, and either way dy/dt = S y, so p/rho
+is never formed. Each step solves ((2/dt) I - S) y' = ((2/dt) I + S) y
+through one LDL^T factor per call, whose inertia check refuses an S
+with an eigenvalue above 2/dt (an indefinite stencil, on which the
+steps would grow). The records are one vector operation each: the
+quadrature mass is sqrt(mu) . y, and the rho-weighted norm of the
+perturbation is |y - y_ref| with y_ref = sqrt(mu) for a density and 0
+for a perturbation. Mass conservation is inherited from S sqrt(mu) = 0,
+which holds up to assembly rounding, not re-imposed.
 """
 from __future__ import annotations
 
@@ -12,13 +20,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import PdeError
+from .errors import PdeError, SpectralError
 from .fields import ScalarField
 from .operators import AdjointOperator, GeneratorOperator
-from .spectral import Spectrum
+from .spectral import Spectrum, _shifted_lu, _symmetrized
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,52 @@ def _step_count(dt: float, T: float) -> int:
     return n
 
 
-def _cn_factors(op_matrix: sp.csr_matrix, dt: float):
-    n = op_matrix.shape[0]
-    eye = sp.identity(n, format="csr")
-    forward = (eye + (0.5 * dt) * op_matrix).tocsr()
-    backward = (eye - (0.5 * dt) * op_matrix).tocsc()
-    return forward, spla.splu(backward)
+def _crank_nicolson(op: GeneratorOperator, kind: str, values: np.ndarray,
+                    dt: float, T: float, store_every: int | None,
+                    **flags) -> DensityTrajectory:
+    """The one CN loop, in the frame y of S = _symmetrized(op).
+
+    A perturbation maps to y = sqrt(mu) f, a density to
+    y = sqrt(w/rho) p; states are stored, and the running minimum is
+    taken, back in the caller's frame.
+    """
+    n_steps = _step_count(dt, T)
+    if store_every is None:
+        store_every = max(1, n_steps // 64)
+    shift = 2.0 / dt
+    try:
+        S, sqmu = _symmetrized(op)
+        lu = _shifted_lu(S, shift)
+    except SpectralError as e:
+        raise PdeError(f"Crank-Nicolson step refused at dt = {dt}: {e}") from e
+    if kind == "density":
+        frame, y_ref = op.weights / sqmu, sqmu
+    else:
+        frame, y_ref = sqmu, 0.0
+
+    times = dt * np.arange(n_steps + 1)
+    mass = np.empty(n_steps + 1)
+    norm = np.empty(n_steps + 1)
+    stored = [values.copy()]
+    stored_t = [0.0]
+    min_value = float(values.min())
+    y = frame * values
+    mass[0] = sqmu @ y
+    norm[0] = np.linalg.norm(y - y_ref)
+    for k in range(1, n_steps + 1):
+        y = lu.solve(shift * y + S @ y)
+        mass[k] = sqmu @ y
+        norm[k] = np.linalg.norm(y - y_ref)
+        v = y / frame
+        min_value = min(min_value, float(v.min()))
+        if k % store_every == 0 or k == n_steps:
+            stored.append(v)
+            stored_t.append(times[k])
+
+    return DensityTrajectory(
+        grid=op.grid, kind=kind, times=times, mass=mass, norm_rho=norm,
+        density_times=np.array(stored_t), densities=np.array(stored),
+        min_value=min_value, **flags)
 
 
 def evolve_fp(A: AdjointOperator, p0: ScalarField, dt: float, T: float,
@@ -74,16 +120,11 @@ def evolve_fp(A: AdjointOperator, p0: ScalarField, dt: float, T: float,
     if rate_limit is not None and dt > 0.5 / rate_limit:
         raise PdeError(
             f"dt = {dt} exceeds 0.5/rate = {0.5 / rate_limit:.3e}")
-    n_steps = _step_count(dt, T)
-    if store_every is None:
-        store_every = max(1, n_steps // 64)
 
-    w = A.weights
-    rho = A.rho.values
-    p = p0.values.copy()
+    p = p0.values
     if p.min() < -1e-12:
         raise PdeError(f"initial density has negative entries (min {p.min():.3e})")
-    mass0 = float(w @ p)
+    mass0 = float(A.weights @ p)
     renormalized = False
     if abs(mass0 - 1.0) > 1e-8:
         warnings.warn(
@@ -91,39 +132,12 @@ def evolve_fp(A: AdjointOperator, p0: ScalarField, dt: float, T: float,
         p = p / mass0
         renormalized = True
 
-    forward, lu = _cn_factors(A.matrix, dt)
-
-    times = dt * np.arange(n_steps + 1)
-    mass = np.empty(n_steps + 1)
-    norm = np.empty(n_steps + 1)
-    stored = [p.copy()]
-    stored_t = [0.0]
-
-    def record(k, vec):
-        mass[k] = w @ vec
-        f = vec / rho - 1.0
-        norm[k] = np.sqrt(max(np.sum(w * rho * f * f), 0.0))
-
-    record(0, p)
-    min_value = float(p.min())
-    for k in range(1, n_steps + 1):
-        p = lu.solve(forward @ p)
-        record(k, p)
-        m = float(p.min())
-        if m < min_value:
-            min_value = m
-        if k % store_every == 0 or k == n_steps:
-            stored.append(p.copy())
-            stored_t.append(times[k])
-
-    if min_value < -1e-10:
+    traj = _crank_nicolson(A.generator, "density", p, dt, T, store_every,
+                           renormalized=renormalized)
+    if traj.min_value < -1e-10:
         warnings.warn(
-            f"density dipped to {min_value:.3e}; reduce dt", stacklevel=2)
-
-    return DensityTrajectory(
-        grid=p0.grid, kind="density", times=times, mass=mass, norm_rho=norm,
-        density_times=np.array(stored_t), densities=np.array(stored),
-        min_value=min_value, renormalized=renormalized)
+            f"density dipped to {traj.min_value:.3e}; reduce dt", stacklevel=2)
+    return traj
 
 
 def project_mass_zero(f: ScalarField, rho: ScalarField) -> ScalarField:
@@ -138,15 +152,11 @@ def evolve_perturbation(G: GeneratorOperator, pt0: ScalarField, dt: float,
     """Evolve a mass-free density perturbation under the generator."""
     if pt0.grid != G.grid:
         raise PdeError("perturbation grid does not match operator")
-    n_steps = _step_count(dt, T)
-    if store_every is None:
-        store_every = max(1, n_steps // 64)
 
-    w = G.weights
-    rho = G.rho.values
-    f = pt0.values.copy()
-    scale = float(np.sqrt(max(np.sum(w * rho * f * f), 0.0)))
-    drift = float(np.sum(w * rho * f))
+    f = pt0.values
+    mu = G.mu
+    scale = float(np.sqrt(max(np.sum(mu * f * f), 0.0)))
+    drift = float(np.sum(mu * f))
     projected = False
     if abs(drift) > 1e-8 * max(scale, 1e-30):
         warnings.warn(
@@ -155,31 +165,8 @@ def evolve_perturbation(G: GeneratorOperator, pt0: ScalarField, dt: float,
         f = project_mass_zero(pt0, G.rho).values
         projected = True
 
-    forward, lu = _cn_factors(G.matrix, dt)
-
-    times = dt * np.arange(n_steps + 1)
-    mass = np.empty(n_steps + 1)
-    norm = np.empty(n_steps + 1)
-    stored = [f.copy()]
-    stored_t = [0.0]
-
-    def record(k, vec):
-        mass[k] = np.sum(w * rho * vec)
-        norm[k] = np.sqrt(max(np.sum(w * rho * vec * vec), 0.0))
-
-    record(0, f)
-    for k in range(1, n_steps + 1):
-        f = lu.solve(forward @ f)
-        record(k, f)
-        if k % store_every == 0 or k == n_steps:
-            stored.append(f.copy())
-            stored_t.append(times[k])
-
-    return DensityTrajectory(
-        grid=pt0.grid, kind="perturbation", times=times, mass=mass,
-        norm_rho=norm, density_times=np.array(stored_t),
-        densities=np.array(stored), min_value=float(np.min(stored)),
-        projected=projected)
+    return _crank_nicolson(G, "perturbation", f, dt, T, store_every,
+                           projected=projected)
 
 
 @dataclass(frozen=True)

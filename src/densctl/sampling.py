@@ -399,10 +399,16 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 # ---------------------------------------------------------------------------
 # estimators
 
-def _kish_ess(cost: np.ndarray) -> float:
-    """(sum w)^2 / sum w^2 of the weights exp(-cost), scaled to max 1."""
+def _log_mean_weight(cost: np.ndarray) -> tuple[float, float, float]:
+    """Log of the mean path weight exp(-cost), computed in log space so
+    that tiny weights do not underflow, with the relative standard error
+    of that mean and the Kish ESS (sum w)^2 / sum w^2."""
+    n = int(cost.shape[0])
+    log_mean = float(logsumexp(-cost) - np.log(n))
+    # weights scaled so that the largest is one
     w = np.exp(cost.min() - cost)
-    return float(w.sum() ** 2 / (w * w).sum())
+    rel = float(w.std(ddof=1) / (w.mean() * np.sqrt(n))) if n > 1 else 0.0
+    return log_mean, rel, float(w.sum() ** 2 / (w * w).sum())
 
 
 def _uncontrolled(cfg: SdeConfig) -> SdeConfig:
@@ -447,21 +453,18 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
         if excluded.all():
             raise SamplingError("every path blew up; check the drift and dt")
         cost = batch.cost_integral[rows][~excluded]
-        n = int(cost.shape[0])
-        value = float(np.exp(logsumexp(-cost) - np.log(n)))
-        # weights scaled so that the largest is one
-        w = np.exp(cost.min() - cost)
-        rel = float(w.std(ddof=1) / (w.mean() * np.sqrt(n))) if n > 1 else 0.0
+        log_mean, rel, ess = _log_mean_weight(cost)
+        value = float(np.exp(log_mean))
         # a mean that underflows to zero has no usable error bar
         degenerate = rel > 0.5 or value == 0.0
         if degenerate:
             warnings.warn("desirability estimator is degenerate (stderr/mean "
                           f"= {rel:.2f}, psi_hat = {value:.3g})", stacklevel=2)
         estimates.append(Estimate(
-            value=value, stderr=value * rel, n_used=n,
+            value=value, stderr=value * rel, n_used=int(cost.shape[0]),
             n_excluded=int(excluded.sum()),
             n_exited=int(batch.exited[rows].sum()), degenerate=degenerate,
-            ess=_kish_ess(cost)))
+            ess=ess))
     return estimates
 
 
@@ -473,29 +476,25 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
     the uncontrolled mixing time the principal mode dominates the
     expectation and the log-rate converges to the optimal average cost.
     The standard error is a bootstrap over paths with a reserved
-    resampling stream.
+    resampling stream. Every mean is taken in log space, so long
+    horizons, whose weights underflow, still give an estimate.
     """
     batch = simulate_sde(spec, _uncontrolled(cfg), y0, cost_expr=q,
                          cost_shift=0.0, lam=lam)
-    keep = ~batch.excluded
-    weights = np.exp(-batch.cost_integral[keep])
-    n = int(weights.shape[0])
-    mean = float(weights.mean())
-    if mean <= 0.0:
-        raise SamplingError("all path weights underflowed; shorten T or "
-                            "rescale q")
+    cost = batch.cost_integral[~batch.excluded]
+    n = int(cost.shape[0])
+    log_mean, _, ess = _log_mean_weight(cost)
     T = batch.horizon
-    value = float(-(lam / T) * np.log(mean))
+    value = float(-(lam / T) * log_mean)
 
     gen = np.random.Generator(np.random.Philox(
         key=np.array([cfg.seed, BOOTSTRAP_STREAM], dtype=np.uint64)))
-    boot_means = np.empty(BOOTSTRAP_SAMPLES)
+    boot_log_means = np.empty(BOOTSTRAP_SAMPLES)
     rows = max(1, BOOTSTRAP_BLOCK // n)
     for a in range(0, BOOTSTRAP_SAMPLES, rows):
         idx = gen.integers(0, n, size=(min(rows, BOOTSTRAP_SAMPLES - a), n))
-        boot_means[a:a + idx.shape[0]] = weights[idx].mean(axis=1)
-    boot_means = np.maximum(boot_means, 1e-300)
-    boot = -(lam / T) * np.log(boot_means)
+        boot_log_means[a:a + idx.shape[0]] = logsumexp(-cost[idx], axis=1)
+    boot = -(lam / T) * (boot_log_means - np.log(n))
     stderr = float(boot.std(ddof=1))
 
     degenerate = stderr > 0.5 * max(abs(value), 1e-12)
@@ -505,7 +504,7 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
     return Estimate(value=value, stderr=stderr, n_used=n,
                     n_excluded=batch.n_excluded,
                     n_exited=int(batch.exited.sum()), degenerate=degenerate,
-                    ess=_kish_ess(batch.cost_integral[keep]))
+                    ess=ess)
 
 
 def uniform_ensemble(grid: Grid, count: int, seed: int) -> Ensemble:

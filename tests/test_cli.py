@@ -20,7 +20,7 @@ FORWARD = {
     "dynamics": {"phi": "x1^2", "sigma": [["sqrt(2)"]]},
     "cost": {"q": "6*x1^2"},
     "solver": {"k": 6},
-    "sampling": {"dt": 0.001, "T": 1.0, "n_paths": 400, "seed": 42, "threads": 2},
+    "sampling": {"dt": 0.001, "T": 1.0, "n_paths": 400, "seed": 42},
 }
 
 INVERSE = {
@@ -93,6 +93,25 @@ class TestExitCodes:
         bad = dict(FORWARD, sampling=dict(FORWARD["sampling"], chunk_paths=64))
         assert run(["check"], tmp_path, config=bad)[0] == 2
         assert "chunk_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "controlled", True), ("sampling", "threads", 2)])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, section, key,
+                                      value):
+        # neither key reached any computation; --controlled and --threads
+        # stay on the command line
+        bad = dict(FORWARD, **{section: dict(FORWARD[section], **{key: value})})
+        assert run(["spectrum"], tmp_path, config=bad)[0] == 2
+        err = capsys.readouterr().err
+        assert f"unknown key(s) in [{section}]: ['{key}']" in err
+
+    def test_threads_is_ignored_and_not_in_the_manifest(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("DENSCTL_THREADS", "0")
+        code, out = run(["check", "--threads", "0"], tmp_path)
+        assert code == 0
+        m = json.loads((only_dir(out, "check") / "manifest.json").read_text())
+        assert "threads" not in m
 
     def test_mode_mismatch(self, tmp_path):
         assert run(["solve"], tmp_path, config=INVERSE)[0] == 2

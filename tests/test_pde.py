@@ -1,12 +1,17 @@
 """Crank-Nicolson density evolution and modal decay."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
 
 import densctl as dc
 from densctl.errors import PdeError
 
 from conftest import assemble, ou_spec
+from test_spectral import _random_problem
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +131,50 @@ class TestTrajectoryBookkeeping:
         np.testing.assert_allclose(traj.density_times[-1], 0.5, rtol=1e-12)
         assert len(traj.times) == 51
         assert traj.min_value <= traj.densities[-1].min()
+
+
+class TestSymmetrizedStepper:
+    def test_indefinite_stencil_is_refused(self):
+        # a coarse cross-diffusion stencil whose S has eigenvalues up to
+        # +1.4e2: CN at dt = 0.1 would amplify them by ~1e11 over T = 2
+        g = dc.Grid((-3.5, -3.5), (3.5, 3.5), (9, 9))
+        spec = dc.ProblemSpec(grid=g, phi="x1^2 + x2^2",
+                              Sigma=[["2.25", "0.75"], ["0.75", "1.25"]],
+                              q="0")
+        op = assemble(spec)
+        x = g.node_coords()[:, 0]
+        pt0 = dc.project_mass_zero(dc.ScalarField(g, np.sin(x)), op.rho)
+        with pytest.raises(PdeError, match="above 20"):
+            dc.evolve_perturbation(op, pt0, dt=0.1, T=2.0)
+        p0 = dc.ScalarField(g, op.rho.values)
+        with pytest.raises(PdeError, match="above 20"):
+            dc.evolve_fp(dc.adjoint_of(op), p0, dt=0.1, T=2.0)
+
+    @given(_random_problem())
+    @settings(max_examples=25, deadline=None)
+    def test_random_problem_conserves_mass_and_linearity(self, problem):
+        spec, _ = problem
+        op = assemble(spec)
+        g = op.grid
+        d = np.diag(1.0 / np.sqrt(op.mu))
+        S = d @ (-op.K.toarray()) @ d
+        top = sla.eigh(0.5 * (S + S.T), eigvals_only=True)[-1]
+        dt, T = 0.01, 0.5
+        x = g.node_coords()
+        rho = op.rho.values
+        p0 = rho * (1.0 + 0.3 * np.sin(x[:, 0]) * np.cos(0.7 * x[:, 1]))
+        p0 = dc.ScalarField(g, p0 / (op.weights @ p0))
+        if top > 2.0 / dt:
+            with pytest.raises(PdeError):
+                dc.evolve_fp(dc.adjoint_of(op), p0, dt=dt, T=T)
+            return
+        if top > 1e-8 + 1e-12 * np.abs(S).max():
+            return  # indefinite below 2/dt: CN runs and the mode grows
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # CN dips on stiff stencils
+            full = dc.evolve_fp(dc.adjoint_of(op), p0, dt=dt, T=T)
+            pert = dc.evolve_perturbation(
+                op, dc.ScalarField(g, p0.values / rho - 1.0), dt=dt, T=T)
+        assert np.abs(full.mass - 1.0).max() <= 1e-10
+        recon = rho * (1.0 + pert.densities[-1])
+        assert np.abs(recon - full.densities[-1]).max() <= 1e-8

@@ -272,6 +272,17 @@ class TestEstimators:
         assert est.stderr > 0.0 or est.degenerate
         assert 1.0 <= est.ess <= 64
 
+    def test_long_horizon_cost_estimate_does_not_underflow(self, ou401):
+        # every weight underflows to zero in linear space, but the
+        # log-mean (about -1100) is representable
+        c = cfg(dt=1e-2, T=800.0, n_paths=64, seed=1)
+        y0 = dc.Ensemble(positions=np.zeros((64, 1)))
+        est = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
+        assert -(800.0 / 2.0) * est.value < np.log(np.finfo(float).tiny)
+        assert np.isfinite(est.value) and est.value > 0.0
+        assert np.isfinite(est.stderr) and est.stderr > 0.0
+        assert 1.0 <= est.ess <= 64
+
     def test_ess_of_equal_weights_is_the_path_count(self, ou401):
         est = dc.path_integral_desirability(ou401, "2", 0.0, 2.0, (0.0,),
                                             cfg(n_paths=64))
