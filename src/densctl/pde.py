@@ -60,12 +60,9 @@ def _step_count(dt: float, T: float) -> int:
 def _crank_nicolson(op: GeneratorOperator, kind: str, values: np.ndarray,
                     dt: float, T: float, store_every: int | None,
                     **flags) -> DensityTrajectory:
-    """The one CN loop, in the frame y of S = _symmetrized(op).
-
-    A perturbation maps to y = sqrt(mu) f, a density to
-    y = sqrt(w/rho) p; states are stored, and the running minimum is
-    taken, back in the caller's frame.
-    """
+    """The one CN loop, in the frame y of S = _symmetrized(op); states
+    are stored, and their running minimum taken, back in the frame of
+    `values`."""
     n_steps = _step_count(dt, T)
     if store_every is None:
         store_every = max(1, n_steps // 64)

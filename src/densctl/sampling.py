@@ -492,9 +492,13 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
     boot_log_means = np.empty(BOOTSTRAP_SAMPLES)
     rows = max(1, BOOTSTRAP_BLOCK // n)
     for a in range(0, BOOTSTRAP_SAMPLES, rows):
-        idx = gen.integers(0, n, size=(min(rows, BOOTSTRAP_SAMPLES - a), n))
-        boot_log_means[a:a + idx.shape[0]] = logsumexp(-cost[idx], axis=1)
-    boot = -(lam / T) * (boot_log_means - np.log(n))
+        r = min(rows, BOOTSTRAP_SAMPLES - a)
+        x = cost[gen.integers(0, n, size=(r, n))]
+        # log-sum-exp of each resampled row, in place to hold one block
+        low = x.min(axis=1, keepdims=True)
+        np.exp(np.subtract(low, x, out=x), out=x)
+        boot_log_means[a:a + r] = np.log(x.mean(axis=1)) - low[:, 0]
+    boot = -(lam / T) * boot_log_means
     stderr = float(boot.std(ddof=1))
 
     degenerate = stderr > 0.5 * max(abs(value), 1e-12)
