@@ -46,7 +46,6 @@ from .sampling import (
     uniform_ensemble,
 )
 from .spectral import (
-    controlled_operator,
     eig_generator,
     solve_hjb_principal,
     spectral_gap,
@@ -133,10 +132,10 @@ def _require_inverse(run: _Run) -> None:
                           "[target] section; this one has a [cost]")
 
 
-def _solve_forward(run: _Run):
+def _solve_forward(run: _Run, k: int = 1):
     spec = run.spec
     return solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
-                               spec.q_field(), spec.lam)
+                               spec.q_field(), spec.lam, k)
 
 
 def _gate_validation(run: _Run) -> None:
@@ -164,11 +163,10 @@ def cmd_solve(run: _Run) -> int:
     _require_forward(run)
     _gate_validation(run)
     spec = run.spec
-    sol = _solve_forward(run)
+    sol = _solve_forward(run, min(run.default_k(), spec.grid.size))
     residual = verify_hjb_residual(sol, spec.q_field(),
                                    spec.diffusion_field(), spec.phi_field())
-    k = run.default_k()
-    ctrl = eig_generator(controlled_operator(sol), min(k, spec.grid.size))
+    ctrl = sol.controlled
     gap = spectral_gap(ctrl) if ctrl.k >= 2 else None
 
     g = spec.grid
@@ -204,10 +202,10 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
     if controlled:
         _require_forward(run)
         _gate_validation(run)
-        op = controlled_operator(_solve_forward(run))
+        s = _solve_forward(run, k).controlled
     else:
-        op = assemble_generator(spec.diffusion_field(), spec.phi_field())
-    s = eig_generator(op, k)
+        s = eig_generator(assemble_generator(spec.diffusion_field(),
+                                             spec.phi_field()), k)
 
     gap = None
     if k >= 2 and s.eigenvalues[1] < 0.0:
@@ -240,21 +238,22 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
     spec = run.spec
     g = spec.grid
     _gate_validation(run)
+    k = run.default_k()
+    if mode_index is not None:
+        k = max(k, mode_index + 1)
+    k = min(max(k, 2), g.size)
     if spec.mode == "forward":
-        sol = _solve_forward(run)
-        Phi = ScalarField(g, sol.phi.values + sol.v.values)
+        # the controlled generator, read off M: no reassembly
+        gen = _solve_forward(run, k)
+        s = gen.controlled
     else:
         t = spec.target_field()
         if t.values.min() <= 0.0:
             raise DensctlError("target density must be positive to evolve")
         mass = float(g.quadrature_weights() @ t.values)
         Phi = ScalarField(g, -np.log(t.values / mass))
-    op = assemble_generator(spec.diffusion_field(), Phi)
-
-    k = run.default_k()
-    if mode_index is not None:
-        k = max(k, mode_index + 1)
-    s = eig_generator(op, min(max(k, 2), g.size))
+        gen = assemble_generator(spec.diffusion_field(), Phi)
+        s = eig_generator(gen, k)
     rate = spectral_gap(s)
 
     if perturb is not None:
@@ -271,10 +270,10 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
 
     dt = dt if dt is not None else (run.cfg.solver.dt or 0.1 / rate)
     T = T if T is not None else (run.cfg.solver.T or 5.0 / rate)
-    traj = evolve_perturbation(op, pt0, dt, T)
+    traj = evolve_perturbation(gen, pt0, dt, T)
 
     pc = expand_in_eigenbasis(ScalarField(g, traj.densities[0]), s)
-    wq = g.quadrature_weights() * op.rho.values
+    wq = g.quadrature_weights() * s.rho.values
     norm0 = float(np.sqrt(np.sum(wq * traj.densities[0] ** 2)))
     comparison = 0.0
     for t_i, dens in zip(traj.density_times, traj.densities):

@@ -23,8 +23,6 @@ from .operators import apply, assemble_generator
 from .spectral import (
     HJBSolution,
     PSI_LOG_FLOOR,
-    controlled_operator,
-    eig_generator,
     solve_hjb_principal,
     spectral_gap,
 )
@@ -204,7 +202,7 @@ def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec) -> RoundtripReport:
         raise InverseError("target grid does not match the problem grid")
     inv = _design(p_inf, spec)
     forward = solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
-                                  inv.q, spec.lam)
+                                  inv.q, spec.lam, k=2)
 
     p_norm = inv.target.values
     dens_err = float(np.abs(forward.p.values - p_norm).max() / p_norm.max())
@@ -212,8 +210,7 @@ def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec) -> RoundtripReport:
     du = np.abs(forward.u.values - inv.u.values)[mask].max()
     ctrl_err = float(du / max(1.0, float(np.abs(inv.u.values).max())))
 
-    ctrl_op = controlled_operator(forward)
-    gap = spectral_gap(eig_generator(ctrl_op, 2))
+    gap = spectral_gap(forward.controlled)
 
     return RoundtripReport(
         density_error=dens_err, c_inverse=inv.c, c_forward=forward.c,

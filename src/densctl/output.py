@@ -18,6 +18,9 @@ import numpy as np
 from . import __version__ as VERSION
 
 
+CSV_BLOCK_VALUES = 4096
+
+
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -27,17 +30,26 @@ def format_float(v: float) -> str:
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write columns under a header, every value as format_float would.
+
+    Rows are formatted a block of about CSV_BLOCK_VALUES values at a
+    time, each row by one %-format over Python floats, so neither a
+    numpy scalar per value nor the whole file as one string is built.
+    """
     if len(header) != len(columns):
         raise ValueError("header and column count differ")
     cols = [np.asarray(c).reshape(-1) for c in columns]
     n = cols[0].shape[0]
     if any(c.shape[0] != n for c in cols):
         raise ValueError("columns differ in length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(format_float(c[i]) for c in cols))
+    table = np.column_stack(cols).astype(float, copy=False)
+    row = ",".join(["%.17g"] * len(cols))
+    step = max(1, CSV_BLOCK_VALUES // len(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for a in range(0, n, step):
+            fh.write("".join(row % tuple(r) + "\n"
+                             for r in table[a:a + step].tolist()))
 
 
 def _jsonable(obj):

@@ -1,18 +1,22 @@
 """Crank-Nicolson evolution of densities and density perturbations.
 
 Full densities evolve under the Fokker-Planck operator A, perturbations
-p~ = p/p_inf - 1 under the generator G. Both run one stepper in the
-frame of the symmetric S = -D(1/sqrt(mu)) K D(1/sqrt(mu)), mu = w * rho,
-that the eigensolver uses: a perturbation f maps to y = sqrt(mu) f and
-a density p to y = sqrt(w/rho) p, and either way dy/dt = S y, so p/rho
-is never formed. Each step solves ((2/dt) I - S) y' = ((2/dt) I + S) y
-through one LDL^T factor per call, whose inertia check refuses an S
-with an eigenvalue above 2/dt (an indefinite stencil, on which the
-steps would grow). The records are one vector operation each: the
-quadrature mass is sqrt(mu) . y, and the rho-weighted norm of the
-perturbation is |y - y_ref| with y_ref = sqrt(mu) for a density and 0
-for a perturbation. Mass conservation is inherited from S sqrt(mu) = 0,
-which holds up to assembly rounding, not re-imposed.
+p~ = p/p_inf - 1 under the generator G. Both run one stepper on a
+symmetric S with kernel vector sqrt(mu): the frame of
+S = -D(1/sqrt(mu)) K D(1/sqrt(mu)), mu = w * rho, that the eigensolver
+uses, or, for the controlled generator of an HJB solution, its Doob
+h-transform frame S = M - mu0 I with sqrt(mu) = x0, so the controlled
+generator is never reassembled. A perturbation f maps to
+y = sqrt(mu) f and a density p to y = (w/sqrt(mu)) p, and either way
+dy/dt = S y, so p/rho is never formed. Each step solves
+((2/dt) I - S) y' = ((2/dt) I + S) y through one LDL^T factor per call,
+whose inertia check refuses an S with an eigenvalue above 2/dt (an
+indefinite stencil, on which the steps would grow). The records are
+one vector operation each: the quadrature mass is sqrt(mu) . y, and
+the rho-weighted norm of the perturbation is |y - y_ref| with
+y_ref = sqrt(mu) for a density and 0 for a perturbation. Mass
+conservation is inherited from S sqrt(mu) = 0, which holds up to
+assembly rounding, not re-imposed.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import numpy as np
 from .errors import PdeError, SpectralError
 from .fields import ScalarField
 from .operators import AdjointOperator, GeneratorOperator
-from .spectral import Spectrum, _shifted_lu, _symmetrized
+from .spectral import HJBSolution, Spectrum, _shifted_lu, _symmetrized
 
 
 @dataclass(frozen=True)
@@ -57,23 +61,34 @@ def _step_count(dt: float, T: float) -> int:
     return n
 
 
-def _crank_nicolson(op: GeneratorOperator, kind: str, values: np.ndarray,
+def _frame(G: GeneratorOperator | HJBSolution):
+    """(S, sqrt(mu), rho) of G: its symmetrized frame, or for an HJB
+    solution the frame (M - mu0 I, x0) of its controlled generator."""
+    if isinstance(G, HJBSolution):
+        return (*G.controlled_frame(), G.p)
+    try:
+        S, sqmu = _symmetrized(G)
+    except SpectralError as e:
+        raise PdeError(f"Crank-Nicolson step refused: {e}") from e
+    return S, sqmu, G.rho
+
+
+def _crank_nicolson(grid, S, sqmu: np.ndarray, kind: str, values: np.ndarray,
                     dt: float, T: float, store_every: int | None,
                     **flags) -> DensityTrajectory:
-    """The one CN loop, in the frame y of S = _symmetrized(op); states
-    are stored, and their running minimum taken, back in the frame of
-    `values`."""
+    """The one CN loop, in the frame y of the symmetric S with kernel
+    vector sqmu; states are stored, and their running minimum taken,
+    back in the frame of `values`."""
     n_steps = _step_count(dt, T)
     if store_every is None:
         store_every = max(1, n_steps // 64)
     shift = 2.0 / dt
     try:
-        S, sqmu = _symmetrized(op)
         lu = _shifted_lu(S, shift)
     except SpectralError as e:
         raise PdeError(f"Crank-Nicolson step refused at dt = {dt}: {e}") from e
     if kind == "density":
-        frame, y_ref = op.weights / sqmu, sqmu
+        frame, y_ref = grid.quadrature_weights() / sqmu, sqmu
     else:
         frame, y_ref = sqmu, 0.0
 
@@ -97,7 +112,7 @@ def _crank_nicolson(op: GeneratorOperator, kind: str, values: np.ndarray,
             stored_t.append(times[k])
 
     return DensityTrajectory(
-        grid=op.grid, kind=kind, times=times, mass=mass, norm_rho=norm,
+        grid=grid, kind=kind, times=times, mass=mass, norm_rho=norm,
         density_times=np.array(stored_t), densities=np.array(stored),
         min_value=min_value, **flags)
 
@@ -129,7 +144,8 @@ def evolve_fp(A: AdjointOperator, p0: ScalarField, dt: float, T: float,
         p = p / mass0
         renormalized = True
 
-    traj = _crank_nicolson(A.generator, "density", p, dt, T, store_every,
+    S, sqmu, _ = _frame(A.generator)
+    traj = _crank_nicolson(A.grid, S, sqmu, "density", p, dt, T, store_every,
                            renormalized=renormalized)
     if traj.min_value < -1e-10:
         warnings.warn(
@@ -144,14 +160,17 @@ def project_mass_zero(f: ScalarField, rho: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.values - mean)
 
 
-def evolve_perturbation(G: GeneratorOperator, pt0: ScalarField, dt: float,
-                        T: float, store_every: int | None = None) -> DensityTrajectory:
-    """Evolve a mass-free density perturbation under the generator."""
+def evolve_perturbation(G: GeneratorOperator | HJBSolution, pt0: ScalarField,
+                        dt: float, T: float,
+                        store_every: int | None = None) -> DensityTrajectory:
+    """Evolve a mass-free density perturbation under the generator G,
+    or, given an HJB solution, under its controlled generator."""
     if pt0.grid != G.grid:
         raise PdeError("perturbation grid does not match operator")
+    S, sqmu, rho = _frame(G)
 
     f = pt0.values
-    mu = G.mu
+    mu = sqmu * sqmu
     scale = float(np.sqrt(max(np.sum(mu * f * f), 0.0)))
     drift = float(np.sum(mu * f))
     projected = False
@@ -159,11 +178,11 @@ def evolve_perturbation(G: GeneratorOperator, pt0: ScalarField, dt: float,
         warnings.warn(
             f"perturbation carries mass {drift:.3e}; projecting it out",
             stacklevel=2)
-        f = project_mass_zero(pt0, G.rho).values
+        f = project_mass_zero(pt0, rho).values
         projected = True
 
-    return _crank_nicolson(G, "perturbation", f, dt, T, store_every,
-                           projected=projected)
+    return _crank_nicolson(G.grid, S, sqmu, "perturbation", f, dt, T,
+                           store_every, projected=projected)
 
 
 @dataclass(frozen=True)

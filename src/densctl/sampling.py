@@ -50,6 +50,9 @@ BOOTSTRAP_SAMPLES = 200
 BOOTSTRAP_BLOCK = 2**20  # resampling indices drawn at once
 CHUNK_PATHS = 8192       # paths integrated side by side
 BLOCK_STEPS = 256        # time steps of noise drawn at once
+# an estimate whose Kish ESS is below this fraction of the paths it used
+# rests on a few heavy paths, so its stderr is not a valid error bar
+ESS_FLOOR = 0.05
 
 _MODE_ALIASES = {
     "uncontrolled": "uncontrolled",
@@ -455,13 +458,15 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
         cost = batch.cost_integral[rows][~excluded]
         log_mean, rel, ess = _log_mean_weight(cost)
         value = float(np.exp(log_mean))
+        n_used = int(cost.shape[0])
         # a mean that underflows to zero has no usable error bar
-        degenerate = rel > 0.5 or value == 0.0
+        degenerate = rel > 0.5 or value == 0.0 or ess < ESS_FLOOR * n_used
         if degenerate:
             warnings.warn("desirability estimator is degenerate (stderr/mean "
-                          f"= {rel:.2f}, psi_hat = {value:.3g})", stacklevel=2)
+                          f"= {rel:.2f}, psi_hat = {value:.3g}, ESS "
+                          f"{ess:.3g} of {n_used})", stacklevel=2)
         estimates.append(Estimate(
-            value=value, stderr=value * rel, n_used=int(cost.shape[0]),
+            value=value, stderr=value * rel, n_used=n_used,
             n_excluded=int(excluded.sum()),
             n_exited=int(batch.exited[rows].sum()), degenerate=degenerate,
             ess=ess))
@@ -501,10 +506,12 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
     boot = -(lam / T) * boot_log_means
     stderr = float(boot.std(ddof=1))
 
-    degenerate = stderr > 0.5 * max(abs(value), 1e-12)
+    degenerate = stderr > 0.5 * max(abs(value), 1e-12) or \
+        ess < ESS_FLOOR * n
     if degenerate:
         warnings.warn(f"cost estimator is degenerate (stderr {stderr:.3g} "
-                      f"against c_hat {value:.3g})", stacklevel=2)
+                      f"against c_hat {value:.3g}, ESS {ess:.3g} of {n})",
+                      stacklevel=2)
     return Estimate(value=value, stderr=stderr, n_used=n,
                     n_excluded=batch.n_excluded,
                     n_exited=int(batch.exited.sum()), degenerate=degenerate,

@@ -7,17 +7,20 @@ Orthonormality of the mapped eigenfunctions in the rho-weighted inner
 product is then automatic.
 
 The stationary value equation is solved through the desirability
-substitution: the largest eigenpair of S - D(q/lam) gives Psi and the
-average cost c = -lam mu_0. Both jobs run shift-invert Lanczos
-(ARPACK) about a shift just above a bound on the spectrum, through a
-sparse LU factored in symmetric mode without pivoting; dense eigh only
-serves k >= N - 1, which ARPACK cannot. The factor's inertia certifies
-that nothing lies above the shift, so an indefinite (nonmonotone)
-stencil is refused. The principal vector is polished with a few
-inverse-power steps through such a factor of (shift I - M); for
-monotone stencils its factors are M-matrices, so the triangular
-solves keep the iterate entrywise positive, which is what the
-positivity gate checks.
+substitution: the largest eigenpair (mu_0, x_0) of M = S - D(q/lam)
+gives Psi and the average cost c = -lam mu_0. The controlled generator
+is the Doob h-transform D(1/x_0)(M - mu_0 I)D(x_0) of M, so the same
+eigensolve gives the controlled spectrum: eigenvalues mu_n - mu_0 and
+eigenfunctions y_n / x_0, rho-orthonormal under the controlled density
+p. Every eigensolve runs shift-invert Lanczos (ARPACK) about a shift
+just above a bound on the spectrum, through one sparse LU factored in
+symmetric mode without pivoting; dense eigh only serves k >= N - 1,
+which ARPACK cannot. The factor's inertia certifies that nothing lies
+above the shift, so an indefinite (nonmonotone) stencil is refused.
+The same factor of (shift I - M) then polishes the principal vector
+with a few inverse-power steps; for monotone stencils its factors are
+M-matrices, so the triangular solves keep a positive iterate positive,
+which is what the positivity gate checks.
 """
 from __future__ import annotations
 
@@ -43,6 +46,8 @@ from .operators import GeneratorOperator, assemble_generator
 
 PSI_LOG_FLOOR = float(np.log(1e-290))
 PERRON_TOLERANCE = 1e-12
+POLISH_TOLERANCE = 1e-12
+POLISH_MAX_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -92,34 +97,66 @@ def _shifted_lu(A: sp.csr_matrix, shift: float):
 
 
 def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
-    """Top k eigenpairs of symmetric A, descending; bound >= its spectrum."""
+    """Top k eigenpairs of symmetric A, descending; bound >= its spectrum.
+
+    Also returns the one factor of (sigma I - A), sigma a little above
+    the bound, whose inertia certifies the bound; callers reuse it.
+    """
     N = A.shape[0]
+    # shift a little above the bound (zero for the negative semidefinite
+    # S): A - sigma I is nonsingular and shift-invert targets the top of
+    # the spectrum
+    sigma = bound + 1e-6 * max(1.0, float(np.abs(A.diagonal()).max()))
+    lu = _shifted_lu(A, sigma)
     if k >= N - 1:
         # ARPACK needs k < ncv < N, so it returns at most N - 2 pairs
         dense = A.toarray()
         dense = 0.5 * (dense + dense.T)
         vals, vecs = sla.eigh(dense, subset_by_index=[N - k, N - 1])
     else:
-        # shift a little above the bound (zero for the negative
-        # semidefinite S): A - sigma I is nonsingular and shift-invert
-        # targets the top of the spectrum
-        sigma = bound + 1e-6 * max(1.0, float(np.abs(A.diagonal()).max()))
-        lu = _shifted_lu(A, sigma)
         inv = spla.LinearOperator(A.shape, matvec=lambda x: -lu.solve(x),
                                   dtype=float)
         vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
                                 OPinv=inv)
     order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], lu
+
+
+def _spectrum(grid, A: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray,
+              frame: np.ndarray, rho: ScalarField) -> Spectrum:
+    """Generator spectrum from the pairs (vals, vecs) of its symmetric
+    frame A = D(frame) G D(1/frame), whose kernel vector is vecs[:, 0]:
+    eigenvalues vals - vals[0], eigenfunctions vecs / frame with the
+    first entry above 1e-6 in size positive."""
+    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0)
+    eigenvalues = vals - vals[0]
+    n = int(np.argmax(residuals / np.maximum(1.0, np.abs(eigenvalues))))
+    if not residuals[n] <= 1e-6 * max(1.0, abs(eigenvalues[n])):
+        raise SpectralError(
+            f"eigenpair {n} did not converge (residual {residuals[n]:.3e}); "
+            "likely cause: Psi clipped at PSI_LOG_FLOOR left the controlled "
+            "operator too ill-conditioned, shrink the domain")
+
+    funcs = (vecs / frame[:, None]).T
+    for n in range(funcs.shape[0]):
+        nz = np.flatnonzero(np.abs(funcs[n]) > 1e-6)
+        if nz.size and funcs[n][nz[0]] < 0.0:
+            funcs[n] = -funcs[n]
+
+    return Spectrum(grid=grid, eigenvalues=eigenvalues, functions=funcs,
+                    rho=rho, residuals=residuals)
+
+
+def _check_k(k: int, N: int) -> None:
+    if not 1 <= k <= N:
+        raise SpectralError(f"k must be between 1 and {N}, got {k}")
 
 
 def eig_generator(op: GeneratorOperator, k: int) -> Spectrum:
     """Top k eigenpairs of the generator, descending, rho-orthonormal."""
-    N = op.size
-    if not 1 <= k <= N:
-        raise SpectralError(f"k must be between 1 and {N}, got {k}")
+    _check_k(k, op.size)
     S, sqmu = _symmetrized(op)
-    vals, vecs = _top_eigenpairs(S, 0.0, k, sqmu)
+    vals, vecs, _ = _top_eigenpairs(S, 0.0, k, sqmu)
 
     if abs(vals[0]) > 1e-8:
         raise SpectralError(
@@ -129,23 +166,7 @@ def eig_generator(op: GeneratorOperator, k: int) -> Spectrum:
     # sqrt(mu) is the exact kernel vector of S up to assembly rounding,
     # and sum(mu) = 1, so it is already normalized
     vecs[:, 0] = sqmu / np.linalg.norm(sqmu)
-
-    residuals = np.linalg.norm(S @ vecs - vecs * vals, axis=0)
-    n = int(np.argmax(residuals / np.maximum(1.0, np.abs(vals))))
-    if not residuals[n] <= 1e-6 * max(1.0, abs(vals[n])):
-        raise SpectralError(
-            f"eigenpair {n} did not converge (residual {residuals[n]:.3e}); "
-            "likely cause: Psi clipped at PSI_LOG_FLOOR left the controlled "
-            "operator too ill-conditioned, shrink the domain")
-
-    funcs = (vecs / sqmu[:, None]).T
-    for n in range(k):
-        nz = np.flatnonzero(np.abs(funcs[n]) > 1e-6)
-        if nz.size and funcs[n][nz[0]] < 0.0:
-            funcs[n] = -funcs[n]
-
-    return Spectrum(grid=op.grid, eigenvalues=vals, functions=funcs,
-                    rho=op.rho, residuals=residuals)
+    return _spectrum(op.grid, S, vals, vecs, sqmu, op.rho)
 
 
 def spectral_gap(s: Spectrum) -> float:
@@ -171,35 +192,52 @@ class HJBSolution:
     Sigma: TensorField = field(repr=False, default=None)
     operator: GeneratorOperator = field(repr=False, default=None)
     diagnostics: dict = field(repr=False, default_factory=dict)
+    M: sp.csr_matrix = field(repr=False, default=None)    # S - D(q/lam)
+    x0: np.ndarray = field(repr=False, default=None)      # its top vector
+    controlled: Spectrum = field(repr=False, default=None)
 
     @property
     def grid(self):
         return self.Psi.grid
 
+    def controlled_frame(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Symmetric frame of the controlled generator, the Doob
+        h-transform of M: M - mu0 I and its kernel vector x0."""
+        mu0 = -self.c / self.lam
+        S = (self.M - sp.identity(self.grid.size, format="csr") * mu0).tocsr()
+        return S, self.x0
 
-def _purify_principal(M: sp.csr_matrix, mu0: float, x0: np.ndarray,
-                      iterations: int = 3) -> np.ndarray:
-    """Inverse-power polish of the principal eigenvector.
 
-    shift I - M is SPD for any shift > mu0; solving through its
-    LU factor contracts every other mode by ~1e-6 per pass.
+def _purify_principal(lu, x: np.ndarray) -> np.ndarray:
+    """Inverse-power polish of the principal eigenvector through the LU
+    factor of (shift I - M), shift above the spectrum of M, that the
+    eigensolve used. It runs until no entry changes by more than
+    POLISH_TOLERANCE of itself, so that the tails, which set log Psi and
+    the control far out, are accurate entrywise and not only in norm;
+    each step contracts the other modes by (shift - mu0)/(shift - mu1).
     """
-    lu = _shifted_lu(M, mu0 + 1e-6 * max(1.0, abs(mu0)))
-    x = x0.copy()
-    for _ in range(iterations):
-        x = lu.solve(x)
-        x /= np.linalg.norm(x)
+    for _ in range(POLISH_MAX_STEPS):
+        y = lu.solve(x)
+        y /= np.linalg.norm(y)
+        if np.all(np.abs(y - x) <= POLISH_TOLERANCE * np.abs(y)):
+            return y
+        x = y
     return x
 
 
 def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
-                        lam: float = LAMBDA) -> HJBSolution:
+                        lam: float = LAMBDA, k: int = 1) -> HJBSolution:
     """Stationary value solve via the principal desirability eigenpair.
 
     Assembles the uncontrolled generator from (Sigma, phi), forms
-    M = S - D(q/lam), takes the largest eigenpair, and unwinds the
-    desirability transform: c = -lam mu_0, v = -lam log Psi,
-    p = Psi^2 exp(-phi) normalized, u = -(Sigma/2) grad v.
+    M = S - D(q/lam), takes its top k eigenpairs through one factor,
+    and unwinds the desirability transform: c = -lam mu_0,
+    v = -lam log Psi, p = Psi^2 exp(-phi) normalized,
+    u = -(Sigma/2) grad v. The k pairs also give the controlled
+    spectrum `controlled`: eigenvalues mu_n - mu_0, eigenfunctions
+    y_n / x_0 and rho = p. Wherever Psi is above its floor,
+    w p = x_0^2, so the eigenfunctions are p-orthonormal by
+    construction.
     """
     if lam != LAMBDA:
         raise SpectralError(
@@ -207,18 +245,20 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     g = phi.grid
     if q.grid != g or Sigma.grid != g:
         raise SpectralError("Sigma, phi, q must share one grid")
+    _check_k(k, g.size)
 
     op = assemble_generator(Sigma, phi)
     S, sqmu = _symmetrized(op)
     M = (S - sp.diags(q.values / lam)).tocsr()
 
     # S is negative semidefinite, so nothing in M lies above -min(q)/lam
-    vals, _ = _top_eigenpairs(M, -float(q.values.min()) / lam, 1, sqmu)
-    x = _purify_principal(M, float(vals[0]), sqmu)
-    mu0 = float(x @ (M @ x))
-
+    vals, vecs, lu = _top_eigenpairs(M, -float(q.values.min()) / lam, k, sqmu)
+    x = vecs[:, 0]
     if x.sum() < 0.0:
         x = -x
+    x = _purify_principal(lu, x)
+    mu0 = float(x @ (M @ x))
+
     min_x = float(x.min())
     if min_x < -PERRON_TOLERANCE * float(np.abs(x).max()):
         raise SpectralError(
@@ -245,21 +285,30 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     # with R = 2 Sigma^{-1}, the control -R^{-1} grad v is -(Sigma/2) grad v
     u = -0.5 * np.einsum("kij,kj->ki", Sigma.values, grad_v)
 
+    vals[0] = mu0
+    vecs[:, 0] = x
+    p_field = ScalarField(g, p)
+    controlled = _spectrum(g, M, vals, vecs, x, p_field)
+
     diag = {
         "mu0": mu0,
         "eig_residual": resid,
         "min_eigvec": min_x,
         "nonmonotone_couplings": op.n_nonmonotone,
-        "path": "shift-invert+polish",
+        "path": ("eigh" if k >= g.size - 1 else "shift-invert") +
+                "+polish through one LU of (shift I - M)",
     }
     return HJBSolution(
         Psi=ScalarField(g, psi), c=float(c), v=ScalarField(g, v),
-        p=ScalarField(g, p), u=VectorField(g, u), lam=lam, phi=phi,
-        Sigma=Sigma, operator=op, diagnostics=diag)
+        p=p_field, u=VectorField(g, u), lam=lam, phi=phi,
+        Sigma=Sigma, operator=op, diagnostics=diag, M=M, x0=x,
+        controlled=controlled)
 
 
 def controlled_operator(sol: HJBSolution) -> GeneratorOperator:
-    """Generator of the optimally controlled process, Phi = phi + v."""
+    """Generator of the optimally controlled process, Phi = phi + v,
+    reassembled from Sigma and Phi: the reference generator that
+    `sol.controlled`, read off M, agrees with up to O(h^2)."""
     Phi = ScalarField(sol.grid, sol.phi.values + sol.v.values)
     return assemble_generator(sol.Sigma, Phi)
 

@@ -182,6 +182,43 @@ class TestEvolveOutputs:
         assert (d / "densities.csv").exists()
 
 
+class TestFactorCounts:
+    """Each forward solve factors (shift I - M) once, and that factor
+    serves the eigensolve, the polish and the controlled spectrum."""
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        import importlib
+        import pkgutil
+
+        import densctl
+        from densctl import spectral
+
+        shifted_lu = spectral._shifted_lu
+        shifts = []
+
+        def counted(A, shift):
+            shifts.append(shift)
+            return shifted_lu(A, shift)
+
+        for m in pkgutil.iter_modules(densctl.__path__):
+            mod = importlib.import_module(f"densctl.{m.name}")
+            if getattr(mod, "_shifted_lu", None) is shifted_lu:
+                monkeypatch.setattr(mod, "_shifted_lu", counted)
+        return shifts
+
+    @pytest.mark.filterwarnings("ignore:target density mass")
+    @pytest.mark.parametrize("args, config, count", [
+        (["solve"], FORWARD, 1),
+        (["spectrum", "--controlled"], FORWARD, 1),
+        (["inverse"], INVERSE, 1),
+        (["evolve", "--T", "0.5"], FORWARD, 2),    # eigensolve and CN
+    ])
+    def test_factor_count(self, tmp_path, factors, args, config, count):
+        assert run(args, tmp_path, config=config)[0] == 0
+        assert len(factors) == count
+
+
 class TestSamplingCommands:
     def test_paths_summary(self, tmp_path):
         code, out = run(["sample", "paths"], tmp_path)

@@ -150,6 +150,22 @@ class TestSymmetrizedStepper:
         with pytest.raises(PdeError, match="above 20"):
             dc.evolve_fp(dc.adjoint_of(op), p0, dt=0.1, T=2.0)
 
+    def test_controlled_generator_steps_in_the_h_transform_frame(self):
+        # an HJB solution steps its controlled generator as M - mu0 I with
+        # kernel x0: a controlled eigenfunction decays at its own rate
+        spec = ou_spec(201)
+        sol = dc.solve_hjb_principal(spec.diffusion_field(),
+                                     spec.phi_field(), spec.q_field(), k=4)
+        s = sol.controlled
+        pt0 = s.eigenfunction(1)
+        T = 0.5
+        traj = dc.evolve_perturbation(sol, pt0, dt=0.002, T=T)
+        assert not traj.projected
+        assert np.abs(traj.mass).max() <= 1e-12
+        weight = spec.grid.quadrature_weights() * s.rho.values
+        diff = traj.densities[-1] - np.exp(s.eigenvalues[1] * T) * pt0.values
+        assert np.sqrt(weight @ (diff * diff)) <= 1e-4
+
     @given(_random_problem())
     @settings(max_examples=25, deadline=None)
     def test_random_problem_conserves_mass_and_linearity(self, problem):

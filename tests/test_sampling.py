@@ -13,6 +13,7 @@ import pytest
 
 import densctl as dc
 from densctl.errors import SamplingError
+from densctl.sampling import ESS_FLOOR
 
 from conftest import ou_spec
 
@@ -277,11 +278,27 @@ class TestEstimators:
         # log-mean (about -1100) is representable
         c = cfg(dt=1e-2, T=800.0, n_paths=64, seed=1)
         y0 = dc.Ensemble(positions=np.zeros((64, 1)))
-        est = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
+        with pytest.warns(UserWarning, match="ESS"):
+            est = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
         assert -(800.0 / 2.0) * est.value < np.log(np.finfo(float).tiny)
         assert np.isfinite(est.value) and est.value > 0.0
         assert np.isfinite(est.stderr) and est.stderr > 0.0
         assert 1.0 <= est.ess <= 64
+        # the weights collapsed (ESS 1.4 of 64; c_hat = 2.81 +- 0.012
+        # against c = 2) although the bootstrap stderr looks healthy
+        assert est.stderr < 0.5 * est.value
+        assert est.ess < ESS_FLOOR * est.n_used
+        assert est.degenerate
+
+    def test_desirability_weight_collapse_is_flagged(self, ou401):
+        # ESS about 2% of 1000 paths at a relative stderr near 0.2
+        c = cfg(dt=1e-2, T=10.0, n_paths=1000, seed=1)
+        with pytest.warns(UserWarning, match="ESS"):
+            est = dc.path_integral_desirability(ou401, ou401.q, 2.0, 2.0,
+                                                (2.0,), c)
+        assert est.stderr < 0.5 * est.value
+        assert est.ess < ESS_FLOOR * est.n_used
+        assert est.degenerate
 
     def test_ess_of_equal_weights_is_the_path_count(self, ou401):
         est = dc.path_integral_desirability(ou401, "2", 0.0, 2.0, (0.0,),

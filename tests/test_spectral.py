@@ -304,3 +304,117 @@ class TestDenseReference:
                               Sigma=[["2", "1"], ["1", "2"]],
                               q="x1^2 + x2^2")
         _check_against_dense_reference(spec, k)
+
+
+class TestWideBoxControlledSpectrum:
+    # the boxes TestUnconvergedSpectrumRefused accepts either way: read off
+    # M they succeed, against c = 4 and the controlled OU ladder
+    # 0, -1.5, -3, -4.5, -4.5, -6, -6, -7.5 (rates 1.5 and 4.5)
+    @pytest.mark.parametrize("half, n", [(4.5, 45), (5.0, 65)])
+    def test_closed_form(self, half, n):
+        g = dc.Grid((-half, -half), (half, half), (n, n))
+        spec = dc.ProblemSpec(grid=g, phi="(x1^2 + x2^2)/2",
+                              Sigma=[["2", "1"], ["1", "2"]],
+                              q="4*x1^2 + 4*x1*x2 + 4*x2^2")
+        sol = dc.solve_hjb_principal(
+            spec.diffusion_field(), spec.phi_field(), spec.q_field(), k=8
+        )
+        assert abs(sol.c - 4.0) <= 0.01 * 4.0
+        exact = np.array([0.0, -1.5, -3.0, -4.5, -4.5, -6.0, -6.0, -7.5])
+        err = np.abs(sol.controlled.eigenvalues - exact)
+        assert np.all(err <= 0.03 * np.maximum(np.abs(exact), 1.0))
+        assert sol.controlled.residuals.max() <= 1e-6
+
+
+def _h_transform_mismatch(spec, k):
+    """Eigenvalue and eigenfunction differences between the controlled
+    spectrum read off M and the one of the reassembled generator.
+
+    Eigenfunctions are compared per cluster of eigenvalues closer than
+    1e-3: the singular values of the p-weighted cross Gram matrix of
+    two orthonormal bases of one eigenspace are all one, whatever basis
+    and signs each solver picked. The last cluster may continue past k
+    and is skipped.
+    """
+    sol = dc.solve_hjb_principal(
+        spec.diffusion_field(), spec.phi_field(), spec.q_field(), k=k
+    )
+    ref = dc.eig_generator(dc.controlled_operator(sol), k)
+    s = sol.controlled
+    scale = np.maximum(1.0, np.abs(ref.eigenvalues))
+    val_err = float((np.abs(s.eigenvalues - ref.eigenvalues) / scale).max())
+
+    weight = spec.grid.quadrature_weights() * sol.p.values
+    gram = (s.functions * weight) @ ref.functions.T
+    breaks = np.flatnonzero(np.diff(ref.eigenvalues) < -1e-3 * scale[1:]) + 1
+    fun_err = 0.0
+    for lo, hi in zip(np.r_[0, breaks[:-1]], breaks):
+        sv = np.linalg.svd(gram[lo:hi, lo:hi], compute_uv=False)
+        fun_err = max(fun_err, float(np.abs(sv - 1.0).max()))
+    return sol, val_err, fun_err
+
+
+@st.composite
+def _diagonal_problem(draw):
+    """1D problems, and 2D problems whose Sigma is diagonal (and may
+    vary in space), where the reassembled controlled generator and
+    M - mu0 I are the same matrix up to rounding."""
+    q = st.floats(0.0, 3.0)
+    if draw(st.booleans()):
+        n = draw(st.integers(41, 161))
+        half = draw(st.floats(3.0, 5.0))
+        g = dc.Grid((-half,), (half,), (n,))
+        phi = (f"{draw(st.floats(0.3, 1.5)):.6f}*x1^2 + "
+               f"{draw(st.floats(0.0, 0.1)):.6f}*x1^4")
+        Sigma = [[f"{draw(st.floats(0.5, 2.5)):.6f}*(1 + "
+                  f"{draw(st.floats(0.0, 0.3)):.6f}*x1^2)"]]
+        cost = f"{draw(q):.6f}*x1^2 + {draw(q):.6f}*x1"
+    else:
+        n1, n2 = draw(st.integers(9, 17)), draw(st.integers(9, 17))
+        half = draw(st.floats(2.0, 3.0))
+        g = dc.Grid((-half, -half), (half, half), (n1, n2))
+        phi = (f"{draw(st.floats(0.3, 1.0)):.6f}*x1^2 + "
+               f"{draw(st.floats(0.3, 1.0)):.6f}*x2^2")
+        Sigma = [[f"{draw(st.floats(0.5, 2.0)):.6f}", "0"],
+                 ["0", f"{draw(st.floats(0.5, 2.0)):.6f}*(1 + "
+                       f"{draw(st.floats(0.0, 0.3)):.6f}*x1^2)"]]
+        cost = f"{draw(q):.6f}*x1^2 + {draw(q):.6f}*x2^2"
+    spec = dc.ProblemSpec(grid=g, phi=phi, Sigma=Sigma, q=cost)
+    return spec, draw(st.integers(2, 6))
+
+
+class TestHTransformIdentity:
+    """The controlled generator is the Doob h-transform of M, so its
+    spectrum read off M matches the reassembled generator's."""
+
+    @given(_diagonal_problem())
+    @settings(max_examples=30, deadline=None)
+    def test_diagonal_sigma_matches_reassembled_generator(self, problem):
+        spec, k = problem
+        sol, val_err, fun_err = _h_transform_mismatch(spec, k)
+        assert val_err <= 1e-8
+        assert fun_err <= 1e-8
+        # p-orthonormal by construction, constant zero mode
+        s = sol.controlled
+        weight = spec.grid.quadrature_weights() * s.rho.values
+        gram = (s.functions * weight) @ s.functions.T
+        np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
+        assert np.all(s.functions[0] == 1.0)
+
+    def test_cross_sigma_agrees_to_second_order(self):
+        # the cross cell takes a 4-corner geometric mean of rho, a pairwise
+        # one in M: two O(h^2) discretizations of one operator. The
+        # eigenvalues agree within 0.05 h^2 (relative to max(1, |xi|)) at
+        # both spacings, and the difference shrinks by at least 4 when h
+        # halves. Coarser grids fail the Perron gate (nonmonotone stencil).
+        errs = {}
+        for n in (25, 49):
+            g = dc.Grid((-3.0, -3.0), (3.0, 3.0), (n, n))
+            spec = dc.ProblemSpec(grid=g, phi="(x1^2 + x2^2)/2",
+                                  Sigma=[["2", "1"], ["1", "2"]],
+                                  q="4*x1^2 + 4*x1*x2 + 4*x2^2")
+            h = 6.0 / (n - 1)
+            _, val_err, _ = _h_transform_mismatch(spec, 8)
+            assert val_err <= 0.05 * h * h
+            errs[n] = val_err
+        assert errs[49] <= errs[25] / 4.0
