@@ -9,7 +9,9 @@ conservative and self-adjoint.
 
 Discretization: the trapezoid quadrature weights double as finite-volume
 cell volumes (half cells at the boundary). The assembled stiffness
-matrix K is symmetric with zero row sums, and
+matrix K is a weighted graph Laplacian of two-point fluxes along grid
+offsets (symmetric, zero row sums, nonpositive off-diagonals) for every
+SPD Sigma, so the generator is monotone and dissipative, and
 
     G = -D(1/mu) K,          mu = w * rho,
     A = D(rho) G D(rho)^-1 = -D(1/w) K D(1/rho).
@@ -22,6 +24,7 @@ why well-truncated domains matter.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -31,15 +34,6 @@ import scipy.sparse as sp
 from .errors import OperatorError
 from .fields import ScalarField, TensorField
 from .grid import Grid
-
-# corner coupling pattern of one mixed-derivative cell, corner order
-# (00, 10, 01, 11); scaled by a_cell / (2 h_k h_l) at assembly time
-_CROSS_BLOCK = np.array([
-    [1.0, 0.0, 0.0, -1.0],
-    [0.0, -1.0, 1.0, 0.0],
-    [0.0, 1.0, -1.0, 0.0],
-    [-1.0, 0.0, 0.0, 1.0],
-])
 
 EXPONENT_CLAMP = 700.0
 
@@ -54,9 +48,6 @@ class GeneratorOperator:
     mu: np.ndarray = field(repr=False)
     Sigma: TensorField = field(repr=False)
     Phi: ScalarField = field(repr=False)
-    has_cross: bool
-    n_nonmonotone: int
-    min_offdiagonal: float
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -93,8 +84,59 @@ def stationary_weight(Phi: ScalarField, weights: np.ndarray) -> np.ndarray:
     return rho / float(weights @ rho)
 
 
+def _selling(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Selling's reduction of SPD matrices D, shape (N, n, n), n = 2 or
+    3: integer offsets e, shape (N, E, n), and weights lam >= 0, shape
+    (N, E), E = 3 or 6, with D = sum_e lam_e e e^T at each node.
+
+    Each node keeps a superbase v_0..v_n (a basis and minus its sum).
+    While some <v_i, D v_j> > 0, v_i flips sign and the other vectors
+    but v_j gain 2 v_i / (n - 1), which lowers sum_i <v_i, D v_i>.
+    Then lam_ij = -<v_i, D v_j>, with e_ij orthogonal to the other v
+    (Fehrenbach & Mirebeau, J. Math. Imaging Vis. 49, 2014).
+    """
+    N, n, _ = D.shape
+    pairs = np.array(list(itertools.combinations(range(n + 1), 2)))
+    step = 2 // (n - 1)
+    v = np.empty((N, n + 1, n), dtype=np.int64)
+    v[:, :n] = np.eye(n, dtype=np.int64)
+    v[:, n] = -1
+    tol = 1e-14 * np.trace(D, axis1=1, axis2=2)   # so rounding cannot cycle
+    lam = np.empty((N, len(pairs)))
+    active = np.arange(N)
+    while active.size:
+        va = v[active].astype(float)
+        gram = va @ D[active] @ va.transpose(0, 2, 1)
+        g = gram[:, pairs[:, 0], pairs[:, 1]]
+        p = np.argmax(g, axis=1)
+        bad = g[np.arange(active.size), p] > tol[active]
+        lam[active[~bad]] = np.maximum(-g[~bad], 0.0)
+        active, i, j = active[bad], pairs[p[bad], 0], pairs[p[bad], 1]
+        vi = v[active, i]
+        v[active] += step * vi[:, None, :]
+        v[active, j] -= step * vi
+        v[active, i] = -vi
+
+    rest = np.array([[m for m in range(n + 1) if m not in pair]
+                     for pair in pairs])
+    if n == 2:
+        w = v[:, rest[:, 0]]
+        return np.stack([-w[..., 1], w[..., 0]], axis=-1), lam
+    return np.cross(v[:, rest[:, 0]], v[:, rest[:, 1]]), lam
+
+
 def assemble_generator(Sigma: TensorField, Phi: ScalarField,
                        grid: Grid | None = None) -> GeneratorOperator:
+    """Assemble the generator from two-point fluxes along grid offsets.
+
+    At each node H^-1 Sigma H^-1 (H = diag of spacings) is written as
+    sum_e lam_e e e^T, e integer, lam_e >= 0: axis offsets for 1D or
+    diagonal Sigma, Selling's reduction otherwise. Each node adds the
+    weight lam_e/4 sqrt(rho_i rho_j) V_e to its edges i <-> i +- e in
+    the box, V_e the product of h_a where e moves and of the node's
+    trapezoid weight where it does not; on an axis this is the face
+    flux with mean Sigma_kk and geometric-mean rho.
+    """
     g = Sigma.grid
     if Phi.grid != g or (grid is not None and grid != g):
         raise OperatorError("Sigma, Phi and grid must agree")
@@ -108,100 +150,55 @@ def assemble_generator(Sigma: TensorField, Phi: ScalarField,
     log_rho = np.log(rho)
     mu = w * rho
 
-    flat = np.arange(N).reshape(shape)
-    axis_w = []  # per-axis trapezoid weight of each node, full arrays
-    for k in range(n):
-        aw = g.axis_weights(k)
-        sh = [1] * n
-        sh[k] = shape[k]
-        axis_w.append(np.broadcast_to(aw.reshape(sh), shape).ravel())
+    h = np.array(g.spacing)
+    D = Sigma.values / np.multiply.outer(h, h)
+    if not D[:, ~np.eye(n, dtype=bool)].any():
+        e = np.broadcast_to(np.eye(n, dtype=np.int64), (N, n, n))
+        lam = np.diagonal(D, axis1=1, axis2=2)
+    elif n > 3:
+        raise OperatorError(
+            f"cross-diffusion needs a grid of dimension 2 or 3, got {n}")
+    elif (D == D[0]).all():
+        e, lam = (a.repeat(N, axis=0) for a in _selling(D[:1]))
+    else:
+        e, lam = _selling(D)
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    node, slot = np.nonzero(lam > 0.0)
+    e = e[node, slot]
+    lam = lam[node, slot]
+    index = np.stack(np.unravel_index(node, shape), axis=1)
+    axis_w = np.stack([g.axis_weights(k)[index[:, k]] for k in range(n)],
+                      axis=1)
+    c = 0.25 * lam * np.prod(np.where(e == 0, axis_w, h), axis=1)
 
-    def emit(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+    i = np.concatenate([node, node])
+    other = np.concatenate([index + e, index - e])
+    c = np.concatenate([c, c])
+    inside = np.all((other >= 0) & (other < np.array(shape)), axis=1)
+    i, c = i[inside], c[inside]
+    j = np.ravel_multi_index(tuple(other[inside].T), shape)
+    c = c * np.exp(0.5 * (log_rho[i] + log_rho[j]))
 
-    # axis faces: two-point flux with arithmetic-mean Sigma_kk and
-    # geometric-mean rho, weighted by the transverse cell area
-    for k in range(n):
-        h = g.spacing[k]
-        lo = tuple(slice(0, -1) if a == k else slice(None) for a in range(n))
-        hi = tuple(slice(1, None) if a == k else slice(None) for a in range(n))
-        i = flat[lo].ravel()
-        j = flat[hi].ravel()
-        rho_f = np.exp(0.5 * (log_rho[i] + log_rho[j]))
-        skk = Sigma.values[:, k, k]
-        sig_f = 0.5 * (skk[i] + skk[j])
-        trans = w[i] / axis_w[k][i]
-        c = rho_f * sig_f * trans / (2.0 * h)
-        emit(i, i, c)
-        emit(j, j, c)
-        emit(i, j, -c)
-        emit(j, i, -c)
-
-    # mixed-derivative cells: symmetric corner stencil per 2D face of
-    # the grid, one cell per (k, l) pair of adjacent node squares
-    has_cross = False
-    for k in range(n):
-        for l in range(k + 1, n):
-            if np.abs(Sigma.values[:, k, l]).max() == 0.0:
-                continue
-            has_cross = True
-            hk, hl = g.spacing[k], g.spacing[l]
-
-            def cell_slice(dk, dl):
-                out = []
-                for a in range(n):
-                    if a == k:
-                        out.append(slice(1, None) if dk else slice(0, -1))
-                    elif a == l:
-                        out.append(slice(1, None) if dl else slice(0, -1))
-                    else:
-                        out.append(slice(None))
-                return tuple(out)
-
-            corners = [flat[cell_slice(0, 0)].ravel(),
-                       flat[cell_slice(1, 0)].ravel(),
-                       flat[cell_slice(0, 1)].ravel(),
-                       flat[cell_slice(1, 1)].ravel()]
-            skl = Sigma.values[:, k, l]
-            sig_c = 0.25 * sum(skl[c] for c in corners)
-            rho_c = np.exp(0.25 * sum(log_rho[c] for c in corners))
-            base = corners[0]
-            trans = w[base] / (axis_w[k][base] * axis_w[l][base])
-            a_cell = 0.5 * sig_c * rho_c * hk * hl * trans
-            scale = 1.0 / (2.0 * hk * hl)
-            for p in range(4):
-                for q in range(4):
-                    b = _CROSS_BLOCK[p, q]
-                    if b != 0.0:
-                        emit(corners[p], corners[q], (b * scale) * a_cell)
-
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N)).tocsr()
-    K.sum_duplicates()
+    diag = np.bincount(i, c, N) + np.bincount(j, c, N)
+    nodes = np.arange(N)
+    K = sp.csr_matrix(
+        (np.concatenate([-c, -c, diag]),
+         (np.concatenate([i, j, nodes]), np.concatenate([j, i, nodes]))),
+        shape=(N, N))
+    # imported here, not with the module, to keep it off the CLI start-up
+    from scipy.sparse.csgraph import connected_components
+    parts = connected_components(K, directed=False, return_labels=False)
+    if parts > 1:
+        raise OperatorError(
+            f"the stencil splits the grid into {parts} disconnected parts: "
+            "Sigma is too anisotropic for the spacing, so its Selling "
+            "offsets do not fit in the box; refine the axes with the "
+            "smallest Sigma_kk / h_k^2")
 
     G = (sp.diags(-1.0 / mu) @ K).tocsr()
-
-    coo = G.tocoo()
-    off = coo.row != coo.col
-    off_data = coo.data[off]
-    if off_data.size:
-        floor = -1e-14 * np.abs(G.data).max()
-        n_bad = int(np.sum(off_data < floor))
-        min_off = float(min(off_data.min(), 0.0))
-    else:
-        n_bad, min_off = 0, 0.0
-
     return GeneratorOperator(
         grid=g, G=G, K=K, rho=ScalarField(g, rho), weights=w, mu=mu,
-        Sigma=Sigma, Phi=Phi, has_cross=has_cross,
-        n_nonmonotone=n_bad, min_offdiagonal=min_off)
+        Sigma=Sigma, Phi=Phi)
 
 
 def adjoint_of(op: GeneratorOperator) -> AdjointOperator:
@@ -250,9 +247,6 @@ def dump_operator(op: GeneratorOperator, path: str) -> None:
                  "counts": list(op.grid.counts)},
         "phi_hash": _sha256(op.Phi.values),
         "sigma_hash": _sha256(op.Sigma.values),
-        "has_cross_terms": op.has_cross,
-        "nonmonotone_offdiagonals": op.n_nonmonotone,
-        "min_offdiagonal": op.min_offdiagonal,
     }
     with open(path + ".meta.json", "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

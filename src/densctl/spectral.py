@@ -15,12 +15,14 @@ eigenfunctions y_n / x_0, rho-orthonormal under the controlled density
 p. Every eigensolve runs shift-invert Lanczos (ARPACK) about a shift
 just above a bound on the spectrum, through one sparse LU factored in
 symmetric mode without pivoting; dense eigh only serves k >= N - 1,
-which ARPACK cannot. The factor's inertia certifies that nothing lies
-above the shift, so an indefinite (nonmonotone) stencil is refused.
-The same factor of (shift I - M) then polishes the principal vector
-with a few inverse-power steps; for monotone stencils its factors are
-M-matrices, so the triangular solves keep a positive iterate positive,
-which is what the positivity gate checks.
+which ARPACK cannot. The assembled stiffness is a graph Laplacian, so
+S is negative semidefinite and M has nonnegative off-diagonals; the
+factor's inertia still certifies that nothing lies above the shift,
+and refuses an operator too ill-conditioned to factor. The same factor
+of (shift I - M) then polishes the principal vector with a few
+inverse-power steps; (shift I - M) is an M-matrix, so the triangular
+solves keep a positive iterate positive, which is what the positivity
+gate checks.
 """
 from __future__ import annotations
 
@@ -90,9 +92,8 @@ def _shifted_lu(A: sp.csr_matrix, shift: float):
     if above:
         raise SpectralError(
             f"{above} eigenvalue(s) above {shift:.6g}: the operator is "
-            "indefinite (nonmonotone stencil; refine the grid) or too "
-            "ill-conditioned to factor (Psi clipped at PSI_LOG_FLOOR; "
-            "shrink the domain)")
+            "indefinite or too ill-conditioned to factor (Psi clipped at "
+            "PSI_LOG_FLOOR; shrink the domain)")
     return lu
 
 
@@ -105,8 +106,11 @@ def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
     N = A.shape[0]
     # shift a little above the bound (zero for the negative semidefinite
     # S): A - sigma I is nonsingular and shift-invert targets the top of
-    # the spectrum
-    sigma = bound + 1e-6 * max(1.0, float(np.abs(A.diagonal()).max()))
+    # the spectrum; the offset grows with |A| only as far as rounding in
+    # the factor needs, so a stiff A does not swamp the gaps below it
+    scale = float(np.abs(A.diagonal()).max())
+    sigma = bound + max(1e-6 * max(1.0, abs(bound)),
+                        1e3 * np.finfo(float).eps * scale)
     lu = _shifted_lu(A, sigma)
     if k >= N - 1:
         # ARPACK needs k < ncv < N, so it returns at most N - 2 pairs
@@ -158,7 +162,7 @@ def eig_generator(op: GeneratorOperator, k: int) -> Spectrum:
     S, sqmu = _symmetrized(op)
     vals, vecs, _ = _top_eigenpairs(S, 0.0, k, sqmu)
 
-    if abs(vals[0]) > 1e-8:
+    if abs(vals[0]) > 1e-8 + 1e-12 * float(np.abs(S.diagonal()).max()):
         raise SpectralError(
             f"leading eigenvalue {vals[0]:.3e} is not zero; "
             "operator kernel lost")
@@ -253,18 +257,16 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
 
     # S is negative semidefinite, so nothing in M lies above -min(q)/lam
     vals, vecs, lu = _top_eigenpairs(M, -float(q.values.min()) / lam, k, sqmu)
-    x = vecs[:, 0]
-    if x.sum() < 0.0:
-        x = -x
-    x = _purify_principal(lu, x)
+    # the Perron vector of the Metzler M is positive, and the polish
+    # keeps a positive iterate positive, so rounding-level negative
+    # entries of the Lanczos vector are dropped by starting from |x|
+    x = _purify_principal(lu, np.abs(vecs[:, 0]))
     mu0 = float(x @ (M @ x))
 
     min_x = float(x.min())
     if min_x < -PERRON_TOLERANCE * float(np.abs(x).max()):
         raise SpectralError(
-            f"principal eigenvector changes sign (min {min_x:.3e}); "
-            f"stencil has {op.n_nonmonotone} nonmonotone couplings, "
-            "refine the grid")
+            f"principal eigenvector changes sign (min {min_x:.3e})")
 
     resid = float(np.linalg.norm(M @ x - mu0 * x))
 
@@ -294,7 +296,6 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
         "mu0": mu0,
         "eig_residual": resid,
         "min_eigvec": min_x,
-        "nonmonotone_couplings": op.n_nonmonotone,
         "path": ("eigh" if k >= g.size - 1 else "shift-invert") +
                 "+polish through one LU of (shift I - M)",
     }
@@ -308,7 +309,7 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
 def controlled_operator(sol: HJBSolution) -> GeneratorOperator:
     """Generator of the optimally controlled process, Phi = phi + v,
     reassembled from Sigma and Phi: the reference generator that
-    `sol.controlled`, read off M, agrees with up to O(h^2)."""
+    `sol.controlled`, read off M, agrees with to rounding."""
     Phi = ScalarField(sol.grid, sol.phi.values + sol.v.values)
     return assemble_generator(sol.Sigma, Phi)
 

@@ -1,10 +1,12 @@
 """Crank-Nicolson density evolution and modal decay."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 
 import densctl as dc
@@ -135,13 +137,20 @@ class TestTrajectoryBookkeeping:
 
 class TestSymmetrizedStepper:
     def test_indefinite_stencil_is_refused(self):
-        # a coarse cross-diffusion stencil whose S has eigenvalues up to
-        # +1.4e2: CN at dt = 0.1 would amplify them by ~1e11 over T = 2
+        # K is a graph Laplacian for every SPD Sigma, so an indefinite
+        # stencil is built by hand: a negative weight on the edge from
+        # the centre node to its x1 neighbour gives S an eigenvalue of
+        # about +3.1e2, above 2/dt = 20, which CN at dt = 0.1 would grow
+        # at every step
         g = dc.Grid((-3.5, -3.5), (3.5, 3.5), (9, 9))
         spec = dc.ProblemSpec(grid=g, phi="x1^2 + x2^2",
                               Sigma=[["2.25", "0.75"], ["0.75", "1.25"]],
                               q="0")
         op = assemble(spec)
+        u = np.zeros(g.size)
+        u[40], u[49] = 1.0, -1.0
+        K = op.K - sp.csr_matrix(100.0 * op.mu[40] * np.outer(u, u))
+        op = dataclasses.replace(op, K=K)
         x = g.node_coords()[:, 0]
         pt0 = dc.project_mass_zero(dc.ScalarField(g, np.sin(x)), op.rho)
         with pytest.raises(PdeError, match="above 20"):
@@ -180,12 +189,8 @@ class TestSymmetrizedStepper:
         rho = op.rho.values
         p0 = rho * (1.0 + 0.3 * np.sin(x[:, 0]) * np.cos(0.7 * x[:, 1]))
         p0 = dc.ScalarField(g, p0 / (op.weights @ p0))
-        if top > 2.0 / dt:
-            with pytest.raises(PdeError):
-                dc.evolve_fp(dc.adjoint_of(op), p0, dt=dt, T=T)
-            return
-        if top > 1e-8 + 1e-12 * np.abs(S).max():
-            return  # indefinite below 2/dt: CN runs and the mode grows
+        # K is a graph Laplacian, so S is negative semidefinite
+        assert top <= 1e-8 + 1e-12 * np.abs(S).max()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # CN dips on stiff stencils
             full = dc.evolve_fp(dc.adjoint_of(op), p0, dt=dt, T=T)
