@@ -367,13 +367,13 @@ def _h_transform_mismatch(spec, k):
 
 
 @st.composite
-def _controlled_problem(draw):
-    """1D problems, and 2D problems whose Sigma may vary in space and
-    may carry a cross term. Two-point fluxes with geometric-mean rho
-    make the reassembled controlled generator and the h-transform of
-    M - mu0 I the same matrix up to rounding."""
+def _controlled_problem(draw, cross):
+    """1D problems, and 2D problems whose Sigma may vary in space and,
+    when cross is set, carries a cross term. Two-point fluxes with
+    geometric-mean rho make the reassembled controlled generator and the
+    h-transform of M - mu0 I the same matrix up to rounding."""
     q = st.floats(0.0, 3.0)
-    if draw(st.booleans()):
+    if not cross and draw(st.booleans()):
         n = draw(st.integers(41, 161))
         half = draw(st.floats(3.0, 5.0))
         g = dc.Grid((-half,), (half,), (n,))
@@ -389,7 +389,8 @@ def _controlled_problem(draw):
         phi = (f"{draw(st.floats(0.3, 1.0)):.6f}*x1^2 + "
                f"{draw(st.floats(0.3, 1.0)):.6f}*x2^2")
         s11, s22 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
-        r = draw(st.one_of(st.just(0.0), st.floats(-0.9, 0.9)))
+        r = draw(st.one_of(st.floats(-0.9, -0.05), st.floats(0.05, 0.9))
+                 if cross else st.just(0.0))
         s12 = f"{r * np.sqrt(s11 * s22):.6f}"
         Sigma = [[f"{s11:.6f}", s12],
                  [s12, f"{s22:.6f}*(1 + {draw(st.floats(0.0, 0.3)):.6f}*x1^2)"]]
@@ -398,20 +399,44 @@ def _controlled_problem(draw):
     return spec, draw(st.integers(2, 6))
 
 
+def _check_h_transform(spec, k):
+    sol, val_err, fun_err = _h_transform_mismatch(spec, k)
+    assert val_err <= 1e-8
+    assert fun_err <= 1e-8
+    # p-orthonormal by construction, constant zero mode
+    s = sol.controlled
+    weight = spec.grid.quadrature_weights() * s.rho.values
+    gram = (s.functions * weight) @ s.functions.T
+    np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
+    assert np.all(s.functions[0] == 1.0)
+
+
 class TestHTransformIdentity:
     """The controlled generator is the Doob h-transform of M, so its
     spectrum read off M matches the reassembled generator's."""
 
-    @given(_controlled_problem())
+    @given(_controlled_problem(cross=False))
     @settings(max_examples=30, deadline=None)
-    def test_random_sigma_matches_reassembled_generator(self, problem):
-        spec, k = problem
-        sol, val_err, fun_err = _h_transform_mismatch(spec, k)
-        assert val_err <= 1e-8
-        assert fun_err <= 1e-8
-        # p-orthonormal by construction, constant zero mode
-        s = sol.controlled
-        weight = spec.grid.quadrature_weights() * s.rho.values
-        gram = (s.functions * weight) @ s.functions.T
-        np.testing.assert_allclose(gram, np.eye(k), atol=1e-10)
-        assert np.all(s.functions[0] == 1.0)
+    def test_diagonal_sigma_matches_reassembled_generator(self, problem):
+        _check_h_transform(*problem)
+
+    @given(_controlled_problem(cross=True))
+    @settings(max_examples=20, deadline=None)
+    def test_cross_sigma_matches_reassembled_generator(self, problem):
+        _check_h_transform(*problem)
+
+    def test_cross_sigma_agrees_to_second_order(self):
+        # with two-point fluxes the reassembled generator and the
+        # h-transform of M are one matrix, so for a cross Sigma the
+        # eigenvalues agree far inside the 0.05 h^2 of a second-order
+        # discretization gap, at rounding on both grids
+        for n in (25, 49):
+            g = dc.Grid((-3.0, -3.0), (3.0, 3.0), (n, n))
+            spec = dc.ProblemSpec(grid=g, phi="(x1^2 + x2^2)/2",
+                                  Sigma=[["2", "1"], ["1", "2"]],
+                                  q="4*x1^2 + 4*x1*x2 + 4*x2^2")
+            h = 6.0 / (n - 1)
+            _, val_err, fun_err = _h_transform_mismatch(spec, 8)
+            assert val_err <= 0.05 * h * h
+            assert val_err <= 1e-8
+            assert fun_err <= 1e-8
