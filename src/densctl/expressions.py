@@ -225,11 +225,11 @@ def compile_expression(expr: Expr):
 
     The tree is walked once, here; constant subtrees are folded. The
     function behaves as `evaluate`: floating-point warnings are silenced
-    and a variable index beyond n raises ExpressionError.
+    and a variable index beyond n raises ExpressionError. It is
+    `compile_body` behind those checks.
     """
-    body = _compile(expr)
+    body = compile_body(expr)
     need = max(free_variables(expr), default=0)
-    const = not callable(body)
 
     def compiled(coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -238,14 +238,26 @@ def compile_expression(expr: Expr):
         if need > coords.shape[1]:
             raise ExpressionError(
                 f"variable x{need} exceeds dimension {coords.shape[1]}", 0)
-        if const:
-            return np.full(coords.shape[0], body)
         with np.errstate(all="ignore"):
-            out = body(coords)
-        # a bare variable is a view of coords; hand out a copy
-        return out.copy() if isinstance(expr, Var) else out
+            return body(coords)
 
     return compiled
+
+
+def compile_body(expr: Expr):
+    """The bare function of compile_expression: coords (m, n) -> fresh (m,).
+
+    It neither checks coords nor silences floating-point warnings, so a
+    caller that evaluates in a loop checks the variables once and holds
+    one np.errstate around the loop.
+    """
+    body = _compile(expr)
+    if not callable(body):
+        return lambda x: np.full(x.shape[0], body)
+    if isinstance(expr, Var):
+        # a bare variable is a view of coords; hand out a copy
+        return lambda x: body(x).copy()
+    return body
 
 
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,

@@ -175,7 +175,8 @@ def interpolant(grid: Grid, values: np.ndarray):
 
     values is (N,) or (N, c) in flat node order. Returns a function of
     points (P, n), which are clamped to the box, giving (P,) or (P, c);
-    the strides and corner offsets are built here, not per call.
+    the strides and corner offsets are built here, not per call. A call
+    works in place on its own temporaries and never writes to points.
     """
     vals = np.asarray(values, dtype=float)
     n = grid.dim
@@ -190,12 +191,19 @@ def interpolant(grid: Grid, values: np.ndarray):
     offsets = [int(np.dot(b, strides)) for b in bits]
 
     def interpolate(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        t = (points - lows) / spacing
+        if not (isinstance(points, np.ndarray) and points.ndim == 2
+                and points.dtype == np.float64):
+            points = np.atleast_2d(np.asarray(points, dtype=float))
+        t = points - lows
+        t /= spacing
         # lower corner, clamped to the box; fmax sends NaN to 0 so the
         # gather stays in range and NaN reaches the result through hi
-        i0 = np.fmin(np.fmax(np.floor(t), 0.0), top)
-        hi = np.minimum(np.maximum(t - i0, 0.0), 1.0)
+        i0 = np.floor(t)
+        np.fmax(i0, 0.0, out=i0)
+        np.fmin(i0, top, out=i0)
+        hi = np.subtract(t, i0, out=t)
+        np.maximum(hi, 0.0, out=hi)
+        np.minimum(hi, 1.0, out=hi)
         lo = 1.0 - hi
         base = i0[:, -1]
         for k in range(n - 1):
@@ -206,9 +214,12 @@ def interpolant(grid: Grid, values: np.ndarray):
             w = hi[:, 0] if b[0] else lo[:, 0]
             for k in range(1, n):
                 w = w * (hi[:, k] if b[k] else lo[:, k])
-            term = np.take(vals, base + off if off else base, axis=0)
+            term = vals.take(base + off if off else base, axis=0)
             term *= w if vals.ndim == 1 else w[:, None]
-            out = term if out is None else out + term
+            if out is None:
+                out = term
+            else:
+                out += term
         return out
 
     return interpolate

@@ -96,7 +96,7 @@ class RunWriter:
     The directory name is <command>-<first 12 hex of a hash over the
     config hash and `options`>, where `options` holds every resolved
     option that changes the artifacts, so identical runs land in the
-    same place and reruns overwrite their own previous artifacts.
+    same place and reruns replace their own previous artifacts.
     """
 
     def __init__(self, base_dir: str, command: str, config_hash: str,
@@ -125,6 +125,13 @@ class RunWriter:
         return p
 
     def close(self) -> str:
+        """Write the manifest and remove every other regular file that
+        this run did not write, such as a previous run's leftovers, so
+        the directory holds exactly what the manifest lists."""
+        keep = set(self.manifest.outputs) | {"manifest.json"}
+        for entry in os.scandir(self.dir):
+            if entry.is_file(follow_symlinks=False) and entry.name not in keep:
+                os.remove(entry.path)
         self.manifest.finished = datetime.now(timezone.utc).isoformat()
         p = self.path("manifest.json")
         write_json(p, self.manifest.as_dict())

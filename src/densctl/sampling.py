@@ -3,10 +3,13 @@
 Every path owns a counter-based random stream keyed by (seed, path
 index), so a path's result does not depend on which other paths run
 beside it: results are bit-identical for any chunking of the path range
-and any batching of start points. Two stream ids at the top of the
-64-bit range are reserved: 2^64 - 1 drives bootstrap resampling and
-2^64 - 2 draws initial ensembles, which is why user seeds must stay
-below 2^64 - 2. Reductions always run in path-index order.
+and any batching of start points. A stream is Philox with the 128-bit
+key [seed, stream id], handed to it directly (`_stream`), so building
+one draws no OS entropy; it is the stream of Philox(key=...). Two
+stream ids at the top of the 64-bit range are reserved: 2^64 - 1 drives
+bootstrap resampling and 2^64 - 2 draws initial ensembles, which is why
+user seeds must stay below 2^64 - 2. Reductions always run in
+path-index order.
 
 Integration is Euler-Maruyama with reflection at the box boundary
 (matching the zero-flux PDE boundary); reflected paths are flagged so
@@ -17,10 +20,16 @@ long the horizon (m noise dimensions).
 
 The drift, noise and cost of a run are compiled once, before the first
 step: grad(phi) and div(Sigma) are symbolic derivatives of the
-expression trees, every tree becomes a closure, and grid tables are
-read through an interpolant whose stencil is built once. A step is then
-array arithmetic and one in-box test, which also catches non-finite
-states; exclusion and reflection run only when that test fails.
+expression trees, every tree becomes a bare closure (`compile_body`,
+whose variables the spec has already checked), and grid tables are
+read through an interpolant whose stencil is built once. One
+np.errstate covers the whole run instead of one per closure call. A
+state-dependent Sigma is factored by a column-by-column Cholesky over
+the stacked paths, which equals LAPACK bit for bit for n <= 2 and
+raises SamplingError, naming the step, at a pivot that is not positive.
+A step is then array arithmetic and one in-box test on each axis's
+minimum and maximum, which also catches non-finite states; exclusion
+and reflection run only when that test fails.
 """
 from __future__ import annotations
 
@@ -34,7 +43,7 @@ from .errors import SamplingError
 from .expressions import (
     Expr,
     Num,
-    compile_expression,
+    compile_body,
     derivative,
     free_variables,
     parse_expression,
@@ -150,7 +159,72 @@ class Estimate:
 
 
 # ---------------------------------------------------------------------------
+# random streams
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """Hands Philox its 128-bit key, [seed, stream id], as given.
+
+    Philox(key=k) draws the same stream, but first builds a SeedSequence
+    from OS entropy that it never uses.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _stream(seed: int, stream_id: int) -> np.random.Generator:
+    """The counter-based Philox stream keyed by (seed, stream_id)."""
+    return np.random.Generator(np.random.Philox(
+        _Key(np.array([seed, stream_id], dtype=np.uint64))))
+
+
+# ---------------------------------------------------------------------------
 # drift and noise evaluation along paths
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for stacks A (P, r, c) and v (P, c), each entry summed in
+    column order."""
+    out = np.empty(A.shape[:2])
+    for i in range(A.shape[1]):
+        acc = A[:, i, 0] * v[:, 0]
+        for j in range(1, A.shape[2]):
+            acc += A[:, i, j] * v[:, j]
+        out[:, i] = acc
+    return out
+
+
+def _cholesky(A: np.ndarray, step: int) -> np.ndarray:
+    """Lower Cholesky roots of a stack A (P, n, n), column by column.
+
+    Each column is LAPACK's (the pivot's square root, then the entries
+    below scaled by its reciprocal), so for n <= 2 the roots equal
+    np.linalg.cholesky bit for bit. A pivot at or below zero raises; a
+    NaN pivot passes, and the path is then excluded as non-finite.
+    """
+    n = A.shape[1]
+    L = np.zeros(A.shape)
+    for j in range(n):
+        d = A[:, j, j]
+        for k in range(j):
+            d = d - L[:, j, k] * L[:, j, k]
+        # min is NaN when any pivot is, so NaN takes the slow test too
+        if not d.min() > 0.0 and (d <= 0.0).any():
+            raise SamplingError(
+                f"Sigma is not positive definite at step {step} "
+                f"(pivot {j + 1} is {float(np.fmin.reduce(d)):.3g})")
+        np.sqrt(d, out=L[:, j, j])
+        if j + 1 < n:
+            r = 1.0 / L[:, j, j]
+        for i in range(j + 1, n):
+            s = A[:, i, j]
+            for k in range(j):
+                s = s - L[:, i, k] * L[:, j, k]
+            np.multiply(s, r, out=L[:, i, j])
+    return L
+
 
 def _columns(fns: list, x: np.ndarray) -> np.ndarray:
     """Stack compiled scalar functions of x (P, n) as columns (P, len)."""
@@ -170,7 +244,8 @@ class _Dynamics:
     sigma sigma^T); Sigma and sigma entries are compiled closures; the
     steady control or grad(log p) table is read through an interpolant
     built once. Constant diffusion folds -Sigma/2 and sqrt(dt) sigma into
-    fixed matrices.
+    fixed matrices. The closures are the bare compiled bodies, so the
+    caller holds np.errstate.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SdeConfig,
@@ -189,7 +264,7 @@ class _Dynamics:
         table = (control_values if self.mode == "steady" else
                  feedback_grad_logp if self.mode == "feedback" else None)
         self.table = None if table is None else interpolant(self.grid, table)
-        self.gphi = [compile_expression(derivative(spec.phi, k + 1))
+        self.gphi = [compile_body(derivative(spec.phi, k + 1))
                      for k in range(n)]
         # the drift is div(Sigma)/2 + half * Sigma v, where v is grad(phi)
         # with half = -1/2, or grad(log p) with half = +1/2 under feedback
@@ -204,10 +279,10 @@ class _Dynamics:
             return
         self.given_sigma = spec.sigma is not None
         mat = spec.sigma if self.given_sigma else spec.Sigma
-        self.entries = [[compile_expression(e) for e in row] for row in mat]
+        self.entries = [[compile_body(e) for e in row] for row in mat]
         Sig = spec.diffusion_exprs()
         # (div Sigma)_i = sum_k d Sigma_ik / dx_k, zero terms dropped
-        self.div = [[compile_expression(d) for k in range(n)
+        self.div = [[compile_body(d) for k in range(n)
                      if (d := derivative(Sig[i][k], k + 1)) != Num(0.0)]
                     for i in range(n)]
 
@@ -221,8 +296,10 @@ class _Dynamics:
                 out[:, i] += f(x)
         return out
 
-    def increment(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """b(x) dt + sigma(x) sqrt(dt) dw for paths x (P, n), dw (P, m)."""
+    def increment(self, x: np.ndarray, dw: np.ndarray,
+                  step: int) -> np.ndarray:
+        """b(x) dt + sigma(x) sqrt(dt) dw for paths x (P, n), dw (P, m)
+        at time step `step`."""
         v = self.table(x) if self.mode == "feedback" else _columns(self.gphi, x)
         if self.const_diffusion:
             # np.dot: a matmul by a 1 x 1 matrix costs several times more
@@ -238,16 +315,29 @@ class _Dynamics:
             root, Sig = vals, vals @ np.swapaxes(vals, 1, 2)
         else:
             # the noise factor is the Cholesky root of this step's Sigma
-            root, Sig = np.linalg.cholesky(vals), vals
-        b = 0.5 * self.div_sigma(x) + self.half * np.einsum("pij,pj->pi", Sig, v)
+            root, Sig = _cholesky(vals, step), vals
+        b = 0.5 * self.div_sigma(x) + self.half * _matvec(Sig, v)
         if self.mode == "steady":
             b += self.table(x)
-        return b * self.dt + np.einsum("pij,pj->pi", root, dw) * self.sqdt
+        return b * self.dt + _matvec(root, dw) * self.sqdt
 
 
 # ---------------------------------------------------------------------------
 # path engine
 
+def _inside(x: np.ndarray, bounds: list) -> bool:
+    """Whether every entry of x (P, n) lies within its axis's
+    (k, low, high) bounds; False when any entry is NaN. Column minima
+    and maxima: reducing a (P, 2) array along axis 0, or comparing it
+    with a (2,) row, runs numpy's inner loop two entries long."""
+    for k, low, high in bounds:
+        col = x[:, k]
+        if not (col.min() >= low and col.max() <= high):
+            return False
+    return True
+
+
+@np.errstate(all="ignore")
 def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
                stream_base: int = 0, record_steps: tuple | list = (),
                cost_expr: Expr | None = None, cost_shift: float = 0.0,
@@ -256,7 +346,8 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
 
     Paths run side by side in chunks of CHUNK_PATHS; each chunk draws
     its noise BLOCK_STEPS steps at a time from per-path generators that
-    live for the whole chunk. The cost integral is that of
+    live for the whole chunk. One np.errstate covers the whole run, so
+    the compiled bodies run bare. The cost integral is that of
     (cost_expr - cost_shift)/cost_lam. Returns terminal states, cost
     integrals, exit and exclusion flags, and the states at
     `record_steps`.
@@ -272,15 +363,14 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     lows = np.asarray(dyn.grid.lows)
     spans = np.asarray(dyn.grid.highs) - lows
     highs = lows + spans
-    running_cost = None if cost_expr is None else compile_expression(cost_expr)
+    bounds = [(k, float(lows[k]), float(highs[k])) for k in range(n)]
+    running_cost = None if cost_expr is None else compile_body(cost_expr)
     cost_scale = cfg.dt / cost_lam
     noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps), dyn.m))
 
     for lo in range(0, P, CHUNK_PATHS):
         hi = min(lo + CHUNK_PATHS, P)
-        gens = [np.random.Generator(np.random.Philox(key=np.array(
-            [cfg.seed, stream_base + j], dtype=np.uint64)))
-            for j in range(lo, hi)]
+        gens = [_stream(cfg.seed, stream_base + j) for j in range(lo, hi)]
         x = x0[lo:hi].copy()
         if 0 in slot:
             states[lo:hi, slot[0]] = x
@@ -291,10 +381,10 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
             for b in range(block.shape[1]):
                 if running_cost is not None:
                     cost[lo:hi] += cost_scale * (running_cost(x) - cost_shift)
-                x_new = x + dyn.increment(x, block[:, b])
+                x_new = x + dyn.increment(x, block[:, b], k0 + b)
                 # one test per step; it also fails on NaN, so the
                 # exclusion and reflection below run only when needed
-                if not ((x_new >= lows) & (x_new <= highs)).all():
+                if not _inside(x_new, bounds):
                     bad = ~np.isfinite(x_new).all(axis=1)
                     if bad.any():
                         excluded[lo:hi] |= bad
@@ -492,8 +582,7 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
     T = batch.horizon
     value = float(-(lam / T) * log_mean)
 
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([cfg.seed, BOOTSTRAP_STREAM], dtype=np.uint64)))
+    gen = _stream(cfg.seed, BOOTSTRAP_STREAM)
     boot_log_means = np.empty(BOOTSTRAP_SAMPLES)
     rows = max(1, BOOTSTRAP_BLOCK // n)
     for a in range(0, BOOTSTRAP_SAMPLES, rows):
@@ -522,8 +611,7 @@ def uniform_ensemble(grid: Grid, count: int, seed: int) -> Ensemble:
     """Uniform draw over the box from the reserved init stream."""
     if count < 1:
         raise SamplingError("ensemble needs at least one particle")
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([seed, INIT_STREAM], dtype=np.uint64)))
+    gen = _stream(seed, INIT_STREAM)
     u = gen.random((count, grid.dim))
     lows = np.asarray(grid.lows)
     highs = np.asarray(grid.highs)

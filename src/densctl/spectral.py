@@ -120,8 +120,14 @@ def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
     else:
         inv = spla.LinearOperator(A.shape, matvec=lambda x: -lu.solve(x),
                                   dtype=float)
-        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                                OPinv=inv)
+        try:
+            vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                    OPinv=inv)
+        except spla.ArpackNoConvergence as e:
+            # scipy's message carries the iteration count
+            raise SpectralError(
+                f"shift-invert eigsh at shift {sigma:.6g} did not find "
+                f"{k} eigenpairs: {e}") from e
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order], lu
 

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from densctl import SdeConfig, load_config, path_integral_desirability
 from densctl.cli import main
@@ -128,6 +129,18 @@ class TestExitCodes:
         code = main(["evolve", "--config", cfg, "--perturb", "bad(",
                      "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
+
+    def test_arpack_failure_is_a_densctl_error(self, tmp_path, monkeypatch,
+                                                capsys):
+        def gives_up(*args, **kwargs):
+            raise spla.ArpackNoConvergence(
+                "ARPACK error -1: No convergence (811 iterations, 0/1 "
+                "eigenvectors converged)", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", gives_up)
+        code, _ = run(["solve"], tmp_path)
+        assert code == 1
+        assert "811 iterations" in capsys.readouterr().err
 
 
 class TestSolveOutputs:
@@ -335,6 +348,20 @@ class TestRunDirectories:
                          threads, "--out", str(tmp_path / "out"),
                          "--quiet"]) == 0
         only_dir(tmp_path / "out", "sample-paths")
+
+
+    def test_rerun_removes_files_the_manifest_does_not_list(self, tmp_path):
+        cfg = write_config(tmp_path, FORWARD)
+        argv = ["sample", "paths", "--config", cfg, "--out",
+                str(tmp_path / "out"), "--quiet"]
+        assert main(argv) == 0
+        d = only_dir(tmp_path / "out", "sample-paths")
+        (d / "stale.csv").write_text("left by an older run\n")
+        assert main(argv) == 0
+        assert not (d / "stale.csv").exists()
+        m = json.loads((d / "manifest.json").read_text())
+        assert sorted(m["outputs"] + ["manifest.json"]) == sorted(
+            f.name for f in d.iterdir())
 
 
 class TestPrecedence:

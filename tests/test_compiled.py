@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import densctl as dc
-from densctl.expressions import BinOp, Call, Neg, Num, Var
+from densctl.expressions import BinOp, Call, Neg, Num, Var, compile_body
 from densctl.fields import tensor_divergence_values
 from densctl.sampling import _Dynamics
 
@@ -95,6 +95,17 @@ class TestCompiledExpressions:
     def test_results_are_fresh_arrays(self, expr):
         pts = _POINTS.copy()
         out = dc.compile_expression(expr)(pts)
+        out[:] = 7.0
+        np.testing.assert_array_equal(pts, _POINTS)
+
+    @given(_any_tree)
+    @settings(max_examples=100, deadline=None)
+    def test_bare_body_equals_checked_function(self, expr):
+        # the SDE engine calls the body under its own np.errstate
+        pts = _POINTS.copy()
+        with np.errstate(all="ignore"):
+            out = compile_body(expr)(pts)
+        np.testing.assert_array_equal(out, dc.compile_expression(expr)(pts))
         out[:] = 7.0
         np.testing.assert_array_equal(pts, _POINTS)
 
@@ -262,6 +273,14 @@ class TestInterpolationStencil:
             got = f(pts)
             np.testing.assert_array_equal(got, dc.interpolate_values(grid, values, pts))
             np.testing.assert_array_equal(got, reference_interpolate(grid, values, pts))
+
+    def test_points_are_not_modified(self):
+        g = dc.Grid((0.0, -1.0), (1.0, 1.0), (5, 3))
+        f = dc.interpolant(g, np.arange(2.0 * g.size).reshape(-1, 2))
+        pts = np.array([[0.3, 0.2], [-4.0, 9.0], [np.nan, 0.5]])
+        kept = pts.copy()
+        f(pts)
+        np.testing.assert_array_equal(pts, kept)
 
     def test_nodes_are_reproduced_and_clamped(self):
         g = dc.Grid((0.0, -1.0), (1.0, 1.0), (5, 3))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -227,6 +228,22 @@ class TestUnconvergedSpectrumRefused:
             return
         assert s.residuals.max() <= 1e-6
         assert s.eigenvalues[1] < 0.0
+
+
+def _arpack_gives_up(*args, **kwargs):
+    raise spla.ArpackNoConvergence(
+        "ARPACK error -1: No convergence (811 iterations, 0/1 eigenvectors "
+        "converged)", np.empty(0), np.empty((0, 0)))
+
+
+class TestArpackNoConvergence:
+    # a stiff S whose rounding scale swamps its gap makes eigsh give up;
+    # the caller must get a densctl error, not scipy's exception
+    def test_raised_as_spectral_error(self, ou401, monkeypatch):
+        monkeypatch.setattr(spla, "eigsh", _arpack_gives_up)
+        with pytest.raises(SpectralError, match=r"shift .*811 iterations"):
+            dc.solve_hjb_principal(ou401.diffusion_field(),
+                                   ou401.phi_field(), ou401.q_field())
 
 
 def _check_against_dense_reference(spec, k):
