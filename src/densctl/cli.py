@@ -112,12 +112,24 @@ class _Run:
         return min(32, max(2, n // 4))
 
     def x0(self) -> tuple[float, ...]:
-        if self.cfg.sampling.x0 is not None:
-            if len(self.cfg.sampling.x0) != self.spec.grid.dim:
-                raise ConfigError("[sampling] x0 dimension does not match grid")
-            return self.cfg.sampling.x0
         g = self.spec.grid
+        x0 = self.cfg.sampling.x0
+        if x0 is not None:
+            if len(x0) != g.dim:
+                raise ConfigError("[sampling] x0 dimension does not match grid")
+            _check_in_box(g, np.array([x0]), "x0")
+            return x0
         return tuple(0.5 * (lo + hi) for lo, hi in zip(g.lows, g.highs))
+
+
+def _check_in_box(g, points: np.ndarray, key: str) -> None:
+    """Refuse [sampling] points outside the closed grid box."""
+    outside = ~g.contains(points)
+    if outside.any():
+        box = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(g.lows, g.highs))
+        raise ConfigError(
+            f"[sampling] {key} point {points[np.argmax(outside)].tolist()} "
+            f"lies outside the grid box {box}")
 
 
 def _require_forward(run: _Run) -> None:
@@ -363,12 +375,13 @@ def cmd_sample_desirability(run: _Run) -> int:
     _require_forward(run)
     _gate_validation(run)
     spec = run.spec
-    sol = _solve_forward(run)
-    cfg = run.sde_config(mode="uncontrolled")
     queries = run.cfg.sampling.queries or _default_queries(run)
     pts = np.array([q for q in queries], dtype=float)
     if pts.shape[1] != spec.grid.dim:
         raise ConfigError("[sampling] queries dimension does not match grid")
+    _check_in_box(spec.grid, pts, "queries")
+    sol = _solve_forward(run)
+    cfg = run.sde_config(mode="uncontrolled")
 
     est = path_integral_desirabilities(spec, spec.q, sol.c, spec.lam, pts,
                                        cfg)

@@ -67,7 +67,11 @@ class TensorField:
         return float(np.abs(self.values - np.swapaxes(self.values, 1, 2)).max())
 
     def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.values + np.swapaxes(self.values, 1, 2))
+        v = self.values
+        if (v == v[0]).all():
+            # a constant field: node 0 speaks for every node
+            v = v[:1]
+        sym = 0.5 * (v + np.swapaxes(v, 1, 2))
         return float(np.linalg.eigvalsh(sym)[:, 0].min())
 
     def check_spd(self, eps: float = SPD_TOLERANCE) -> None:
@@ -81,6 +85,27 @@ class TensorField:
 
     def component(self, i: int, j: int) -> np.ndarray:
         return self.values[:, i, j]
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a non-empty 1-D float64 array, equal bit for
+    bit to scipy.special.logsumexp(a).
+
+    The m entries tied at the maximum leave the sum, whose other terms
+    exp(a - max) stay in place so that the pairwise summation groups
+    them as scipy does; the result is log1p(s / m) + log(m) + max. Where
+    that is not finite (an inf or NaN entry), it is log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        e = np.exp(a - a_max)
+        e[top] = 0.0
+        m = float(np.count_nonzero(top))
+        out = np.log1p(e.sum() / m) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
 
 
 def _check_finite(values: np.ndarray, grid: Grid, what: str) -> None:

@@ -6,7 +6,9 @@ gauge, the state cost follows pointwise from the stationary value
 identity q = c + lam (G0 Psi)/Psi, and the steady control is
 u = R^{-1}(grad log p + grad phi). No optimization loop is involved;
 every step is a direct evaluation, so the round trip through the
-forward solver is the natural correctness check.
+forward solver is the natural correctness check. The gauge of Psi is
+the forward solver's: one log-sum-exp through the shared helper
+`fields._logsumexp`.
 """
 from __future__ import annotations
 
@@ -14,10 +16,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InverseError
-from .fields import ScalarField, TensorField, VectorField, gradient_values
+from .fields import (
+    ScalarField,
+    TensorField,
+    VectorField,
+    _logsumexp,
+    gradient_values,
+)
 from .model import LAMBDA, ProblemSpec, control_cost_from_diffusion
 from .operators import apply, assemble_generator
 from .spectral import (
@@ -73,7 +80,7 @@ def desirability_from_target(p_inf: ScalarField, phi: ScalarField) -> ScalarFiel
     _check_log_curvature(g, log_p)
     log_psi = 0.5 * (log_p + phi.values)
     w = g.quadrature_weights()
-    log_psi -= 0.5 * float(logsumexp(np.log(w) + 2.0 * log_psi - phi.values))
+    log_psi -= 0.5 * _logsumexp(np.log(w) + 2.0 * log_psi - phi.values)
     log_psi = np.maximum(log_psi, PSI_LOG_FLOOR)
     return ScalarField(g, np.exp(log_psi))
 

@@ -13,10 +13,13 @@ path-index order.
 
 Integration is Euler-Maruyama with reflection at the box boundary
 (matching the zero-flux PDE boundary); reflected paths are flagged so
-truncation bias is visible. Running costs use the left-endpoint rule,
-consistent with the weak order of the integrator. Noise is drawn in
-time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m floats however
-long the horizon (m noise dimensions).
+truncation bias is visible. Every start point must lie in the closed
+box, or the run raises SamplingError. The path-integral estimators take
+their log-space means with `fields._logsumexp`, the log-sum-exp that
+the spectral and inverse gauges share. Running costs use the
+left-endpoint rule, consistent with the weak order of the integrator.
+Noise is drawn in time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m
+floats however long the horizon (m noise dimensions).
 
 The drift, noise and cost of a run are compiled once, before the first
 step: grad(phi) and div(Sigma) are symbolic derivatives of the
@@ -37,7 +40,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SamplingError
 from .expressions import (
@@ -48,7 +50,13 @@ from .expressions import (
     free_variables,
     parse_expression,
 )
-from .fields import ScalarField, VectorField, gradient_values, interpolant
+from .fields import (
+    ScalarField,
+    VectorField,
+    _logsumexp,
+    gradient_values,
+    interpolant,
+)
 from .grid import Grid
 from .model import ProblemSpec
 from .spectral import HJBSolution
@@ -350,8 +358,17 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     the compiled bodies run bare. The cost integral is that of
     (cost_expr - cost_shift)/cost_lam. Returns terminal states, cost
     integrals, exit and exclusion flags, and the states at
-    `record_steps`.
+    `record_steps`. A start point outside the closed box raises
+    SamplingError: the reflection would fold it in without a trace.
     """
+    outside = ~dyn.grid.contains(x0)
+    if outside.any():
+        i = int(np.argmax(outside))
+        box = ", ".join(f"[{lo:g}, {hi:g}]"
+                        for lo, hi in zip(dyn.grid.lows, dyn.grid.highs))
+        raise SamplingError(
+            f"{int(outside.sum())} of {x0.shape[0]} start points lie outside "
+            f"the grid box {box}; the first is x = {x0[i].tolist()}")
     P, n = x0.shape
     n_steps = cfg.n_steps
     terminal = np.empty((P, n))
@@ -437,7 +454,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     """Integrate an Euler-Maruyama path batch.
 
     x0 is a single start point or an Ensemble (whose count then
-    overrides cfg.n_paths); path j draws from stream stream_base + j.
+    overrides cfg.n_paths), inside the closed box; path j draws from
+    stream stream_base + j.
     Steady-control mode takes the control from `control` or `hjb`;
     density-feedback mode takes the target density from `target` or
     `hjb`. The running cost integral of (q - shift)/lam is accumulated
@@ -497,7 +515,7 @@ def _log_mean_weight(cost: np.ndarray) -> tuple[float, float, float]:
     that tiny weights do not underflow, with the relative standard error
     of that mean and the Kish ESS (sum w)^2 / sum w^2."""
     n = int(cost.shape[0])
-    log_mean = float(logsumexp(-cost) - np.log(n))
+    log_mean = float(_logsumexp(-cost) - np.log(n))
     # weights scaled so that the largest is one
     w = np.exp(cost.min() - cost)
     rel = float(w.std(ddof=1) / (w.mean() * np.sqrt(n))) if n > 1 else 0.0

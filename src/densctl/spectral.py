@@ -22,7 +22,8 @@ and refuses an operator too ill-conditioned to factor. The same factor
 of (shift I - M) then polishes the principal vector with a few
 inverse-power steps; (shift I - M) is an M-matrix, so the triangular
 solves keep a positive iterate positive, which is what the positivity
-gate checks.
+gate checks. The gauge of Psi is one log-sum-exp, taken by the helper
+`fields._logsumexp` that inverse and sampling share.
 """
 from __future__ import annotations
 
@@ -32,13 +33,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import logsumexp
 
 from .errors import SpectralError
 from .fields import (
     ScalarField,
     TensorField,
     VectorField,
+    _logsumexp,
     gradient_values,
     mixed_second_derivative_values,
     second_derivative_values,
@@ -280,7 +281,7 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     log_psi = np.log(x) - 0.5 * np.log(op.mu)
     w = op.weights
     # gauge: quadrature of Psi^2 exp(-phi) equals one
-    log_psi -= 0.5 * float(logsumexp(np.log(w) + 2.0 * log_psi - phi.values))
+    log_psi -= 0.5 * _logsumexp(np.log(w) + 2.0 * log_psi - phi.values)
     log_psi = np.maximum(log_psi, PSI_LOG_FLOOR)
 
     psi = np.exp(log_psi)

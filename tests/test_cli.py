@@ -130,6 +130,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("paths", "x0", [10.0]),
+        ("cost", "x0", [-6.5]),
+        ("desirability", "queries", [[0.0], [50.0]]),
+    ])
+    def test_sampling_points_outside_the_box(self, tmp_path, capsys,
+                                             command, key, value):
+        bad = {**FORWARD, "sampling": {**FORWARD["sampling"], key: value}}
+        code, _ = run(["sample", command], tmp_path, config=bad)
+        assert code == 2
+        assert "outside the grid box" in capsys.readouterr().err
+
+    def test_x0_on_a_face_is_legal(self, tmp_path):
+        on_face = {**FORWARD, "sampling": {**FORWARD["sampling"],
+                                           "x0": [6.0], "T": 0.01}}
+        code, _ = run(["sample", "paths"], tmp_path, config=on_face)
+        assert code == 0
+
     def test_arpack_failure_is_a_densctl_error(self, tmp_path, monkeypatch,
                                                 capsys):
         def gives_up(*args, **kwargs):
@@ -405,3 +423,13 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "solve" in proc.stdout
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        # scipy.special costs every process about 30 ms and 3.7 MB at
+        # import; densctl's one use of it, log-sum-exp, is fields._logsumexp
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import densctl.cli, sys; print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"

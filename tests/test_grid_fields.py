@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import densctl as dc
 from densctl.fields import (
     FieldError,
+    _logsumexp,
     mixed_second_derivative_values,
     noise_to_tensor,
     second_derivative_values,
@@ -132,3 +136,57 @@ def test_eval_fields_from_expressions():
     np.testing.assert_allclose(f.values, x**2)
     T = dc.eval_tensor_field([[dc.parse_expression("1 + x1^2")]], g)
     np.testing.assert_allclose(T.values[:, 0, 0], 1 + x**2)
+
+
+def _spd_test_grid():
+    g = dc.Grid((-1.0, -1.0), (1.0, 1.0), (5, 5))
+    return g, dc.ScalarField(g, np.sum(g.node_coords() ** 2, axis=1))
+
+
+def test_constant_indefinite_sigma_is_refused_at_assembly():
+    # a constant field takes the one-node eigenvalue shortcut
+    g, phi = _spd_test_grid()
+    Sigma = dc.TensorField(g, np.tile([[1.0, 2.0], [2.0, 1.0]], (g.size, 1, 1)))
+    assert Sigma.min_eigenvalue() == pytest.approx(-1.0)
+    with pytest.raises(FieldError, match="positive definite"):
+        dc.assemble_generator(Sigma, phi)
+
+
+def test_sigma_indefinite_at_one_node_is_refused():
+    # equal to the constant field everywhere but one node, which the
+    # shortcut must not skip
+    g, phi = _spd_test_grid()
+    vals = np.tile([[2.0, 1.0], [1.0, 2.0]], (g.size, 1, 1))
+    vals[17] = [[1.0, 0.0], [0.0, -0.5]]
+    Sigma = dc.TensorField(g, vals)
+    assert Sigma.min_eigenvalue() == -0.5
+    with pytest.raises(FieldError, match="positive definite"):
+        dc.assemble_generator(Sigma, phi)
+
+
+@st.composite
+def _lse_input(draw):
+    n = draw(st.integers(1, 2000))
+    scale = draw(st.floats(1e-3, 700.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-scale, scale, n)
+    # several entries tied at the maximum leave the sum together
+    ties = draw(st.integers(1, min(n, 50)))
+    a[rng.choice(n, ties, replace=False)] = a.max()
+    return a
+
+
+class TestLogSumExp:
+    """The shared log-sum-exp equals scipy's bit for bit, so replacing
+    scipy.special leaves every gauge and estimate unchanged."""
+
+    @given(_lse_input())
+    @settings(max_examples=300, deadline=None)
+    def test_random_arrays_match_scipy(self, a):
+        np.testing.assert_array_equal(_logsumexp(a), logsumexp(a))
+
+    @pytest.mark.parametrize("a", [[np.inf], [-np.inf, -np.inf], [np.nan, 1.0],
+                                   [1e308, 1e308], [-np.inf, 0.0]])
+    def test_edge_cases_match_scipy(self, a):
+        a = np.array(a)
+        np.testing.assert_array_equal(_logsumexp(a), logsumexp(a))

@@ -10,9 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import densctl as dc
-from densctl.errors import InverseError
+from densctl.errors import InverseError, OperatorError
 
 from conftest import bimodal_spec, ou_spec
 
@@ -111,7 +113,67 @@ class TestBimodalTarget:
         assert np.abs(bimodal_inv.u.values[mask, 0] - ref[mask]).max() <= 10 * h**2
 
 
+def _spd(draw, n, low, high):
+    """A random n x n SPD matrix with eigenvalues in [low, high]."""
+    eig = np.diag([draw(st.floats(low, high)) for _ in range(n)])
+    if n == 1:
+        return eig
+    t = draw(st.floats(0.0, np.pi))
+    rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return rot @ eig @ rot.T
+
+
+def _quadratic(M, xs):
+    """x^T M x as expression text."""
+    return " ".join(f"{M[a, b] * (1 if a == b else 2):+.6f}*{xs[a]}*{xs[b]}"
+                    for a in range(len(xs)) for b in range(a, len(xs)))
+
+
+@st.composite
+def _random_target_problem(draw):
+    """Smooth target exp(-U), U an SPD quadratic plus a small quartic,
+    under a constant SPD Sigma and a quadratic phi, on a small 1D or 2D
+    grid."""
+    n = draw(st.sampled_from([1, 2]))
+    counts = (draw(st.integers(41, 101)),) if n == 1 else \
+        tuple(draw(st.integers(17, 25)) for _ in range(2))
+    half = draw(st.floats(2.5, 3.5))
+    xs = [f"x{a + 1}" for a in range(n)]
+    quartic = draw(st.floats(0.0, 0.02))
+    U = (f"0.5*({_quadratic(_spd(draw, n, 0.5, 1.5), xs)}) + {quartic:.6f}*("
+         + " + ".join(f"{x}^4" for x in xs) + ")")
+    Sigma = _spd(draw, n, 0.5, 2.0)
+    g = dc.Grid((-half,) * n, (half,) * n, counts)
+    return dc.ProblemSpec(
+        grid=g, phi=f"0.5*({_quadratic(_spd(draw, n, 0.3, 2.0), xs)})",
+        Sigma=[[f"{v:.6f}" for v in row] for row in Sigma],
+        target=f"exp(-({U}))")
+
+
 class TestRoundtrip:
+    @given(_random_target_problem())
+    @settings(max_examples=20, deadline=None)
+    def test_random_targets_round_trip(self, spec):
+        # the synthesized cost makes the target's desirability an exact
+        # eigenvector of the discrete problem, so the forward solve must
+        # give the target back on any grid; draws the code refuses or
+        # warns about on purpose are skipped
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rep = dc.roundtrip_verify(spec.target_field(), spec)
+        except InverseError as e:
+            assume("desirability below" not in str(e))
+            raise
+        except OperatorError as e:
+            assume("disconnected" not in str(e))
+            raise
+        assume(not any("curvature" in str(w.message) for w in caught))
+        assert rep.density_error <= 1e-3
+        assert rep.c_difference <= 1e-2
+        assert rep.control_error <= 1e-2
+        assert rep.controlled_gap > 0
+
     def test_gaussian_roundtrip(self):
         spec = gauss_spec()
         with warnings.catch_warnings():

@@ -253,6 +253,42 @@ class TestReflection:
         assert not out.exited.any()
 
 
+class TestStartsOutsideTheBox:
+    """A start point outside the closed box is refused: the reflection
+    would fold it inside, leaving only an exit flag behind."""
+
+    def test_start_point(self, ou401):
+        with pytest.raises(SamplingError, match=r"x = \[10.0\]"):
+            dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01), x0=(10.0,))
+
+    def test_desirability_query(self, ou401):
+        with pytest.raises(SamplingError, match="8 of 16 start points"):
+            dc.path_integral_desirabilities(
+                ou401, ou401.q, 2.0, 2.0, [(0.0,), (50.0,)],
+                cfg(n_paths=8, T=0.01))
+
+    def test_cost_start(self, ou401):
+        with pytest.raises(SamplingError, match="outside the grid box"):
+            dc.estimate_c_mc(ou401, ou401.q, 2.0, cfg(n_paths=8, T=0.01),
+                             (-6.5,))
+
+    def test_feedback_particle(self, ou401):
+        target = dc.ScalarField(ou401.grid, np.exp(
+            -ou401.grid.node_coords()[:, 0] ** 2))
+        ens = dc.Ensemble(positions=[[0.0], [6.001], [1.0]])
+        with pytest.raises(SamplingError, match=r"x = \[6.001\]"):
+            dc.simulate_density_feedback(ou401, target, cfg(T=0.01), ens)
+
+    def test_starts_on_a_face_stay_legal(self, ou401):
+        out = dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01),
+                              dc.Ensemble(positions=[[-6.0], [6.0]]))
+        assert (np.abs(out.terminal) <= 6.0).all()
+        g = dc.Grid((-1.0, 0.0), (1.0, 2.0), (5, 5))
+        spec = dc.ProblemSpec(grid=g, phi="x1^2 + x2^2",
+                              Sigma=[["1", "0"], ["0", "1"]], q="0")
+        dc.simulate_sde(spec, cfg(n_paths=4, T=0.01), x0=(1.0, 0.0))
+
+
 class TestRecording:
     def test_recorded_states(self, ou401):
         c = cfg(n_paths=16, T=0.5, dt=0.01, record=True, record_stride=10)
