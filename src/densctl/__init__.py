@@ -35,8 +35,6 @@ from .fields import (
     TensorField,
     VectorField,
     eval_scalar_field,
-    eval_tensor_field,
-    gradient_field,
     gradient_values,
     interpolant,
     interpolate_values,
@@ -57,7 +55,7 @@ from .model import (
     ProblemSpec,
     ValidationReport,
     confinement_report,
-    control_cost_from_diffusion,
+    control_law,
     drift_from_potential,
     validate_spec,
 )
@@ -116,13 +114,13 @@ __all__ = [
     "TensorField", "TrajectoryBatch", "ValidationReport", "VectorField",
     "ScalarField",
     "adjoint_of", "apply", "assemble_generator", "confinement_report",
-    "compile_expression", "control_cost_from_diffusion", "control_from_target",
+    "compile_expression", "control_from_target", "control_law",
     "cost_from_target", "derivative",
     "controlled_operator", "desirability_from_target", "drift_from_potential",
     "dump_operator", "eig_generator", "eigen_evolution", "estimate_c_mc",
-    "eval_scalar_field", "eval_tensor_field", "evaluate", "evolve_fp",
+    "eval_scalar_field", "evaluate", "evolve_fp",
     "evolve_perturbation", "expand_in_eigenbasis", "fit_decay_rate",
-    "free_variables", "gradient_field", "gradient_values",
+    "free_variables", "gradient_values",
     "histogram_density", "interpolant", "interpolate_values", "load_config",
     "parse_config", "parse_expression", "path_integral_desirabilities",
     "path_integral_desirability",

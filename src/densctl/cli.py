@@ -20,11 +20,11 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, DensctlError
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, free_variables, parse_expression
 from .fields import ScalarField, eval_scalar_field, interpolate_values
-from .inverse import roundtrip_verify
+from .inverse import _normalized_target, roundtrip_verify
 from .model import validate_spec
 from .operators import assemble_generator
 from .output import RunWriter
@@ -79,13 +79,16 @@ class _Run:
             or cfg.output_dir or "runs"
         self.out_base = out
 
-        seed = getattr(args, "seed", None)
+        seed, source = getattr(args, "seed", None), "--seed"
         if seed is None:
-            seed = _env_int("DENSCTL_SEED")
-        self.seed = int(seed) if seed is not None else cfg.sampling.seed
+            seed, source = _env_int("DENSCTL_SEED"), "DENSCTL_SEED"
+        self.seed = cfg.sampling.seed if seed is None else \
+            check_seed(seed, source)
 
         k = getattr(args, "k", None)
-        self.k = int(k) if k is not None else cfg.solver.k
+        if k is not None and k < 1:
+            raise ConfigError(f"--k must be at least 1, got {k}")
+        self.k = k if k is not None else cfg.solver.k
 
     def say(self, msg: str) -> None:
         if not self.quiet:
@@ -115,8 +118,6 @@ class _Run:
         g = self.spec.grid
         x0 = self.cfg.sampling.x0
         if x0 is not None:
-            if len(x0) != g.dim:
-                raise ConfigError("[sampling] x0 dimension does not match grid")
             _check_in_box(g, np.array([x0]), "x0")
             return x0
         return tuple(0.5 * (lo + hi) for lo, hi in zip(g.lows, g.highs))
@@ -147,7 +148,7 @@ def _require_inverse(run: _Run) -> None:
 def _solve_forward(run: _Run, k: int = 1):
     spec = run.spec
     return solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
-                               spec.q_field(), spec.lam, k)
+                               spec.q_field(), k)
 
 
 def _gate_validation(run: _Run) -> None:
@@ -176,8 +177,7 @@ def cmd_solve(run: _Run) -> int:
     _gate_validation(run)
     spec = run.spec
     sol = _solve_forward(run, min(run.default_k(), spec.grid.size))
-    residual = verify_hjb_residual(sol, spec.q_field(),
-                                   spec.diffusion_field(), spec.phi_field())
+    residual = verify_hjb_residual(sol, spec.q_field())
     ctrl = sol.controlled
     gap = spectral_gap(ctrl) if ctrl.k >= 2 else None
 
@@ -209,7 +209,7 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
     spec = run.spec
     g = spec.grid
     k = run.default_k()
-    if k < 1 or k > g.size:
+    if k > g.size:
         raise ConfigError(f"k = {k} outside the valid range 1..{g.size}")
     if controlled:
         _require_forward(run)
@@ -249,6 +249,15 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
                dt: float | None, T: float | None) -> int:
     spec = run.spec
     g = spec.grid
+    if perturb is not None:
+        try:
+            expr = parse_expression(perturb)
+        except ExpressionError as e:
+            raise ConfigError(f"--perturb does not parse: {e}") from e
+        fv = free_variables(expr)
+        if fv and max(fv) > g.dim:
+            raise ConfigError(f"--perturb uses x{max(fv)} but the grid is "
+                              f"{g.dim}-dimensional")
     _gate_validation(run)
     k = run.default_k()
     if mode_index is not None:
@@ -259,20 +268,13 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
         gen = _solve_forward(run, k)
         s = gen.controlled
     else:
-        t = spec.target_field()
-        if t.values.min() <= 0.0:
-            raise DensctlError("target density must be positive to evolve")
-        mass = float(g.quadrature_weights() @ t.values)
-        Phi = ScalarField(g, -np.log(t.values / mass))
+        p = _normalized_target(spec.target_field(), warn=False)
+        Phi = ScalarField(g, -np.log(p))
         gen = assemble_generator(spec.diffusion_field(), Phi)
         s = eig_generator(gen, k)
     rate = spectral_gap(s)
 
     if perturb is not None:
-        try:
-            expr = parse_expression(perturb)
-        except ExpressionError as e:
-            raise ConfigError(f"--perturb does not parse: {e}") from e
         pt0 = eval_scalar_field(expr, g)
     else:
         idx = 1 if mode_index is None else mode_index
@@ -377,14 +379,11 @@ def cmd_sample_desirability(run: _Run) -> int:
     spec = run.spec
     queries = run.cfg.sampling.queries or _default_queries(run)
     pts = np.array([q for q in queries], dtype=float)
-    if pts.shape[1] != spec.grid.dim:
-        raise ConfigError("[sampling] queries dimension does not match grid")
     _check_in_box(spec.grid, pts, "queries")
     sol = _solve_forward(run)
     cfg = run.sde_config(mode="uncontrolled")
 
-    est = path_integral_desirabilities(spec, spec.q, sol.c, spec.lam, pts,
-                                       cfg)
+    est = path_integral_desirabilities(spec, spec.q, sol.c, pts, cfg)
     psi_grid = interpolate_values(spec.grid, sol.Psi.values, pts)
 
     g = spec.grid
@@ -422,7 +421,7 @@ def cmd_sample_cost(run: _Run) -> int:
     cfg = run.sde_config(mode="uncontrolled")
     x0 = np.tile(np.asarray(run.x0(), dtype=float), (cfg.n_paths, 1))
     y0 = Ensemble(positions=x0, seed=cfg.seed)
-    est = estimate_c_mc(spec, spec.q, spec.lam, cfg, y0)
+    est = estimate_c_mc(spec, spec.q, cfg, y0)
     sol = _solve_forward(run)
 
     w = run.writer("sample-cost")
@@ -453,9 +452,8 @@ def cmd_sample_feedback(run: _Run) -> int:
     _gate_validation(run)
     g = spec.grid
     if spec.mode == "inverse":
-        t = spec.target_field()
-        mass = float(g.quadrature_weights() @ t.values)
-        target = ScalarField(g, t.values / mass)
+        target = ScalarField(g, _normalized_target(spec.target_field(),
+                                                   warn=False))
     else:
         target = _solve_forward(run).p
 

@@ -3,20 +3,24 @@
 A run file has sections grid, dynamics, cost or target, and the
 optional sections solver, sampling, output. Unknown sections and
 unknown keys are rejected rather than ignored so that typos surface as
-exit-code-2 errors instead of silently running with defaults. All
-expressions are strings in the x1, x2, ... grammar.
+exit-code-2 errors instead of silently running with defaults, and so
+are values out of range: every number must be finite (the JSON
+extensions NaN and Infinity are refused), time steps and horizons
+positive, seeds below the reserved streams, and points of the grid's
+dimension. All expressions are strings in the x1, x2, ... grammar.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .expressions import ExpressionError, parse_expression
 from .grid import Grid
 from .model import ProblemSpec
-from .sampling import DRIFT_MODES
+from .sampling import DRIFT_MODES, INIT_STREAM
 
 _GRID_KEYS = {"lows", "highs", "counts"}
 _DYNAMICS_KEYS = {"phi", "sigma", "Sigma"}
@@ -73,11 +77,15 @@ def _need(data: dict, section: str, key: str):
     return data[key]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and \
+        math.isfinite(x)
+
+
 def _number_list(x, section: str, key: str) -> list[float]:
-    if not isinstance(x, list) or not x or \
-            not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in x):
-        raise ConfigError(f"[{section}] {key} must be a nonempty list of numbers")
+    if not isinstance(x, list) or not x or not all(map(_is_number, x)):
+        raise ConfigError(f"[{section}] {key} must be a nonempty list of "
+                          "finite numbers")
     return [float(v) for v in x]
 
 
@@ -87,10 +95,29 @@ def _int_value(x, section: str, key: str, minimum: int) -> int:
     return x
 
 
-def _float_value(x, section: str, key: str) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ConfigError(f"[{section}] {key} must be a number")
+def _positive_value(x, section: str, key: str) -> float:
+    if not _is_number(x) or x <= 0:
+        raise ConfigError(f"[{section}] {key} must be a finite number > 0")
     return float(x)
+
+
+def check_seed(seed, source: str) -> int:
+    """The seed as an int; outside [0, 2^64 - 3] it raises ConfigError,
+    since the two top stream ids are reserved."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or \
+            not 0 <= seed < INIT_STREAM:
+        raise ConfigError(f"{source} must be an integer in [0, 2^64 - 3], "
+                          f"got {seed!r}")
+    return seed
+
+
+def _point(x, dim: int, key: str) -> tuple[float, ...]:
+    """A [sampling] point of the grid's dimension."""
+    pt = tuple(_number_list(x, "sampling", key))
+    if len(pt) != dim:
+        raise ConfigError(f"[sampling] {key} point {list(pt)} has dimension "
+                          f"{len(pt)}, the grid {dim}")
+    return pt
 
 
 def _expr_string(x, section: str, key: str) -> str:
@@ -136,39 +163,39 @@ def _parse_grid(data: dict) -> Grid:
         raise ConfigError(f"[grid] {e}") from e
 
 
-def _parse_sampling(data: dict) -> SamplingOptions:
+def _parse_sampling(data: dict, dim: int) -> SamplingOptions:
     _reject_unknown("sampling", data, _SAMPLING_KEYS)
     kw: dict = {}
     if "dt" in data:
-        kw["dt"] = _float_value(data["dt"], "sampling", "dt")
+        kw["dt"] = _positive_value(data["dt"], "sampling", "dt")
     if "T" in data:
-        kw["T"] = _float_value(data["T"], "sampling", "T")
+        kw["T"] = _positive_value(data["T"], "sampling", "T")
     if "n_paths" in data:
         kw["n_paths"] = _int_value(data["n_paths"], "sampling", "n_paths", 1)
     if "seed" in data:
-        kw["seed"] = _int_value(data["seed"], "sampling", "seed", 0)
+        kw["seed"] = check_seed(data["seed"], "[sampling] seed")
     if "mode" in data:
         if not isinstance(data["mode"], str) or data["mode"] not in DRIFT_MODES:
             raise ConfigError(f"[sampling] mode must be one of {DRIFT_MODES}")
         kw["mode"] = data["mode"]
     if "x0" in data:
-        kw["x0"] = tuple(_number_list(data["x0"], "sampling", "x0"))
+        kw["x0"] = _point(data["x0"], dim, "x0")
     if "queries" in data:
         q = data["queries"]
         if not isinstance(q, list) or not q:
             raise ConfigError("[sampling] queries must be a nonempty list "
                               "of points")
-        pts = []
-        for p in q:
-            if isinstance(p, (int, float)) and not isinstance(p, bool):
-                pts.append((float(p),))
-            else:
-                pts.append(tuple(_number_list(p, "sampling", "queries")))
-        kw["queries"] = tuple(pts)
+        # a bare number is a 1D point
+        kw["queries"] = tuple(_point([p] if _is_number(p) else p, dim,
+                                     "queries") for p in q)
     if "n_particles" in data:
         kw["n_particles"] = _int_value(data["n_particles"], "sampling",
                                        "n_particles", 1)
-    return SamplingOptions(**kw)
+    opts = SamplingOptions(**kw)
+    if opts.T < opts.dt:
+        raise ConfigError(f"[sampling] T = {opts.T:g} is below one step "
+                          f"dt = {opts.dt:g}")
+    return opts
 
 
 def _parse_solver(data: dict) -> SolverOptions:
@@ -177,16 +204,21 @@ def _parse_solver(data: dict) -> SolverOptions:
     if "k" in data:
         kw["k"] = _int_value(data["k"], "solver", "k", 1)
     if "dt" in data:
-        kw["dt"] = _float_value(data["dt"], "solver", "dt")
+        kw["dt"] = _positive_value(data["dt"], "solver", "dt")
     if "T" in data:
-        kw["T"] = _float_value(data["T"], "solver", "T")
+        kw["T"] = _positive_value(data["T"], "solver", "T")
     return SolverOptions(**kw)
+
+
+def _refuse_constant(name: str):
+    raise ConfigError(f"{name} is not a JSON number; every number must be "
+                      "finite")
 
 
 def parse_config(text: str, path: str = "<memory>") -> RunConfig:
     """Build a RunConfig from JSON text; every defect raises ConfigError."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(data, dict):
@@ -229,7 +261,7 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         raise ConfigError(f"invalid problem: {e}") from e
 
     solver = _parse_solver(data.get("solver", {}))
-    sampling = _parse_sampling(data.get("sampling", {}))
+    sampling = _parse_sampling(data.get("sampling", {}), grid.dim)
 
     out_dir = None
     if "output" in data:

@@ -33,9 +33,6 @@ class ScalarField:
             raise FieldError(f"scalar field shape {v.shape} != ({self.grid.size},)")
         object.__setattr__(self, "values", v)
 
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -82,9 +79,6 @@ class TensorField:
         if m < eps:
             raise FieldError(
                 f"tensor field not uniformly positive definite, min eigenvalue {m:.3e}")
-
-    def component(self, i: int, j: int) -> np.ndarray:
-        return self.values[:, i, j]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -137,16 +131,6 @@ def eval_matrix(exprs: list[list[Expr]], points: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_tensor_field(exprs: list[list[Expr]], grid: Grid) -> TensorField:
-    vals = eval_matrix(exprs, grid.node_coords())
-    if vals.shape[1] != grid.dim or vals.shape[2] != grid.dim:
-        raise FieldError(
-            f"diffusion tensor must be {grid.dim} x {grid.dim}, got "
-            f"{vals.shape[1]} x {vals.shape[2]}")
-    _check_finite(vals, grid, "diffusion tensor")
-    return TensorField(grid, vals)
-
-
 def noise_to_tensor(sigma_vals: np.ndarray) -> np.ndarray:
     """Sigma = sigma sigma^T pointwise, sigma of shape (m, n, p)."""
     return np.einsum("kip,kjp->kij", sigma_vals, sigma_vals)
@@ -163,10 +147,6 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
         g = np.gradient(arr, grid.spacing[k], axis=k, edge_order=2)
         out[:, k] = g.ravel()
     return out
-
-
-def gradient_field(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, gradient_values(f.grid, f.values))
 
 
 def second_derivative_values(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:

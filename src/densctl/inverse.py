@@ -3,12 +3,12 @@
 Given a desired stationary density p and the passive model (Sigma,
 phi), the desirability that realizes it is Psi = sqrt(p exp(phi)) up to
 gauge, the state cost follows pointwise from the stationary value
-identity q = c + lam (G0 Psi)/Psi, and the steady control is
-u = R^{-1}(grad log p + grad phi). No optimization loop is involved;
-every step is a direct evaluation, so the round trip through the
-forward solver is the natural correctness check. The gauge of Psi is
-the forward solver's: one log-sum-exp through the shared helper
-`fields._logsumexp`.
+identity q = c + LAMBDA (G0 Psi)/Psi, and the steady control is
+u = (Sigma/LAMBDA)(grad log p + grad phi), the model's `control_law`
+that the forward solve applies to -grad v. No optimization loop is
+involved; every step is a direct evaluation, so the round trip through
+the forward solver is the natural correctness check. The gauge of Psi
+is the forward solver's, `spectral._gauged_log_psi`.
 """
 from __future__ import annotations
 
@@ -22,14 +22,13 @@ from .fields import (
     ScalarField,
     TensorField,
     VectorField,
-    _logsumexp,
     gradient_values,
 )
-from .model import LAMBDA, ProblemSpec, control_cost_from_diffusion
+from .model import LAMBDA, ProblemSpec, control_law
 from .operators import apply, assemble_generator
 from .spectral import (
     HJBSolution,
-    PSI_LOG_FLOOR,
+    _gauged_log_psi,
     solve_hjb_principal,
     spectral_gap,
 )
@@ -78,17 +77,14 @@ def desirability_from_target(p_inf: ScalarField, phi: ScalarField) -> ScalarFiel
     p = _normalized_target(p_inf)
     log_p = np.log(p)
     _check_log_curvature(g, log_p)
-    log_psi = 0.5 * (log_p + phi.values)
-    w = g.quadrature_weights()
-    log_psi -= 0.5 * _logsumexp(np.log(w) + 2.0 * log_psi - phi.values)
-    log_psi = np.maximum(log_psi, PSI_LOG_FLOOR)
-    return ScalarField(g, np.exp(log_psi))
+    return ScalarField(g, np.exp(_gauged_log_psi(0.5 * (log_p + phi.values),
+                                                 phi)))
 
 
 def cost_from_target(Psi: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
     """State cost that makes Psi the principal desirability.
 
-    Rearranges the stationary value identity to q~ = lam (G0 Psi)/Psi
+    Rearranges the stationary value identity to q~ = LAMBDA (G0 Psi)/Psi
     with G0 the uncontrolled generator of (Sigma, phi), then fixes the
     additive gauge c = -min q~ so that min q = 0. The returned c is the
     optimal average cost of the synthesized forward problem.
@@ -105,26 +101,25 @@ def cost_from_target(Psi: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, 
             f"(first {nodes.tolist()}); the cost quotient would blow up "
             "there, shrink the domain or raise the target floor")
     op = assemble_generator(spec.diffusion_field(), spec.phi_field())
-    q_raw = spec.lam * apply(op, Psi).values / Psi.values
+    q_raw = LAMBDA * apply(op, Psi).values / Psi.values
     c = -float(q_raw.min())
     return ScalarField(g, q_raw + c), c
 
 
 def control_from_target(p_inf: ScalarField, phi: ScalarField,
-                        R: TensorField) -> VectorField:
-    """Steady feedback control u = R^{-1}(grad log p + grad phi).
+                        Sigma: TensorField) -> VectorField:
+    """Steady feedback control u = (Sigma/LAMBDA)(grad log p + grad phi).
 
     The log form makes the uncontrolled target give u = 0 to rounding:
     both gradients are taken with the same stencil, so the cancellation
     grad log(e^{-phi}/Z) + grad phi is exact nodewise.
     """
     g = p_inf.grid
-    if phi.grid != g or R.grid != g:
-        raise InverseError("target, phi and R must share one grid")
+    if phi.grid != g or Sigma.grid != g:
+        raise InverseError("target, phi and Sigma must share one grid")
     p = _normalized_target(p_inf, warn=False)
-    slope = gradient_values(g, np.log(p)) + gradient_values(g, phi.values)
-    Rinv = np.linalg.inv(R.values)
-    return VectorField(g, np.einsum("kij,kj->ki", Rinv, slope))
+    return control_law(Sigma, gradient_values(g, np.log(p)) +
+                       gradient_values(g, phi.values))
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,6 @@ class InverseSolution:
     c: float = 0.0
     v: ScalarField = field(repr=False, default=None)
     u: VectorField = field(repr=False, default=None)
-    lam: float = LAMBDA
     diagnostics: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -147,23 +141,22 @@ def _design(p_inf: ScalarField, spec: ProblemSpec) -> InverseSolution:
     phi = spec.phi_field()
     Psi = desirability_from_target(p_inf, phi)
     q, c = cost_from_target(Psi, spec)
-    R = control_cost_from_diffusion(spec.diffusion_field(), spec.lam)
-    u = control_from_target(p_inf, phi, R)
-    v = ScalarField(spec.grid, -spec.lam * np.log(Psi.values))
+    u = control_from_target(p_inf, phi, spec.diffusion_field())
+    v = ScalarField(spec.grid, -LAMBDA * np.log(Psi.values))
     p_norm = ScalarField(spec.grid, _normalized_target(p_inf, warn=False))
     diag = {
         "target_mass": float(spec.grid.quadrature_weights() @ p_inf.values),
         "q_max": float(q.values.max()),
     }
     return InverseSolution(target=p_norm, Psi=Psi, q=q, c=c, v=v, u=u,
-                           lam=spec.lam, diagnostics=diag)
+                           diagnostics=diag)
 
 
 def solve_inverse(spec: ProblemSpec) -> InverseSolution:
     """Full inverse design for an inverse-mode problem.
 
     Produces the desirability, the synthesized nonnegative cost with
-    its gauge constant, the value v = -lam log Psi, and the steady
+    its gauge constant, the value v = -LAMBDA log Psi, and the steady
     control, all on the problem grid.
     """
     if spec.mode != "inverse":
@@ -209,7 +202,7 @@ def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec) -> RoundtripReport:
         raise InverseError("target grid does not match the problem grid")
     inv = _design(p_inf, spec)
     forward = solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
-                                  inv.q, spec.lam, k=2)
+                                  inv.q, k=2)
 
     p_norm = inv.target.values
     dens_err = float(np.abs(forward.p.values - p_norm).max() / p_norm.max())

@@ -3,9 +3,10 @@
 A ProblemSpec bundles the domain, the potential phi, the noise matrix
 sigma (or the diffusion Sigma = sigma sigma^T directly), and either a
 state cost q (forward mode) or a target stationary density (inverse
-mode). The control weight is tied to the noise: R = 2 Sigma^{-1}, so
-the cost multiplier lam is structurally fixed at 2. The box boundary
-is always zero-flux (reflecting).
+mode). The control weight is tied to the noise, R = LAMBDA Sigma^{-1}
+with the constant LAMBDA = 2, which linearizes the stationary value
+equation; nothing sets it. R enters only as Sigma / LAMBDA, through
+`control_law`. The box boundary is always zero-flux (reflecting).
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .fields import (
     ScalarField,
     TensorField,
     VectorField,
+    _check_finite,
     eval_matrix,
     eval_scalar_field,
     gradient_values,
@@ -70,7 +72,6 @@ class ProblemSpec:
     Sigma: ExprMatrix | None = None      # diffusion, n x n
     q: Expr | None = None
     target: Expr | None = None
-    lam: float = LAMBDA
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _as_expr(self.phi))
@@ -87,10 +88,6 @@ class ProblemSpec:
             object.__setattr__(self, "q", _as_expr(self.q))
         if self.target is not None:
             object.__setattr__(self, "target", _as_expr(self.target))
-        # R = lam * Sigma^{-1} with lam = 2 is what linearizes the
-        # stationary value equation; any other lam breaks the transform
-        if self.lam != LAMBDA:
-            raise ModelError(f"lam must equal {LAMBDA} exactly, got {self.lam}")
         n = self.grid.dim
         for name, e in [("phi", self.phi), ("q", self.q), ("target", self.target)]:
             if e is None:
@@ -162,9 +159,10 @@ class ProblemSpec:
                      for i in range(len(s)))
 
     def diffusion_field(self) -> TensorField:
+        """Sigma on the grid nodes; a nonfinite entry raises FieldError."""
         vals = self.diffusion_at(self.grid.node_coords())
-        f = TensorField(self.grid, vals)
-        return f
+        _check_finite(vals, self.grid, "diffusion tensor")
+        return TensorField(self.grid, vals)
 
     def diffusion_is_constant(self) -> bool:
         mat = self.Sigma if self.Sigma is not None else self.sigma
@@ -189,12 +187,12 @@ def drift_from_potential(Sigma: TensorField, phi: ScalarField) -> VectorField:
     return VectorField(g, vals)
 
 
-def control_cost_from_diffusion(Sigma: TensorField, lam: float = LAMBDA) -> TensorField:
-    """Control weight R = lam Sigma^{-1} (noise-matched cost)."""
-    if lam != LAMBDA:
-        raise ModelError(f"lam must equal {LAMBDA} exactly, got {lam}")
-    Sigma.check_spd(eps=0.0)
-    return TensorField(Sigma.grid, lam * np.linalg.inv(Sigma.values))
+def control_law(Sigma: TensorField, s: np.ndarray) -> VectorField:
+    """Noise-matched control u = R^{-1} s = (Sigma / LAMBDA) s at every
+    node, for slopes s of shape (size, dim): s = -grad v in the forward
+    solve, s = grad log p + grad phi in the inverse design."""
+    return VectorField(Sigma.grid,
+                       np.einsum("kij,kj->ki", Sigma.values, s) / LAMBDA)
 
 
 @dataclass(frozen=True)

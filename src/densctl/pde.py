@@ -193,11 +193,6 @@ class PerturbationCoefficients:
     spectrum: Spectrum = field(repr=False)
     reconstruction_error: float = 0.0
 
-    @property
-    def mass_coefficient(self) -> float:
-        # coefficient on the constant mode; zero for mass-free perturbations
-        return float(self.coefficients[0])
-
 
 def expand_in_eigenbasis(pt0: ScalarField, s: Spectrum) -> PerturbationCoefficients:
     if pt0.grid != s.rho.grid:

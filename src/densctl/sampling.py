@@ -16,8 +16,10 @@ Integration is Euler-Maruyama with reflection at the box boundary
 truncation bias is visible. Every start point must lie in the closed
 box, or the run raises SamplingError. The path-integral estimators take
 their log-space means with `fields._logsumexp`, the log-sum-exp that
-the spectral and inverse gauges share. Running costs use the
-left-endpoint rule, consistent with the weak order of the integrator.
+the spectral and inverse gauges share. Running costs are weighed by
+the model's constant 1/LAMBDA, the noise-matched weight that makes the
+path-integral form exact, and use the left-endpoint rule, consistent
+with the weak order of the integrator.
 Noise is drawn in time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m
 floats however long the horizon (m noise dimensions).
 
@@ -58,7 +60,7 @@ from .fields import (
     interpolant,
 )
 from .grid import Grid
-from .model import ProblemSpec
+from .model import LAMBDA, ProblemSpec
 from .spectral import HJBSolution
 
 BOOTSTRAP_STREAM = 2**64 - 1
@@ -348,15 +350,14 @@ def _inside(x: np.ndarray, bounds: list) -> bool:
 @np.errstate(all="ignore")
 def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
                stream_base: int = 0, record_steps: tuple | list = (),
-               cost_expr: Expr | None = None, cost_shift: float = 0.0,
-               cost_lam: float = 1.0):
+               cost_expr: Expr | None = None, cost_shift: float = 0.0):
     """Euler-Maruyama over all paths; the one step loop of the module.
 
     Paths run side by side in chunks of CHUNK_PATHS; each chunk draws
     its noise BLOCK_STEPS steps at a time from per-path generators that
     live for the whole chunk. One np.errstate covers the whole run, so
     the compiled bodies run bare. The cost integral is that of
-    (cost_expr - cost_shift)/cost_lam. Returns terminal states, cost
+    (cost_expr - cost_shift)/LAMBDA. Returns terminal states, cost
     integrals, exit and exclusion flags, and the states at
     `record_steps`. A start point outside the closed box raises
     SamplingError: the reflection would fold it in without a trace.
@@ -382,7 +383,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     highs = lows + spans
     bounds = [(k, float(lows[k]), float(highs[k])) for k in range(n)]
     running_cost = None if cost_expr is None else compile_body(cost_expr)
-    cost_scale = cfg.dt / cost_lam
+    cost_scale = cfg.dt / LAMBDA
     noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps), dyn.m))
 
     for lo in range(0, P, CHUNK_PATHS):
@@ -449,8 +450,7 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
                  target: ScalarField | None = None,
                  cost_expr: Expr | str | None = None,
                  cost_shift: float = 0.0,
-                 stream_base: int = 0,
-                 lam: float | None = None) -> TrajectoryBatch:
+                 stream_base: int = 0) -> TrajectoryBatch:
     """Integrate an Euler-Maruyama path batch.
 
     x0 is a single start point or an Ensemble (whose count then
@@ -458,8 +458,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     stream stream_base + j.
     Steady-control mode takes the control from `control` or `hjb`;
     density-feedback mode takes the target density from `target` or
-    `hjb`. The running cost integral of (q - shift)/lam is accumulated
-    when cost_expr is given; lam defaults to spec.lam.
+    `hjb`. The running cost integral of (q - shift)/LAMBDA is
+    accumulated when cost_expr is given.
     """
     grid = spec.grid
     control_values = None
@@ -497,8 +497,7 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
         times = cfg.dt * np.asarray(record_steps, dtype=float)
 
     terminal, cost, exited, excluded, states = _integrate(
-        dyn, cfg, x0_arr, stream_base, record_steps, cost_expr, cost_shift,
-        spec.lam if lam is None else lam)
+        dyn, cfg, x0_arr, stream_base, record_steps, cost_expr, cost_shift)
     if excluded.all():
         raise SamplingError("every path blew up; check the drift and dt")
     return TrajectoryBatch(
@@ -526,21 +525,21 @@ def _uncontrolled(cfg: SdeConfig) -> SdeConfig:
     return cfg if cfg.mode == "uncontrolled" else replace(cfg, mode="uncontrolled")
 
 
-def path_integral_desirability(spec: ProblemSpec, q, c: float, lam: float,
-                               y, cfg: SdeConfig,
+def path_integral_desirability(spec: ProblemSpec, q, c: float, y,
+                               cfg: SdeConfig,
                                stream_base: int = 0) -> Estimate:
     """Monte Carlo desirability at one point; see
     path_integral_desirabilities."""
-    return path_integral_desirabilities(spec, q, c, lam, [y], cfg,
+    return path_integral_desirabilities(spec, q, c, [y], cfg,
                                         stream_base)[0]
 
 
-def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
-                                 points, cfg: SdeConfig,
+def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
+                                 cfg: SdeConfig,
                                  stream_base: int = 0) -> list[Estimate]:
     """Monte Carlo desirability at each of several points, in one batch.
 
-    Averages exp(-integral (q - c)/lam) over cfg.n_paths uncontrolled
+    Averages exp(-integral (q - c)/LAMBDA) over cfg.n_paths uncontrolled
     paths started at each point with terminal weight one; the estimates
     carry the usual scale gauge of the desirability, so compare ratios,
     not values. The mean and the relative standard error are taken in
@@ -556,7 +555,7 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
                             f"grid {spec.grid.dim}")
     starts = Ensemble(positions=np.repeat(pts, n_paths, axis=0))
     batch = simulate_sde(spec, _uncontrolled(cfg), starts, cost_expr=q,
-                         cost_shift=c, stream_base=stream_base, lam=lam)
+                         cost_shift=c, stream_base=stream_base)
     estimates = []
     for i in range(pts.shape[0]):
         rows = slice(i * n_paths, (i + 1) * n_paths)
@@ -581,11 +580,10 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, lam: float,
     return estimates
 
 
-def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
-                  y0) -> Estimate:
+def estimate_c_mc(spec: ProblemSpec, q, cfg: SdeConfig, y0) -> Estimate:
     """Monte Carlo average-cost estimate.
 
-    c_hat = -(lam/T) log E exp(-integral q/lam); for T much longer than
+    c_hat = -(LAMBDA/T) log E exp(-integral q/LAMBDA); for T much longer than
     the uncontrolled mixing time the principal mode dominates the
     expectation and the log-rate converges to the optimal average cost.
     The standard error is a bootstrap over paths with a reserved
@@ -593,12 +591,12 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
     horizons, whose weights underflow, still give an estimate.
     """
     batch = simulate_sde(spec, _uncontrolled(cfg), y0, cost_expr=q,
-                         cost_shift=0.0, lam=lam)
+                         cost_shift=0.0)
     cost = batch.cost_integral[~batch.excluded]
     n = int(cost.shape[0])
     log_mean, _, ess = _log_mean_weight(cost)
     T = batch.horizon
-    value = float(-(lam / T) * log_mean)
+    value = float(-(LAMBDA / T) * log_mean)
 
     gen = _stream(cfg.seed, BOOTSTRAP_STREAM)
     boot_log_means = np.empty(BOOTSTRAP_SAMPLES)
@@ -610,7 +608,7 @@ def estimate_c_mc(spec: ProblemSpec, q, lam: float, cfg: SdeConfig,
         low = x.min(axis=1, keepdims=True)
         np.exp(np.subtract(low, x, out=x), out=x)
         boot_log_means[a:a + r] = np.log(x.mean(axis=1)) - low[:, 0]
-    boot = -(lam / T) * boot_log_means
+    boot = -(LAMBDA / T) * boot_log_means
     stderr = float(boot.std(ddof=1))
 
     degenerate = stderr > 0.5 * max(abs(value), 1e-12) or \

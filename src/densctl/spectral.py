@@ -7,8 +7,9 @@ Orthonormality of the mapped eigenfunctions in the rho-weighted inner
 product is then automatic.
 
 The stationary value equation is solved through the desirability
-substitution: the largest eigenpair (mu_0, x_0) of M = S - D(q/lam)
-gives Psi and the average cost c = -lam mu_0. The controlled generator
+substitution: the largest eigenpair (mu_0, x_0) of M = S - D(q/LAMBDA)
+gives Psi and the average cost c = -LAMBDA mu_0, with the model's
+constant LAMBDA = 2. The controlled generator
 is the Doob h-transform D(1/x_0)(M - mu_0 I)D(x_0) of M, so the same
 eigensolve gives the controlled spectrum: eigenvalues mu_n - mu_0 and
 eigenfunctions y_n / x_0, rho-orthonormal under the controlled density
@@ -22,8 +23,9 @@ and refuses an operator too ill-conditioned to factor. The same factor
 of (shift I - M) then polishes the principal vector with a few
 inverse-power steps; (shift I - M) is an M-matrix, so the triangular
 solves keep a positive iterate positive, which is what the positivity
-gate checks. The gauge of Psi is one log-sum-exp, taken by the helper
-`fields._logsumexp` that inverse and sampling share.
+gate checks. The gauge of Psi, one log-sum-exp and the floor
+PSI_LOG_FLOOR, is `_gauged_log_psi`, which the inverse design calls
+too; the control is the model's `control_law` at s = -grad v.
 """
 from __future__ import annotations
 
@@ -44,13 +46,17 @@ from .fields import (
     mixed_second_derivative_values,
     second_derivative_values,
 )
-from .model import LAMBDA, drift_from_potential
+from .model import LAMBDA, control_law, drift_from_potential
 from .operators import GeneratorOperator, assemble_generator
 
 PSI_LOG_FLOOR = float(np.log(1e-290))
 PERRON_TOLERANCE = 1e-12
 POLISH_TOLERANCE = 1e-12
 POLISH_MAX_STEPS = 30
+# the residual check skips nodes this close to a wall, in indices, and
+# nodes whose controlled density is below this fraction of its max
+RESIDUAL_MARGIN = 2
+RESIDUAL_DENSITY_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -198,12 +204,10 @@ class HJBSolution:
     v: ScalarField = field(repr=False, default=None)
     p: ScalarField = field(repr=False, default=None)
     u: VectorField = field(repr=False, default=None)
-    lam: float = LAMBDA
     phi: ScalarField = field(repr=False, default=None)
     Sigma: TensorField = field(repr=False, default=None)
-    operator: GeneratorOperator = field(repr=False, default=None)
     diagnostics: dict = field(repr=False, default_factory=dict)
-    M: sp.csr_matrix = field(repr=False, default=None)    # S - D(q/lam)
+    M: sp.csr_matrix = field(repr=False, default=None)    # S - D(q/LAMBDA)
     x0: np.ndarray = field(repr=False, default=None)      # its top vector
     controlled: Spectrum = field(repr=False, default=None)
 
@@ -214,7 +218,7 @@ class HJBSolution:
     def controlled_frame(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """Symmetric frame of the controlled generator, the Doob
         h-transform of M: M - mu0 I and its kernel vector x0."""
-        mu0 = -self.c / self.lam
+        mu0 = -self.c / LAMBDA
         S = (self.M - sp.identity(self.grid.size, format="csr") * mu0).tocsr()
         return S, self.x0
 
@@ -236,23 +240,29 @@ def _purify_principal(lu, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _gauged_log_psi(log_psi: np.ndarray, phi: ScalarField) -> np.ndarray:
+    """log Psi in the gauge where the quadrature of Psi^2 exp(-phi) is
+    one, floored at PSI_LOG_FLOOR."""
+    w = phi.grid.quadrature_weights()
+    log_psi = log_psi - 0.5 * _logsumexp(np.log(w) + 2.0 * log_psi
+                                         - phi.values)
+    return np.maximum(log_psi, PSI_LOG_FLOOR)
+
+
 def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
-                        lam: float = LAMBDA, k: int = 1) -> HJBSolution:
+                        k: int = 1) -> HJBSolution:
     """Stationary value solve via the principal desirability eigenpair.
 
     Assembles the uncontrolled generator from (Sigma, phi), forms
-    M = S - D(q/lam), takes its top k eigenpairs through one factor,
-    and unwinds the desirability transform: c = -lam mu_0,
-    v = -lam log Psi, p = Psi^2 exp(-phi) normalized,
-    u = -(Sigma/2) grad v. The k pairs also give the controlled
+    M = S - D(q/LAMBDA), takes its top k eigenpairs through one factor,
+    and unwinds the desirability transform: c = -LAMBDA mu_0,
+    v = -LAMBDA log Psi, p = Psi^2 exp(-phi) normalized,
+    u = -(Sigma/LAMBDA) grad v. The k pairs also give the controlled
     spectrum `controlled`: eigenvalues mu_n - mu_0, eigenfunctions
     y_n / x_0 and rho = p. Wherever Psi is above its floor,
     w p = x_0^2, so the eigenfunctions are p-orthonormal by
     construction.
     """
-    if lam != LAMBDA:
-        raise SpectralError(
-            f"the desirability transform requires lam = {LAMBDA} exactly")
     g = phi.grid
     if q.grid != g or Sigma.grid != g:
         raise SpectralError("Sigma, phi, q must share one grid")
@@ -260,10 +270,11 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
 
     op = assemble_generator(Sigma, phi)
     S, sqmu = _symmetrized(op)
-    M = (S - sp.diags(q.values / lam)).tocsr()
+    M = (S - sp.diags(q.values / LAMBDA)).tocsr()
 
-    # S is negative semidefinite, so nothing in M lies above -min(q)/lam
-    vals, vecs, lu = _top_eigenpairs(M, -float(q.values.min()) / lam, k, sqmu)
+    # S is negative semidefinite, so nothing in M lies above -min(q)/LAMBDA
+    vals, vecs, lu = _top_eigenpairs(M, -float(q.values.min()) / LAMBDA, k,
+                                     sqmu)
     # the Perron vector of the Metzler M is positive, and the polish
     # keeps a positive iterate positive, so rounding-level negative
     # entries of the Lanczos vector are dropped by starting from |x|
@@ -278,21 +289,13 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     resid = float(np.linalg.norm(M @ x - mu0 * x))
 
     x = np.maximum(x, 1e-300)
-    log_psi = np.log(x) - 0.5 * np.log(op.mu)
-    w = op.weights
-    # gauge: quadrature of Psi^2 exp(-phi) equals one
-    log_psi -= 0.5 * _logsumexp(np.log(w) + 2.0 * log_psi - phi.values)
-    log_psi = np.maximum(log_psi, PSI_LOG_FLOOR)
+    log_psi = _gauged_log_psi(np.log(x) - 0.5 * np.log(op.mu), phi)
 
     psi = np.exp(log_psi)
-    c = -lam * mu0
-    v = -lam * log_psi
+    c = -LAMBDA * mu0
+    v = -LAMBDA * log_psi
     p = np.exp(2.0 * log_psi - phi.values)
-    p /= float(w @ p)
-
-    grad_v = gradient_values(g, v)
-    # with R = 2 Sigma^{-1}, the control -R^{-1} grad v is -(Sigma/2) grad v
-    u = -0.5 * np.einsum("kij,kj->ki", Sigma.values, grad_v)
+    p /= float(op.weights @ p)
 
     vals[0] = mu0
     vecs[:, 0] = x
@@ -308,9 +311,8 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     }
     return HJBSolution(
         Psi=ScalarField(g, psi), c=float(c), v=ScalarField(g, v),
-        p=p_field, u=VectorField(g, u), lam=lam, phi=phi,
-        Sigma=Sigma, operator=op, diagnostics=diag, M=M, x0=x,
-        controlled=controlled)
+        p=p_field, u=control_law(Sigma, -gradient_values(g, v)), phi=phi,
+        Sigma=Sigma, diagnostics=diag, M=M, x0=x, controlled=controlled)
 
 
 def controlled_operator(sol: HJBSolution) -> GeneratorOperator:
@@ -321,32 +323,27 @@ def controlled_operator(sol: HJBSolution) -> GeneratorOperator:
     return assemble_generator(sol.Sigma, Phi)
 
 
-def verify_hjb_residual(sol: HJBSolution, q: ScalarField, Sigma: TensorField,
-                        phi: ScalarField, R: TensorField | None = None,
-                        margin: int = 2,
-                        density_floor: float = 1e-8) -> float:
-    """Interior sup of the stationary value-equation residual.
+def verify_hjb_residual(sol: HJBSolution, q: ScalarField) -> float:
+    """Interior sup of the stationary value-equation residual of the
+    solution's own (Sigma, phi) and the cost q.
 
-    r = q - c - (1/2) grad(v)^T R^{-1} grad(v) + grad(v) . b
+    r = q - c - (1/2) grad(v)^T (Sigma/LAMBDA) grad(v) + grad(v) . b
         + (1/2) sum_ij Sigma_ij d_ij v
 
-    The sup is taken over nodes at least `margin` indices from the
-    boundary AND carrying controlled stationary density above
-    density_floor times its max. Near the walls the discrete solution
-    satisfies the reflected problem, not the free-space equation, so
-    the residual there measures domain truncation rather than solver
-    error; the density gate confines the check to where the controlled
-    process actually lives.
+    The sup is taken over nodes at least RESIDUAL_MARGIN indices from
+    the boundary AND carrying controlled stationary density above
+    RESIDUAL_DENSITY_FLOOR times its max. Near the walls the discrete
+    solution satisfies the reflected problem, not the free-space
+    equation, so the residual there measures domain truncation rather
+    than solver error; the density gate confines the check to where the
+    controlled process actually lives.
     """
     g = sol.grid
+    Sigma = sol.Sigma
     v = sol.v.values
     gv = gradient_values(g, v)
-    if R is not None:
-        Rinv = np.linalg.inv(R.values)
-    else:
-        Rinv = 0.5 * Sigma.values
-    quad = 0.5 * np.einsum("ki,kij,kj->k", gv, Rinv, gv)
-    b = drift_from_potential(Sigma, phi).values
+    quad = 0.5 * np.einsum("ki,kij,kj->k", gv, Sigma.values / LAMBDA, gv)
+    b = drift_from_potential(Sigma, sol.phi).values
     adv = np.einsum("ki,ki->k", gv, b)
     hess = np.zeros(g.size)
     for i in range(g.dim):
@@ -356,6 +353,6 @@ def verify_hjb_residual(sol: HJBSolution, q: ScalarField, Sigma: TensorField,
             if np.abs(sij).max() > 0.0:
                 hess += 2.0 * sij * mixed_second_derivative_values(g, v, i, j)
     r = q.values - sol.c - quad + adv + 0.5 * hess
-    mask = g.interior_mask(margin) & \
-        (sol.p.values >= density_floor * float(sol.p.values.max()))
+    mask = g.interior_mask(RESIDUAL_MARGIN) & \
+        (sol.p.values >= RESIDUAL_DENSITY_FLOOR * float(sol.p.values.max()))
     return float(np.abs(r[mask]).max())

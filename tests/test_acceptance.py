@@ -209,11 +209,11 @@ def test_08_path_integral_cross_validation(ou401, ou_hjb):
                        mode="uncontrolled")
 
     t0 = time.perf_counter()
-    ests = [dc.path_integral_desirability(ou401, q, ou_hjb.c, ou401.lam, [y],
-                                          cfg, stream_base=i * cfg.n_paths)
+    ests = [dc.path_integral_desirability(ou401, q, ou_hjb.c, [y], cfg,
+                                          stream_base=i * cfg.n_paths)
             for i, y in enumerate(points)]
-    c_est = dc.estimate_c_mc(ou401, q, ou401.lam,
-                             dataclasses.replace(cfg, seed=77), [0.0])
+    c_est = dc.estimate_c_mc(ou401, q, dataclasses.replace(cfg, seed=77),
+                             [0.0])
     elapsed = time.perf_counter() - t0
 
     grid_psi = dc.interpolate_values(

@@ -161,6 +161,77 @@ class TestExitCodes:
         assert "811 iterations" in capsys.readouterr().err
 
 
+class TestRangeErrors:
+    """Values out of range are configuration errors, exit 2, refused
+    before any computation."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sampling", "dt", -1), ("sampling", "T", 0),
+        ("sampling", "T", 1e-4), ("sampling", "seed", 2**64),
+        ("sampling", "seed", 2**64 - 2), ("solver", "dt", -0.1),
+        ("solver", "T", -1)])
+    def test_config_value_out_of_range(self, tmp_path, capsys, section, key,
+                                       value):
+        bad = {**FORWARD, section: {**FORWARD[section], key: value}}
+        assert run(["sample", "paths"], tmp_path, config=bad)[0] == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_json_constants(self, tmp_path, capsys, constant):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FORWARD).replace('"dt": 0.001',
+                                                    f'"dt": {constant}'))
+        assert main(["check", "--config", str(path), "--quiet"]) == 2
+        assert f"{constant} is not a JSON number" in capsys.readouterr().err
+
+    def test_number_that_overflows_to_infinity(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FORWARD).replace('"dt": 0.001',
+                                                    '"dt": 1e999'))
+        assert main(["check", "--config", str(path), "--quiet"]) == 2
+        assert "[sampling] dt must be a finite number" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"],
+                                      ["--seed", str(2**64 - 2)]])
+    def test_seed_flag_out_of_range(self, tmp_path, capsys, args):
+        assert run(["sample", "paths"] + args, tmp_path)[0] == 2
+        assert "--seed must be an integer" in capsys.readouterr().err
+
+    def test_seed_env_out_of_range(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DENSCTL_SEED", str(2**64 - 1))
+        assert run(["sample", "paths"], tmp_path)[0] == 2
+        assert "DENSCTL_SEED must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["solve"], ["spectrum"]])
+    def test_k_below_one(self, tmp_path, capsys, command):
+        assert run(command + ["--k", "0"], tmp_path)[0] == 2
+        assert "--k must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("queries", [[0.1], [0.1, 0.2]]), ("x0", [0.1, 0.2])])
+    def test_sampling_point_of_the_wrong_dimension(self, tmp_path, capsys,
+                                                   key, value):
+        # refused at parse time, by every command
+        bad = {**FORWARD, "sampling": {**FORWARD["sampling"], key: value}}
+        assert run(["check"], tmp_path, config=bad)[0] == 2
+        assert (f"[sampling] {key} point [0.1, 0.2] has dimension 2, "
+                "the grid 1") in capsys.readouterr().err
+
+    def test_perturb_beyond_the_grid_dimension(self, tmp_path, capsys):
+        assert run(["evolve", "--perturb", "x2"], tmp_path)[0] == 2
+        assert "--perturb uses x2" in capsys.readouterr().err
+
+    def test_infinite_diffusion_fails_check(self, tmp_path, capsys):
+        bad = dict(FORWARD, dynamics={"phi": "x1^2", "Sigma": [["1/x1^2"]]})
+        assert run(["check"], tmp_path, config=bad)[0] == 1
+        payload = json.loads(
+            (only_dir(tmp_path / "out", "check") / "check.json").read_text())
+        fails = [f for f in payload["findings"] if f["status"] == "FAIL"]
+        assert [f["name"] for f in fails] == ["diffusion"]
+        assert "nonfinite at node 100" in fails[0]["detail"]
+
+
 class TestSolveOutputs:
     def test_solution_and_summary(self, tmp_path):
         code, out = run(["solve"], tmp_path)
@@ -329,7 +400,7 @@ class TestDeterminism:
         for qi, row in enumerate(rows):
             x1, *fields = row.split(",")
             e = path_integral_desirability(
-                spec, spec.q, c, spec.lam, (float(x1),), cfg,
+                spec, spec.q, c, (float(x1),), cfg,
                 stream_base=qi * cfg.n_paths)
             expect = [e.value, e.stderr, e.n_used, e.n_excluded]
             assert fields[:4] == [format_float(v) for v in expect]

@@ -134,7 +134,8 @@ def test_eval_fields_from_expressions():
     f = dc.eval_scalar_field(dc.parse_expression("x1^2"), g)
     x = g.node_coords()[:, 0]
     np.testing.assert_allclose(f.values, x**2)
-    T = dc.eval_tensor_field([[dc.parse_expression("1 + x1^2")]], g)
+    spec = dc.ProblemSpec(grid=g, phi="x1^2", Sigma=[["1 + x1^2"]], q="0")
+    T = spec.diffusion_field()
     np.testing.assert_allclose(T.values[:, 0, 0], 1 + x**2)
 
 

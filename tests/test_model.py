@@ -1,3 +1,7 @@
+import dataclasses
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ def grid1d(n=101, lo=-6.0, hi=6.0):
 class TestSpecConstruction:
     def test_forward_spec(self):
         spec = ou_spec(101)
-        assert spec.lam == 2.0
+        assert spec.mode == "forward"
         assert spec.grid.size == 101
 
     def test_sigma_and_Sigma_are_exclusive(self):
@@ -32,11 +36,6 @@ class TestSpecConstruction:
             )
         with pytest.raises(ModelError):
             dc.ProblemSpec(grid=g, phi="x1^2", sigma=[["1"]])
-
-    def test_control_weight_is_structural(self):
-        g = grid1d()
-        with pytest.raises(ModelError):
-            dc.ProblemSpec(grid=g, phi="x1^2", sigma=[["1"]], q="0", lam=1.0)
 
     def test_dimension_mismatch_in_expressions(self):
         g = grid1d()
@@ -60,14 +59,15 @@ class TestDerivedQuantities:
         x = g.node_coords()[:, 0]
         np.testing.assert_allclose(b.values[:, 0], -(x**3), atol=1e-9)
 
-    def test_control_weight_inverts_diffusion(self):
+    def test_control_law_is_sigma_over_lambda(self):
         g = dc.Grid((-1.0, -1.0), (1.0, 1.0), (5, 5))
         spec = dc.ProblemSpec(
             grid=g, phi="x1^2 + x2^2", Sigma=[["2", "1"], ["1", "2"]], q="0"
         )
-        R = dc.control_cost_from_diffusion(spec.diffusion_field())
-        Sigma0 = spec.diffusion_at(np.zeros((1, 2)))[0]
-        np.testing.assert_allclose(R.values[0] @ Sigma0 / 2.0, np.eye(2), atol=1e-13)
+        s = np.tile([1.0, -3.0], (g.size, 1))
+        u = dc.control_law(spec.diffusion_field(), s)
+        np.testing.assert_array_equal(u.values, np.tile([-0.5, -2.5],
+                                                        (g.size, 1)))
 
     def test_noise_factor_from_Sigma(self):
         # only Sigma given: noise_at must return a valid factor
@@ -141,6 +141,21 @@ class TestValidation:
         rep = dc.validate_spec(spec)
         assert "confinement" in self.names(rep, "FAIL")
 
+    def test_infinite_diffusion_fails_evaluation(self):
+        # 1/x1^2 is infinite at the node x = 0; the symmetry and SPD
+        # gates must not run on it
+        spec = dc.ProblemSpec(grid=grid1d(201), phi="x1^2",
+                              Sigma=[["1/x1^2"]], q="x1^2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = dc.validate_spec(spec)
+        fails = [f for f in rep.findings if f.status == "FAIL"]
+        assert [f.name for f in fails] == ["diffusion"]
+        assert "nonfinite at node 100" in fails[0].detail
+        assert "diffusion-spd" not in self.names(rep, "PASS")
+        with pytest.raises(dc.FieldError, match="nonfinite at node 100"):
+            spec.diffusion_field()
+
     def test_sign_changing_target(self):
         g = grid1d(201)
         spec = dc.ProblemSpec(grid=g, phi="x1^2", sigma=[["1"]], target="x1")
@@ -152,3 +167,30 @@ class TestValidation:
         assert all(isinstance(l, str) for l in rep.lines())
         d = rep.as_dict()
         assert isinstance(d, dict) and d
+
+
+class TestNoiseMatchedWeight:
+    """R = LAMBDA Sigma^-1 with LAMBDA = 2 is structural: no public
+    function, method or dataclass takes a weight or its multiplier."""
+
+    def test_lambda_is_two(self):
+        assert dc.LAMBDA == 2.0
+
+    def test_no_public_lam_or_R(self):
+        offenders = []
+        for name in dc.__all__:
+            obj = getattr(dc, name)
+            members = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                members += [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                            if inspect.isfunction(f)
+                            and (not m.startswith("_") or m == "__init__")]
+                if dataclasses.is_dataclass(obj):
+                    offenders += [f"{name}.{f.name}"
+                                  for f in dataclasses.fields(obj)
+                                  if f.name in ("lam", "R")]
+            for label, f in members:
+                offenders += [f"{label}({p})"
+                              for p in inspect.signature(f).parameters
+                              if p in ("lam", "R")]
+        assert offenders == []

@@ -142,17 +142,17 @@ class TestDeterminism:
                                                          monkeypatch):
         c = cfg(n_paths=300, T=0.5)
         y0 = dc.Ensemble(positions=np.zeros((300, 1)))
-        ref = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
+        ref = dc.estimate_c_mc(ou401, ou401.q, c, y0)
         monkeypatch.setattr(dc.sampling, "BOOTSTRAP_BLOCK", 7 * 300 + 1)
-        assert dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0) == ref
+        assert dc.estimate_c_mc(ou401, ou401.q, c, y0) == ref
 
     def test_batched_desirability_matches_single_points(self, ou401, ou_hjb):
         c = cfg(n_paths=100, T=0.5)
         pts = [(-1.0,), (0.0,), (1.5,)]
         batch = dc.path_integral_desirabilities(ou401, ou401.q, ou_hjb.c,
-                                                2.0, pts, c)
+                                                pts, c)
         singles = [dc.path_integral_desirability(ou401, ou401.q, ou_hjb.c,
-                                                 2.0, y, c, stream_base=i * 100)
+                                                 y, c, stream_base=i * 100)
                    for i, y in enumerate(pts)]
         assert batch == singles
 
@@ -264,13 +264,12 @@ class TestStartsOutsideTheBox:
     def test_desirability_query(self, ou401):
         with pytest.raises(SamplingError, match="8 of 16 start points"):
             dc.path_integral_desirabilities(
-                ou401, ou401.q, 2.0, 2.0, [(0.0,), (50.0,)],
+                ou401, ou401.q, 2.0, [(0.0,), (50.0,)],
                 cfg(n_paths=8, T=0.01))
 
     def test_cost_start(self, ou401):
         with pytest.raises(SamplingError, match="outside the grid box"):
-            dc.estimate_c_mc(ou401, ou401.q, 2.0, cfg(n_paths=8, T=0.01),
-                             (-6.5,))
+            dc.estimate_c_mc(ou401, ou401.q, cfg(n_paths=8, T=0.01), (-6.5,))
 
     def test_feedback_particle(self, ou401):
         target = dc.ScalarField(ou401.grid, np.exp(
@@ -303,7 +302,7 @@ class TestRecording:
 class TestEstimators:
     def test_constant_cost_equal_to_shift_gives_unit_weight(self, ou401, ou_hjb):
         est = dc.path_integral_desirability(
-            ou401, "2", 2.0, 2.0, (0.0,), cfg(n_paths=64)
+            ou401, "2", 2.0, (0.0,), cfg(n_paths=64)
         )
         assert est.value == 1.0
         assert est.stderr == 0.0
@@ -312,26 +311,16 @@ class TestEstimators:
     def test_constant_cost_recovers_rate_exactly(self, ou401):
         c = cfg(n_paths=64, T=2.0)
         y0 = dc.Ensemble(positions=np.zeros((64, 1)))
-        est = dc.estimate_c_mc(ou401, "3.7", 2.0, c, y0)
+        est = dc.estimate_c_mc(ou401, "3.7", c, y0)
         assert abs(est.value - 3.7) <= 1e-12
         assert est.n_excluded == 0
-
-    def test_lam_argument_scales_the_cost(self, ou401):
-        # a constant cost q over T = 2 weighs exp(-q T / lam) whatever the
-        # spec's own lam
-        c = cfg(n_paths=64, T=2.0)
-        est = dc.path_integral_desirability(ou401, "3.7", 0.0, 4.0, (0,), c)
-        assert abs(est.value - np.exp(-1.85)) <= 1e-12
-        y0 = dc.Ensemble(positions=np.zeros((64, 1)))
-        assert abs(dc.estimate_c_mc(ou401, "3.7", 4.0, c, y0).value
-                   - 3.7) <= 1e-12
 
     def test_long_horizon_stderr_does_not_underflow(self, ou401):
         # weights near 1e-238: their squares underflow in linear space
         c = cfg(dt=1e-2, T=400.0, n_paths=64, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = dc.path_integral_desirability(ou401, ou401.q, 0.0, 2.0,
+            est = dc.path_integral_desirability(ou401, ou401.q, 0.0,
                                                 (0.0,), c)
         assert 0.0 < est.value < 1e-200
         assert est.stderr > 0.0 or est.degenerate
@@ -343,7 +332,7 @@ class TestEstimators:
         c = cfg(dt=1e-2, T=800.0, n_paths=64, seed=1)
         y0 = dc.Ensemble(positions=np.zeros((64, 1)))
         with pytest.warns(UserWarning, match="ESS"):
-            est = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
+            est = dc.estimate_c_mc(ou401, ou401.q, c, y0)
         assert -(800.0 / 2.0) * est.value < np.log(np.finfo(float).tiny)
         assert np.isfinite(est.value) and est.value > 0.0
         assert np.isfinite(est.stderr) and est.stderr > 0.0
@@ -358,14 +347,14 @@ class TestEstimators:
         # ESS about 2% of 1000 paths at a relative stderr near 0.2
         c = cfg(dt=1e-2, T=10.0, n_paths=1000, seed=1)
         with pytest.warns(UserWarning, match="ESS"):
-            est = dc.path_integral_desirability(ou401, ou401.q, 2.0, 2.0,
+            est = dc.path_integral_desirability(ou401, ou401.q, 2.0,
                                                 (2.0,), c)
         assert est.stderr < 0.5 * est.value
         assert est.ess < ESS_FLOOR * est.n_used
         assert est.degenerate
 
     def test_ess_of_equal_weights_is_the_path_count(self, ou401):
-        est = dc.path_integral_desirability(ou401, "2", 0.0, 2.0, (0.0,),
+        est = dc.path_integral_desirability(ou401, "2", 0.0, (0.0,),
                                             cfg(n_paths=64))
         assert est.ess == 64.0
 
@@ -374,7 +363,7 @@ class TestEstimators:
         c = cfg(dt=1e-3, T=5.0, n_paths=4000, seed=123)
         ests = [
             dc.path_integral_desirability(
-                ou401, ou401.q, ou_hjb.c, 2.0, y, c, stream_base=i * c.n_paths
+                ou401, ou401.q, ou_hjb.c, y, c, stream_base=i * c.n_paths
             )
             for i, y in enumerate(qs)
         ]
@@ -392,14 +381,14 @@ class TestEstimators:
     def test_rate_estimate_brackets_spectral_value(self, ou401, ou_hjb):
         c = cfg(dt=1e-3, T=10.0, n_paths=3000, seed=5)
         y0 = dc.Ensemble(positions=np.zeros((3000, 1)))
-        est = dc.estimate_c_mc(ou401, ou401.q, 2.0, c, y0)
+        est = dc.estimate_c_mc(ou401, ou401.q, c, y0)
         assert est.stderr > 0
         assert abs(est.value - ou_hjb.c) <= max(4 * est.stderr, 0.05 * ou_hjb.c)
 
     def test_nan_costs_are_excluded(self, ou401):
         # log of a sign-changing coordinate poisons some paths only
         c = cfg(n_paths=200, T=0.2, seed=3)
-        est = dc.path_integral_desirability(ou401, "log(x1)", 0.0, 2.0, (0.05,), c)
+        est = dc.path_integral_desirability(ou401, "log(x1)", 0.0, (0.05,), c)
         assert est.n_excluded > 0
         assert est.n_used == 200 - est.n_excluded
         assert np.isfinite(est.value)
@@ -407,7 +396,7 @@ class TestEstimators:
     def test_all_paths_excluded_raises(self, ou401):
         c = cfg(n_paths=16, T=0.2)
         with pytest.raises(SamplingError):
-            dc.path_integral_desirability(ou401, "log(0 - x1^2)", 0.0, 2.0, (0.0,), c)
+            dc.path_integral_desirability(ou401, "log(0 - x1^2)", 0.0, (0.0,), c)
 
 
 class TestHistogramAndTv:

@@ -171,9 +171,7 @@ class TestResidualVerification:
         sol = dc.solve_hjb_principal(
             spec.diffusion_field(), spec.phi_field(), spec.q_field()
         )
-        r = dc.verify_hjb_residual(
-            sol, spec.q_field(), spec.diffusion_field(), spec.phi_field()
-        )
+        r = dc.verify_hjb_residual(sol, spec.q_field())
         assert r <= 1e-9
 
     def test_residual_contracts_under_refinement(self, ou_hjb):
@@ -187,9 +185,7 @@ class TestResidualVerification:
                     spec.diffusion_field(), spec.phi_field(), spec.q_field()
                 )
             )
-            rs[n] = dc.verify_hjb_residual(
-                sol, spec.q_field(), spec.diffusion_field(), spec.phi_field()
-            )
+            rs[n] = dc.verify_hjb_residual(sol, spec.q_field())
         assert rs[801] <= rs[401] / 3.0
 
     def test_residual_detects_wrong_solution(self, ou_hjb, ou401):
@@ -199,12 +195,8 @@ class TestResidualVerification:
         x = g.node_coords()[:, 0]
         bad_v = dc.ScalarField(g, ou_hjb.v.values + 0.1 * x)
         bad = dataclasses.replace(ou_hjb, v=bad_v)
-        r_good = dc.verify_hjb_residual(
-            ou_hjb, ou401.q_field(), ou401.diffusion_field(), ou401.phi_field()
-        )
-        r_bad = dc.verify_hjb_residual(
-            bad, ou401.q_field(), ou401.diffusion_field(), ou401.phi_field()
-        )
+        r_good = dc.verify_hjb_residual(ou_hjb, ou401.q_field())
+        r_bad = dc.verify_hjb_residual(bad, ou401.q_field())
         assert r_bad > 5 * r_good
 
 
