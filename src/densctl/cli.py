@@ -10,11 +10,15 @@ constraint failure, 2 usage or configuration error.
 Flag precedence is flag > environment > config file; the recognized
 environment variables are DENSCTL_OUT, DENSCTL_SEED and DENSCTL_QUIET.
 --threads is still parsed, for scripts that pass it, and ignored:
-every command runs on one thread.
+densctl's own code starts no thread, but the BLAS that scipy and numpy
+call (OpenBLAS) starts its own pool. On grids of a few thousand nodes
+that pool is slower than one thread, so set OPENBLAS_NUM_THREADS=1 in
+the environment there.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -90,6 +94,18 @@ class _Run:
             raise ConfigError(f"--k must be at least 1, got {k}")
         self.k = k if k is not None else cfg.solver.k
 
+        # evolve's flags
+        for flag in ("dt", "T"):
+            value = getattr(args, flag, None)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"--{flag} must be finite and positive, "
+                                  f"got {value}")
+        mode = getattr(args, "mode_index", None)
+        top = self.spec.grid.size - 1
+        if mode is not None and not 1 <= mode <= top:
+            raise ConfigError(f"--mode must lie between 1 and {top}, "
+                              f"got {mode}")
+
     def say(self, msg: str) -> None:
         if not self.quiet:
             print(msg)
@@ -145,17 +161,32 @@ def _require_inverse(run: _Run) -> None:
                           "[target] section; this one has a [cost]")
 
 
-def _solve_forward(run: _Run, k: int = 1):
-    spec = run.spec
-    return solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
-                               spec.q_field(), k)
-
-
-def _gate_validation(run: _Run) -> None:
-    report = validate_spec(run.spec)
+def _gated(run: _Run, **fields) -> tuple:
+    """The spec's fields, evaluated once for the whole command, after
+    they pass the structural gates."""
+    report = validate_spec(run.spec, **fields)
     if not report.passed:
         raise DensctlError(
             "constraint checks failed:\n" + "\n".join(report.lines()))
+    return tuple(fields.values())
+
+
+def _forward_fields(run: _Run):
+    """(Sigma, phi, q), gated."""
+    spec = run.spec
+    return _gated(run, Sigma=spec.diffusion_field(), phi=spec.phi_field(),
+                  q=spec.q_field())
+
+
+def _inverse_fields(run: _Run):
+    """(Sigma, target), gated."""
+    spec = run.spec
+    return _gated(run, Sigma=spec.diffusion_field(),
+                  target=spec.target_field())
+
+
+def _solve_forward(run: _Run, k: int = 1):
+    return solve_hjb_principal(*_forward_fields(run), k)
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +205,11 @@ def cmd_check(run: _Run) -> int:
 
 def cmd_solve(run: _Run) -> int:
     _require_forward(run)
-    _gate_validation(run)
     spec = run.spec
-    sol = _solve_forward(run, min(run.default_k(), spec.grid.size))
-    residual = verify_hjb_residual(sol, spec.q_field())
+    Sigma, phi, q = _forward_fields(run)
+    sol = solve_hjb_principal(Sigma, phi, q,
+                              min(run.default_k(), spec.grid.size))
+    residual = verify_hjb_residual(sol, q)
     ctrl = sol.controlled
     gap = spectral_gap(ctrl) if ctrl.k >= 2 else None
 
@@ -213,7 +245,6 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
         raise ConfigError(f"k = {k} outside the valid range 1..{g.size}")
     if controlled:
         _require_forward(run)
-        _gate_validation(run)
         s = _solve_forward(run, k).controlled
     else:
         s = eig_generator(assemble_generator(spec.diffusion_field(),
@@ -258,7 +289,6 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
         if fv and max(fv) > g.dim:
             raise ConfigError(f"--perturb uses x{max(fv)} but the grid is "
                               f"{g.dim}-dimensional")
-    _gate_validation(run)
     k = run.default_k()
     if mode_index is not None:
         k = max(k, mode_index + 1)
@@ -268,19 +298,17 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
         gen = _solve_forward(run, k)
         s = gen.controlled
     else:
-        p = _normalized_target(spec.target_field(), warn=False)
-        Phi = ScalarField(g, -np.log(p))
-        gen = assemble_generator(spec.diffusion_field(), Phi)
+        Sigma, target = _inverse_fields(run)
+        p = _normalized_target(target, warn=False)
+        gen = assemble_generator(Sigma, ScalarField(g, -np.log(p)))
         s = eig_generator(gen, k)
     rate = spectral_gap(s)
 
     if perturb is not None:
         pt0 = eval_scalar_field(expr, g)
     else:
-        idx = 1 if mode_index is None else mode_index
-        if idx >= s.k:
-            raise ConfigError(f"--mode {idx} needs k > {idx}")
-        pt0 = s.eigenfunction(idx)
+        # _Run keeps --mode below g.size, so k > mode_index
+        pt0 = s.eigenfunction(1 if mode_index is None else mode_index)
 
     dt = dt if dt is not None else (run.cfg.solver.dt or 0.1 / rate)
     T = T if T is not None else (run.cfg.solver.T or 5.0 / rate)
@@ -328,7 +356,8 @@ def _steady_inputs(run: _Run):
         sol = _solve_forward(run)
         return sol.u, sol.p
     from .inverse import solve_inverse
-    inv = solve_inverse(run.spec)
+    Sigma, target = _inverse_fields(run)
+    inv = solve_inverse(run.spec, Sigma=Sigma, target=target)
     return inv.u, inv.target
 
 
@@ -337,7 +366,6 @@ def cmd_sample_paths(run: _Run) -> int:
     cfg = run.sde_config()
     control = target = None
     if cfg.mode in ("steady", "feedback"):
-        _gate_validation(run)
         control, target = _steady_inputs(run)
     batch = simulate_sde(spec, cfg, run.x0(), control=control, target=target,
                          cost_expr=spec.q if spec.mode == "forward" else None)
@@ -375,7 +403,6 @@ def _default_queries(run: _Run) -> tuple[tuple[float, ...], ...]:
 
 def cmd_sample_desirability(run: _Run) -> int:
     _require_forward(run)
-    _gate_validation(run)
     spec = run.spec
     queries = run.cfg.sampling.queries or _default_queries(run)
     pts = np.array([q for q in queries], dtype=float)
@@ -416,13 +443,12 @@ def cmd_sample_desirability(run: _Run) -> int:
 
 def cmd_sample_cost(run: _Run) -> int:
     _require_forward(run)
-    _gate_validation(run)
     spec = run.spec
     cfg = run.sde_config(mode="uncontrolled")
     x0 = np.tile(np.asarray(run.x0(), dtype=float), (cfg.n_paths, 1))
+    sol = _solve_forward(run)
     y0 = Ensemble(positions=x0, seed=cfg.seed)
     est = estimate_c_mc(spec, spec.q, cfg, y0)
-    sol = _solve_forward(run)
 
     w = run.writer("sample-cost")
     w.csv("cost.csv", ["c_hat", "stderr", "c_grid", "abs_error"],
@@ -449,11 +475,10 @@ def cmd_sample_cost(run: _Run) -> int:
 
 def cmd_sample_feedback(run: _Run) -> int:
     spec = run.spec
-    _gate_validation(run)
     g = spec.grid
     if spec.mode == "inverse":
-        target = ScalarField(g, _normalized_target(spec.target_field(),
-                                                   warn=False))
+        _, p_inf = _inverse_fields(run)
+        target = ScalarField(g, _normalized_target(p_inf, warn=False))
     else:
         target = _solve_forward(run).p
 
@@ -487,10 +512,10 @@ def cmd_sample_feedback(run: _Run) -> int:
 
 def cmd_inverse(run: _Run) -> int:
     _require_inverse(run)
-    _gate_validation(run)
     spec = run.spec
     g = spec.grid
-    rt = roundtrip_verify(spec.target_field(), spec)
+    Sigma, target = _inverse_fields(run)
+    rt = roundtrip_verify(target, spec, Sigma=Sigma)
     inv = rt.inverse
 
     coords = g.node_coords()
@@ -531,8 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the sampling seed")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="ignored; accepted for compatibility "
-                        "(every command runs on one thread)")
+                        help="ignored; accepted for compatibility (BLAS "
+                        "threads follow OPENBLAS_NUM_THREADS)")
     common.add_argument("--k", type=int, default=argparse.SUPPRESS,
                         help="number of eigenmodes")
     common.add_argument("--quiet", action="store_true",

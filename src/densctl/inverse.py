@@ -81,7 +81,8 @@ def desirability_from_target(p_inf: ScalarField, phi: ScalarField) -> ScalarFiel
                                                  phi)))
 
 
-def cost_from_target(Psi: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
+def cost_from_target(Psi: ScalarField, phi: ScalarField,
+                     Sigma: TensorField) -> tuple[ScalarField, float]:
     """State cost that makes Psi the principal desirability.
 
     Rearranges the stationary value identity to q~ = LAMBDA (G0 Psi)/Psi
@@ -90,8 +91,8 @@ def cost_from_target(Psi: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, 
     optimal average cost of the synthesized forward problem.
     """
     g = Psi.grid
-    if g != spec.grid:
-        raise InverseError("Psi grid does not match the problem grid")
+    if phi.grid != g or Sigma.grid != g:
+        raise InverseError("Psi, phi and Sigma must share one grid")
     floor = PSI_DIVISION_FLOOR * float(Psi.values.max())
     tiny = Psi.values < floor
     if tiny.any():
@@ -100,7 +101,7 @@ def cost_from_target(Psi: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, 
             f"desirability below {floor:.3e} at {int(tiny.sum())} nodes "
             f"(first {nodes.tolist()}); the cost quotient would blow up "
             "there, shrink the domain or raise the target floor")
-    op = assemble_generator(spec.diffusion_field(), spec.phi_field())
+    op = assemble_generator(Sigma, phi)
     q_raw = LAMBDA * apply(op, Psi).values / Psi.values
     c = -float(q_raw.min())
     return ScalarField(g, q_raw + c), c
@@ -137,32 +138,37 @@ class InverseSolution:
         return self.target.grid
 
 
-def _design(p_inf: ScalarField, spec: ProblemSpec) -> InverseSolution:
-    phi = spec.phi_field()
+def _design(p_inf: ScalarField, phi: ScalarField,
+            Sigma: TensorField) -> InverseSolution:
+    g = p_inf.grid
     Psi = desirability_from_target(p_inf, phi)
-    q, c = cost_from_target(Psi, spec)
-    u = control_from_target(p_inf, phi, spec.diffusion_field())
-    v = ScalarField(spec.grid, -LAMBDA * np.log(Psi.values))
-    p_norm = ScalarField(spec.grid, _normalized_target(p_inf, warn=False))
+    q, c = cost_from_target(Psi, phi, Sigma)
+    u = control_from_target(p_inf, phi, Sigma)
+    v = ScalarField(g, -LAMBDA * np.log(Psi.values))
+    p_norm = ScalarField(g, _normalized_target(p_inf, warn=False))
     diag = {
-        "target_mass": float(spec.grid.quadrature_weights() @ p_inf.values),
+        "target_mass": float(g.quadrature_weights() @ p_inf.values),
         "q_max": float(q.values.max()),
     }
     return InverseSolution(target=p_norm, Psi=Psi, q=q, c=c, v=v, u=u,
                            diagnostics=diag)
 
 
-def solve_inverse(spec: ProblemSpec) -> InverseSolution:
+def solve_inverse(spec: ProblemSpec, *, Sigma: TensorField | None = None,
+                  target: ScalarField | None = None) -> InverseSolution:
     """Full inverse design for an inverse-mode problem.
 
     Produces the desirability, the synthesized nonnegative cost with
     its gauge constant, the value v = -LAMBDA log Psi, and the steady
-    control, all on the problem grid.
+    control, all on the problem grid. Sigma and the target, when the
+    caller has evaluated them already, are passed in.
     """
     if spec.mode != "inverse":
         raise InverseError("problem has a cost q; inverse design needs a "
                            "target density instead")
-    return _design(spec.target_field(), spec)
+    return _design(spec.target_field() if target is None else target,
+                   spec.phi_field(),
+                   spec.diffusion_field() if Sigma is None else Sigma)
 
 
 @dataclass(frozen=True)
@@ -189,20 +195,23 @@ class RoundtripReport:
         ]
 
 
-def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec) -> RoundtripReport:
+def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec, *,
+                     Sigma: TensorField | None = None) -> RoundtripReport:
     """Feed the synthesized cost back through the forward solver.
 
     Compares the recovered stationary density, control and average cost
     against the inverse-design values and reports the spectral gap of
     the controlled generator, which certifies exponential stability of
-    the target.
+    the target. Sigma, when the caller has evaluated it already, is
+    passed in.
     """
     g = p_inf.grid
     if g != spec.grid:
         raise InverseError("target grid does not match the problem grid")
-    inv = _design(p_inf, spec)
-    forward = solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
-                                  inv.q, k=2)
+    Sigma = spec.diffusion_field() if Sigma is None else Sigma
+    phi = spec.phi_field()
+    inv = _design(p_inf, phi, Sigma)
+    forward = solve_hjb_principal(Sigma, phi, inv.q, k=2)
 
     p_norm = inv.target.values
     dens_err = float(np.abs(forward.p.values - p_norm).max() / p_norm.max())

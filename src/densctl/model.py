@@ -264,8 +264,15 @@ def _shell_minima(values: np.ndarray, shells: np.ndarray, n: int) -> list[float]
     return [float(values[shells == s].min()) for s in range(n)]
 
 
-def validate_spec(spec: ProblemSpec) -> ValidationReport:
-    """Run the structural gates; FAIL findings block downstream solves."""
+def validate_spec(spec: ProblemSpec, *, Sigma: TensorField | None = None,
+                  phi: ScalarField | None = None,
+                  q: ScalarField | None = None,
+                  target: ScalarField | None = None) -> ValidationReport:
+    """Run the structural gates; FAIL findings block downstream solves.
+
+    A field the caller has evaluated already is passed in and not
+    evaluated again; the others are evaluated from the spec here.
+    """
     findings: list[Finding] = []
 
     findings.append(Finding(
@@ -273,7 +280,7 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
         "control weight tied to noise, R = 2 Sigma^(-1), lam = 2"))
 
     try:
-        Sig = spec.diffusion_field()
+        Sig = spec.diffusion_field() if Sigma is None else Sigma
     except Exception as e:  # noqa: BLE001 - report, never raise
         findings.append(Finding("diffusion", "FAIL", f"evaluation failed: {e}"))
         return ValidationReport(tuple(findings))
@@ -294,9 +301,9 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
     # solve in forward mode, -log(target) in inverse mode
     try:
         if spec.mode == "forward":
-            Phi = spec.phi_field()
+            Phi = spec.phi_field() if phi is None else phi
         else:
-            t = spec.target_field()
+            t = spec.target_field() if target is None else target
             if t.values.min() <= 0.0:
                 findings.append(Finding(
                     "target-positive", "FAIL",
@@ -316,7 +323,7 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
         Phi = None
 
     if spec.mode == "forward":
-        qf = spec.q_field()
+        qf = spec.q_field() if q is None else q
         shells = spec.grid.boundary_shell_index()
         n_sh = min(5, int(shells.max()) + 1)
         minima = _shell_minima(qf.values, shells, n_sh)

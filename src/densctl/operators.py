@@ -27,13 +27,16 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import OperatorError
 from .fields import ScalarField, TensorField
 from .grid import Grid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 EXPONENT_CLAMP = 700.0
 
@@ -59,6 +62,7 @@ class GeneratorOperator:
 
     def detailed_balance_defect(self) -> float:
         """max |D(rho)G - (D(rho)G)^T|; boundary-truncation indicator."""
+        import scipy.sparse as sp
         P = sp.diags(1.0 / self.weights) @ self.K
         d = P - P.T
         return float(np.abs(d.data).max()) if d.nnz else 0.0
@@ -137,6 +141,10 @@ def assemble_generator(Sigma: TensorField, Phi: ScalarField,
     trapezoid weight where it does not; on an axis this is the face
     flux with mean Sigma_kk and geometric-mean rho.
     """
+    # scipy is imported here, not with the module, to keep it off the
+    # start-up of every command that assembles no operator
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
     g = Sigma.grid
     if Phi.grid != g or (grid is not None and grid != g):
         raise OperatorError("Sigma, Phi and grid must agree")
@@ -185,8 +193,6 @@ def assemble_generator(Sigma: TensorField, Phi: ScalarField,
         (np.concatenate([-c, -c, diag]),
          (np.concatenate([i, j, nodes]), np.concatenate([j, i, nodes]))),
         shape=(N, N))
-    # imported here, not with the module, to keep it off the CLI start-up
-    from scipy.sparse.csgraph import connected_components
     parts = connected_components(K, directed=False, return_labels=False)
     if parts > 1:
         raise OperatorError(
@@ -208,6 +214,7 @@ def adjoint_of(op: GeneratorOperator) -> AdjointOperator:
     w^T A = -(K 1)^T D(1/rho): both vanish to rounding because K has
     zero row sums.
     """
+    import scipy.sparse as sp
     A = (sp.diags(-1.0 / op.weights) @ op.K @ sp.diags(1.0 / op.rho.values)).tocsr()
     return AdjointOperator(grid=op.grid, A=A, rho=op.rho,
                            weights=op.weights, generator=op)

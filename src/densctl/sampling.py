@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,7 +62,9 @@ from .fields import (
 )
 from .grid import Grid
 from .model import LAMBDA, ProblemSpec
-from .spectral import HJBSolution
+
+if TYPE_CHECKING:
+    from .spectral import HJBSolution
 
 BOOTSTRAP_STREAM = 2**64 - 1
 INIT_STREAM = 2**64 - 2

@@ -26,15 +26,17 @@ solves keep a positive iterate positive, which is what the positivity
 gate checks. The gauge of Psi, one log-sum-exp and the floor
 PSI_LOG_FLOOR, is `_gauged_log_psi`, which the inverse design calls
 too; the control is the model's `control_law` at s = -grad v.
+
+scipy is imported inside the functions that build, factor or solve,
+not with the module, so that commands that never assemble an operator
+do not pay for loading it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SpectralError
 from .fields import (
@@ -48,6 +50,9 @@ from .fields import (
 )
 from .model import LAMBDA, control_law, drift_from_potential
 from .operators import GeneratorOperator, assemble_generator
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 PSI_LOG_FLOOR = float(np.log(1e-290))
 PERRON_TOLERANCE = 1e-12
@@ -83,6 +88,7 @@ def _symmetrized(op: GeneratorOperator) -> tuple[sp.csr_matrix, np.ndarray]:
         raise SpectralError(
             f"stiffness matrix lost symmetry (defect {defect:.3e}); "
             "refusing to symmetrize")
+    import scipy.sparse as sp
     sqmu = np.sqrt(op.mu)
     d = sp.diags(1.0 / sqmu)
     S = (d @ (-op.K) @ d).tocsr()
@@ -92,6 +98,8 @@ def _symmetrized(op: GeneratorOperator) -> tuple[sp.csr_matrix, np.ndarray]:
 def _shifted_lu(A: sp.csr_matrix, shift: float):
     """LU of shift I - A; for symmetric A an LDL^T, whose inertia is
     checked so that no eigenvalue of A lies above shift."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     B = (sp.identity(A.shape[0], format="csr") * shift - A).tocsc()
     lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
@@ -110,6 +118,8 @@ def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
     Also returns the one factor of (sigma I - A), sigma a little above
     the bound, whose inertia certifies the bound; callers reuse it.
     """
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
     N = A.shape[0]
     # shift a little above the bound (zero for the negative semidefinite
     # S): A - sigma I is nonsingular and shift-invert targets the top of
@@ -218,6 +228,7 @@ class HJBSolution:
     def controlled_frame(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """Symmetric frame of the controlled generator, the Doob
         h-transform of M: M - mu0 I and its kernel vector x0."""
+        import scipy.sparse as sp
         mu0 = -self.c / LAMBDA
         S = (self.M - sp.identity(self.grid.size, format="csr") * mu0).tocsr()
         return S, self.x0
@@ -268,6 +279,7 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
         raise SpectralError("Sigma, phi, q must share one grid")
     _check_k(k, g.size)
 
+    import scipy.sparse as sp
     op = assemble_generator(Sigma, phi)
     S, sqmu = _symmetrized(op)
     M = (S - sp.diags(q.values / LAMBDA)).tocsr()

@@ -218,6 +218,16 @@ class TestRangeErrors:
         assert (f"[sampling] {key} point [0.1, 0.2] has dimension 2, "
                 "the grid 1") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--dt", "-0.1"], "--dt must be finite and positive, got -0.1"),
+        (["--T", "-1"], "--T must be finite and positive, got -1.0"),
+        (["--dt", "nan"], "--dt must be finite and positive, got nan"),
+        (["--mode", "-1"], "--mode must lie between 1 and 200, got -1"),
+    ])
+    def test_evolve_flag_out_of_range(self, tmp_path, capsys, args, message):
+        assert run(["evolve"] + args, tmp_path)[0] == 2
+        assert message in capsys.readouterr().err
+
     def test_perturb_beyond_the_grid_dimension(self, tmp_path, capsys):
         assert run(["evolve", "--perturb", "x2"], tmp_path)[0] == 2
         assert "--perturb uses x2" in capsys.readouterr().err
@@ -319,6 +329,37 @@ class TestFactorCounts:
     def test_factor_count(self, tmp_path, factors, args, config, count):
         assert run(args, tmp_path, config=config)[0] == 0
         assert len(factors) == count
+
+
+class TestFieldEvaluations:
+    """A command evaluates each field of the spec once and passes it
+    down, to the gates and to every solve."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        from densctl.model import ProblemSpec
+
+        counts = {}
+        for name in ("diffusion", "phi", "q", "target"):
+            method = getattr(ProblemSpec, f"{name}_field")
+
+            def counted(spec, _name=name, _method=method):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _method(spec)
+
+            monkeypatch.setattr(ProblemSpec, f"{name}_field", counted)
+        return counts
+
+    @pytest.mark.filterwarnings("ignore:target density mass")
+    @pytest.mark.parametrize("args, config, expected", [
+        (["solve"], FORWARD, {"diffusion": 1, "phi": 1, "q": 1}),
+        (["inverse"], INVERSE, {"diffusion": 1, "phi": 1, "target": 1}),
+        (["sample", "feedback"], INVERSE, {"diffusion": 1, "target": 1}),
+    ])
+    def test_each_field_evaluated_once(self, tmp_path, evaluations, args,
+                                       config, expected):
+        assert run(args, tmp_path, config=config)[0] == 0
+        assert evaluations == expected
 
 
 class TestSamplingCommands:
@@ -504,3 +545,36 @@ class TestConsoleScript:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout.strip() == "False"
+
+
+def _scipy_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter has imported scipy after running
+    `code`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    return proc.stdout.strip().splitlines()[-1] == "True"
+
+
+class TestScipyStaysUnloaded:
+    """scipy is imported only by the code that assembles, factors or
+    solves, so importing densctl and the commands that need no operator
+    never load it."""
+
+    @pytest.mark.parametrize("module", ["densctl", "densctl.cli"])
+    def test_import(self, module):
+        assert not _scipy_loaded_after(f"import {module}")
+
+    @pytest.mark.parametrize("args, config, loads", [
+        (["check"], FORWARD, False),
+        (["sample", "paths"], FORWARD, False),
+        (["sample", "feedback"], INVERSE, False),
+        (["solve"], FORWARD, True),     # the guard is not vacuous
+    ])
+    def test_commands(self, tmp_path, args, config, loads):
+        argv = args + ["--config", write_config(tmp_path, config),
+                       "--out", str(tmp_path / "out"), "--quiet"]
+        code = f"from densctl.cli import main\nassert main({argv!r}) == 0"
+        assert _scipy_loaded_after(code) is loads
