@@ -65,9 +65,6 @@ from .operators import (
     adjoint_of,
     apply,
     assemble_generator,
-    dump_operator,
-    weighted_inner,
-    weighted_norm,
 )
 from .pde import (
     DensityTrajectory,
@@ -87,8 +84,6 @@ from .sampling import (
     estimate_c_mc,
     histogram_density,
     path_integral_desirabilities,
-    path_integral_desirability,
-    simulate_density_feedback,
     simulate_sde,
     tv_distance,
     uniform_ensemble,
@@ -117,15 +112,13 @@ __all__ = [
     "compile_expression", "control_from_target", "control_law",
     "cost_from_target", "derivative",
     "controlled_operator", "desirability_from_target", "drift_from_potential",
-    "dump_operator", "eig_generator", "eigen_evolution", "estimate_c_mc",
+    "eig_generator", "eigen_evolution", "estimate_c_mc",
     "eval_scalar_field", "evaluate", "evolve_fp",
     "evolve_perturbation", "expand_in_eigenbasis", "fit_decay_rate",
     "free_variables", "gradient_values",
     "histogram_density", "interpolant", "interpolate_values", "load_config",
     "parse_config", "parse_expression", "path_integral_desirabilities",
-    "path_integral_desirability",
-    "project_mass_zero", "roundtrip_verify", "simulate_density_feedback",
-    "simulate_sde", "solve_hjb_principal", "solve_inverse", "spectral_gap",
+    "project_mass_zero", "roundtrip_verify", "simulate_sde", "solve_hjb_principal", "solve_inverse", "spectral_gap",
     "to_string", "tv_distance", "uniform_ensemble", "validate_spec",
-    "verify_hjb_residual", "weighted_inner", "weighted_norm",
+    "verify_hjb_residual",
 ]

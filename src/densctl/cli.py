@@ -28,7 +28,7 @@ from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, DensctlError
 from .expressions import ExpressionError, free_variables, parse_expression
 from .fields import ScalarField, eval_scalar_field, interpolate_values
-from .inverse import _normalized_target, roundtrip_verify
+from .inverse import _normalized_target, control_from_target, roundtrip_verify
 from .model import validate_spec
 from .operators import assemble_generator
 from .output import RunWriter
@@ -44,7 +44,6 @@ from .sampling import (
     estimate_c_mc,
     histogram_density,
     path_integral_desirabilities,
-    simulate_density_feedback,
     simulate_sde,
     tv_distance,
     uniform_ensemble,
@@ -350,24 +349,29 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
     return 0
 
 
-def _steady_inputs(run: _Run):
-    """Control and target fields for the controlled drift modes."""
-    if run.spec.mode == "forward":
+def _drift_input(run: _Run, mode: str) -> dict:
+    """The field that a drift mode adds, as simulate_sde's keyword: the
+    steady `control` or the feedback `target`. A forward config solves
+    the HJB problem for it. An inverse config reads it off the target
+    density alone, with no operator: u = (Sigma/LAMBDA) grad(log p + phi)
+    or the normalized target."""
+    if mode == "uncontrolled":
+        return {}
+    spec = run.spec
+    if spec.mode == "forward":
         sol = _solve_forward(run)
-        return sol.u, sol.p
-    from .inverse import solve_inverse
-    Sigma, target = _inverse_fields(run)
-    inv = solve_inverse(run.spec, Sigma=Sigma, target=target)
-    return inv.u, inv.target
+        return {"control": sol.u} if mode == "steady" else {"target": sol.p}
+    Sigma, p_inf = _inverse_fields(run)
+    if mode == "steady":
+        return {"control": control_from_target(p_inf, spec.phi_field(), Sigma)}
+    return {"target": ScalarField(spec.grid,
+                                  _normalized_target(p_inf, warn=False))}
 
 
 def cmd_sample_paths(run: _Run) -> int:
     spec = run.spec
     cfg = run.sde_config()
-    control = target = None
-    if cfg.mode in ("steady", "feedback"):
-        control, target = _steady_inputs(run)
-    batch = simulate_sde(spec, cfg, run.x0(), control=control, target=target,
+    batch = simulate_sde(spec, cfg, run.x0(), **_drift_input(run, cfg.mode),
                          cost_expr=spec.q if spec.mode == "forward" else None)
     g = spec.grid
     w = run.writer("sample-paths")
@@ -445,10 +449,9 @@ def cmd_sample_cost(run: _Run) -> int:
     _require_forward(run)
     spec = run.spec
     cfg = run.sde_config(mode="uncontrolled")
-    x0 = np.tile(np.asarray(run.x0(), dtype=float), (cfg.n_paths, 1))
+    x0 = run.x0()
     sol = _solve_forward(run)
-    y0 = Ensemble(positions=x0, seed=cfg.seed)
-    est = estimate_c_mc(spec, spec.q, cfg, y0)
+    est = estimate_c_mc(spec, spec.q, cfg, x0)
 
     w = run.writer("sample-cost")
     w.csv("cost.csv", ["c_hat", "stderr", "c_grid", "abs_error"],
@@ -476,17 +479,12 @@ def cmd_sample_cost(run: _Run) -> int:
 def cmd_sample_feedback(run: _Run) -> int:
     spec = run.spec
     g = spec.grid
-    if spec.mode == "inverse":
-        _, p_inf = _inverse_fields(run)
-        target = ScalarField(g, _normalized_target(p_inf, warn=False))
-    else:
-        target = _solve_forward(run).p
-
+    target = _drift_input(run, "feedback")["target"]
     n_particles = run.cfg.sampling.n_particles or run.cfg.sampling.n_paths
     cfg = run.sde_config(mode="feedback", n_paths=n_particles)
-    ens0 = uniform_ensemble(g, n_particles, cfg.seed)
-    snaps = simulate_density_feedback(spec, target, cfg, ens0)
-    final = snaps[-1]
+    final = Ensemble(positions=simulate_sde(
+        spec, cfg, uniform_ensemble(g, n_particles, cfg.seed),
+        target=target).terminal)
     emp = histogram_density(final, g)
     tv = tv_distance(emp, target)
 

@@ -395,7 +395,10 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "neg": 30, "^": 40, "atom": 50}
 
 
 def to_string(expr: Expr) -> str:
-    """Render to source text; parse(to_string(e)) reproduces the same tree."""
+    """Render to source text; parse(to_string(e)) reproduces the same tree.
+
+    No command renders expressions. It stays public because the parser's
+    round-trip property test re-parses the text that it renders."""
     return _fmt(expr)[0]
 
 

@@ -23,9 +23,7 @@ why well-truncated domains matter.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -224,37 +222,3 @@ def apply(op, f: ScalarField) -> ScalarField:
     if f.grid != op.grid:
         raise OperatorError("field grid does not match operator grid")
     return ScalarField(f.grid, op.matrix @ f.values)
-
-
-def weighted_inner(f: ScalarField, g: ScalarField, rho: ScalarField) -> float:
-    if f.grid != g.grid or f.grid != rho.grid:
-        raise OperatorError("inner product requires a common grid")
-    w = f.grid.quadrature_weights()
-    return float(np.sum(w * rho.values * f.values * g.values))
-
-
-def weighted_norm(f: ScalarField, rho: ScalarField) -> float:
-    return float(np.sqrt(max(weighted_inner(f, f, rho), 0.0)))
-
-
-def _sha256(a: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-
-
-def dump_operator(op: GeneratorOperator, path: str) -> None:
-    """COO text dump (row col value) with a JSON metadata sidecar."""
-    coo = op.G.tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
-    meta = {
-        "nodes": op.grid.size,
-        "nnz": int(op.G.nnz),
-        "grid": {"lows": list(op.grid.lows), "highs": list(op.grid.highs),
-                 "counts": list(op.grid.counts)},
-        "phi_hash": _sha256(op.Phi.values),
-        "sigma_hash": _sha256(op.Sigma.values),
-    }
-    with open(path + ".meta.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

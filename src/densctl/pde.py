@@ -21,6 +21,7 @@ assembly rounding, not re-imposed.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,8 +55,9 @@ class DensityTrajectory:
 
 
 def _step_count(dt: float, T: float) -> int:
-    if dt <= 0.0:
-        raise PdeError(f"dt must be positive, got {dt}")
+    for name, value in (("dt", dt), ("T", T)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise PdeError(f"{name} must be finite and positive, got {value}")
     n = int(round(T / dt))
     if n < 1:
         raise PdeError(f"horizon T = {T} shorter than one step dt = {dt}")

@@ -1,5 +1,9 @@
 """SDE simulation and Monte Carlo estimators.
 
+`simulate_sde` is the one driver that integrates paths: every drift
+mode (uncontrolled, steady control, density feedback), every estimator
+and every sampling command goes through it.
+
 Every path owns a counter-based random stream keyed by (seed, path
 index), so a path's result does not depend on which other paths run
 beside it: results are bit-identical for any chunking of the path range
@@ -38,9 +42,9 @@ and reflection run only when that test fails.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,9 +67,6 @@ from .fields import (
 from .grid import Grid
 from .model import LAMBDA, ProblemSpec
 
-if TYPE_CHECKING:
-    from .spectral import HJBSolution
-
 BOOTSTRAP_STREAM = 2**64 - 1
 INIT_STREAM = 2**64 - 2
 BOOTSTRAP_SAMPLES = 200
@@ -76,14 +77,7 @@ BLOCK_STEPS = 256        # time steps of noise drawn at once
 # rests on a few heavy paths, so its stderr is not a valid error bar
 ESS_FLOOR = 0.05
 
-_MODE_ALIASES = {
-    "uncontrolled": "uncontrolled",
-    "steady": "steady",
-    "steady-control": "steady",
-    "feedback": "feedback",
-    "density-feedback": "feedback",
-}
-DRIFT_MODES = tuple(_MODE_ALIASES)
+DRIFT_MODES = ("uncontrolled", "steady", "feedback")
 
 
 @dataclass(frozen=True)
@@ -97,8 +91,10 @@ class SdeConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise SamplingError(f"dt must be positive, got {self.dt}")
+        for name, value in (("dt", self.dt), ("T", self.T)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise SamplingError(
+                    f"{name} must be finite and positive, got {value}")
         if self.T < self.dt:
             raise SamplingError(f"T = {self.T} is below one step dt = {self.dt}")
         if self.n_paths < 1:
@@ -108,10 +104,9 @@ class SdeConfig:
                 f"seed must lie in [0, 2^64 - 3], got {self.seed}")
         if self.record_stride < 1:
             raise SamplingError("record_stride must be >= 1")
-        mode = _MODE_ALIASES.get(self.mode)
-        if mode is None:
-            raise SamplingError(f"unknown drift mode {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
+        if self.mode not in DRIFT_MODES:
+            raise SamplingError(f"unknown drift mode {self.mode!r}; "
+                                f"use one of {DRIFT_MODES}")
 
     @property
     def n_steps(self) -> int:
@@ -126,8 +121,6 @@ class SdeConfig:
 @dataclass(frozen=True)
 class Ensemble:
     positions: np.ndarray = field(repr=False)   # (count, dim)
-    time: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -262,20 +255,13 @@ class _Dynamics:
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SdeConfig,
-                 control_values: np.ndarray | None = None,
-                 feedback_grad_logp: np.ndarray | None = None):
+                 table: np.ndarray | None = None):
         self.grid = spec.grid
         self.mode = cfg.mode
         self.dt = cfg.dt
         self.sqdt = np.sqrt(cfg.dt)
         n = spec.grid.dim
         self.m = len(spec.sigma[0]) if spec.sigma is not None else n
-        if self.mode == "steady" and control_values is None:
-            raise SamplingError("steady-control mode needs a control field")
-        if self.mode == "feedback" and feedback_grad_logp is None:
-            raise SamplingError("density-feedback mode needs a target density")
-        table = (control_values if self.mode == "steady" else
-                 feedback_grad_logp if self.mode == "feedback" else None)
         self.table = None if table is None else interpolant(self.grid, table)
         self.gphi = [compile_body(derivative(spec.phi, k + 1))
                      for k in range(n)]
@@ -352,8 +338,8 @@ def _inside(x: np.ndarray, bounds: list) -> bool:
 
 @np.errstate(all="ignore")
 def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
-               stream_base: int = 0, record_steps: tuple | list = (),
-               cost_expr: Expr | None = None, cost_shift: float = 0.0):
+               stream_base: int, record_steps: list,
+               cost_expr: Expr | None, cost_shift: float):
     """Euler-Maruyama over all paths; the one step loop of the module.
 
     Paths run side by side in chunks of CHUNK_PATHS; each chunk draws
@@ -431,13 +417,6 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     return terminal, cost, exited, excluded, states
 
 
-def _feedback_table(grid: Grid, target: ScalarField) -> np.ndarray:
-    """grad(log p) of a positive target density on the grid nodes."""
-    if target.values.min() <= 0.0:
-        raise SamplingError("feedback target density must be positive")
-    return gradient_values(grid, np.log(target.values))
-
-
 def _resolve_x0(x0, n_paths: int, dim: int) -> np.ndarray:
     if isinstance(x0, Ensemble):
         return x0.positions
@@ -448,37 +427,35 @@ def _resolve_x0(x0, n_paths: int, dim: int) -> np.ndarray:
 
 
 def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
-                 hjb: HJBSolution | None = None,
                  control: VectorField | None = None,
                  target: ScalarField | None = None,
                  cost_expr: Expr | str | None = None,
                  cost_shift: float = 0.0,
                  stream_base: int = 0) -> TrajectoryBatch:
-    """Integrate an Euler-Maruyama path batch.
+    """Integrate an Euler-Maruyama path batch; the one SDE driver.
 
     x0 is a single start point or an Ensemble (whose count then
     overrides cfg.n_paths), inside the closed box; path j draws from
-    stream stream_base + j.
-    Steady-control mode takes the control from `control` or `hjb`;
-    density-feedback mode takes the target density from `target` or
-    `hjb`. The running cost integral of (q - shift)/LAMBDA is
+    stream stream_base + j. The steady mode adds the field `control` to
+    the passive drift. The feedback mode needs only the positive target
+    density `target`: its drift div(Sigma)/2 + (Sigma/2) grad(log p)
+    reads grad(log p), tabulated on the grid once. With cfg.record the
+    states are kept every cfg.record_stride steps, the first and the
+    last included. The running cost integral of (q - shift)/LAMBDA is
     accumulated when cost_expr is given.
     """
     grid = spec.grid
-    control_values = None
-    grad_logp = None
+    table = None
     if cfg.mode == "steady":
-        if control is None and hjb is not None:
-            control = hjb.u
         if control is None:
-            raise SamplingError("steady-control mode needs `control` or `hjb`")
-        control_values = control.values
+            raise SamplingError("steady mode needs a `control` field")
+        table = control.values
     elif cfg.mode == "feedback":
-        if target is None and hjb is not None:
-            target = hjb.p
         if target is None:
-            raise SamplingError("density-feedback mode needs `target` or `hjb`")
-        grad_logp = _feedback_table(grid, target)
+            raise SamplingError("feedback mode needs a `target` density")
+        if target.values.min() <= 0.0:
+            raise SamplingError("feedback target density must be positive")
+        table = gradient_values(grid, np.log(target.values))
 
     if isinstance(cost_expr, str):
         cost_expr = parse_expression(cost_expr)
@@ -487,7 +464,7 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
         if fv and max(fv) > grid.dim:
             raise SamplingError("cost expression uses variables beyond the grid")
 
-    dyn = _Dynamics(spec, cfg, control_values, grad_logp)
+    dyn = _Dynamics(spec, cfg, table)
     x0_arr = _resolve_x0(x0, cfg.n_paths, grid.dim)
     n_steps = cfg.n_steps
 
@@ -526,15 +503,6 @@ def _log_mean_weight(cost: np.ndarray) -> tuple[float, float, float]:
 
 def _uncontrolled(cfg: SdeConfig) -> SdeConfig:
     return cfg if cfg.mode == "uncontrolled" else replace(cfg, mode="uncontrolled")
-
-
-def path_integral_desirability(spec: ProblemSpec, q, c: float, y,
-                               cfg: SdeConfig,
-                               stream_base: int = 0) -> Estimate:
-    """Monte Carlo desirability at one point; see
-    path_integral_desirabilities."""
-    return path_integral_desirabilities(spec, q, c, [y], cfg,
-                                        stream_base)[0]
 
 
 def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
@@ -634,31 +602,7 @@ def uniform_ensemble(grid: Grid, count: int, seed: int) -> Ensemble:
     u = gen.random((count, grid.dim))
     lows = np.asarray(grid.lows)
     highs = np.asarray(grid.highs)
-    return Ensemble(positions=lows + u * (highs - lows), time=0.0, seed=seed)
-
-
-def simulate_density_feedback(spec: ProblemSpec, p_target: ScalarField,
-                              cfg: SdeConfig, ens0: Ensemble | None = None,
-                              snapshot_times: list[float] | None = None
-                              ) -> list[Ensemble]:
-    """Drive an ensemble with the density-feedback drift toward a target.
-
-    The drift div(Sigma)/2 + (Sigma/2) grad(log p_target) needs only the
-    target density; grad(log p) is tabulated on the grid once and
-    interpolated along paths. Returns ensemble snapshots, initial state
-    first, terminal state last.
-    """
-    if ens0 is None:
-        ens0 = uniform_ensemble(spec.grid, cfg.n_paths, cfg.seed)
-    n_steps = cfg.n_steps
-    steps = sorted({min(max(int(round(t / cfg.dt)), 0), n_steps)
-                    for t in snapshot_times or ()} | {0, n_steps})
-    dyn = _Dynamics(spec, replace(cfg, mode="feedback"), None,
-                    _feedback_table(spec.grid, p_target))
-    states = _integrate(dyn, cfg, ens0.positions, record_steps=steps)[-1]
-    return [Ensemble(positions=states[:, i, :], time=step * cfg.dt,
-                     seed=cfg.seed)
-            for i, step in enumerate(steps)]
+    return Ensemble(positions=lows + u * (highs - lows))
 
 
 def histogram_density(ens: Ensemble, grid: Grid) -> ScalarField:

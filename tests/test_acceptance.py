@@ -108,10 +108,10 @@ def test_04_slow_mode_decay_matches_modal_evolution(benchmarks):
         coeffs = dc.expand_in_eigenbasis(pt0, s)
         assert coeffs.reconstruction_error <= 1e-6
         scale = traj.norm_rho[0]
+        wq = spec.grid.quadrature_weights() * op.rho.values
         modal_err = max(
-            dc.weighted_norm(
-                dc.ScalarField(spec.grid, row - dc.eigen_evolution(coeffs, t).values),
-                op.rho)
+            np.sqrt(np.sum(wq * (row - dc.eigen_evolution(coeffs, t).values)
+                           ** 2))
             for t, row in zip(traj.density_times, traj.densities)) / scale
         ok = ok and rate_err <= 0.02 and modal_err <= 1e-3
         details.append(f"{name} rate {rate_err:.1e} modal {modal_err:.1e}")
@@ -209,8 +209,8 @@ def test_08_path_integral_cross_validation(ou401, ou_hjb):
                        mode="uncontrolled")
 
     t0 = time.perf_counter()
-    ests = [dc.path_integral_desirability(ou401, q, ou_hjb.c, [y], cfg,
-                                          stream_base=i * cfg.n_paths)
+    ests = [dc.path_integral_desirabilities(ou401, q, ou_hjb.c, [[y]], cfg,
+                                            stream_base=i * cfg.n_paths)[0]
             for i, y in enumerate(points)]
     c_est = dc.estimate_c_mc(ou401, q, dataclasses.replace(cfg, seed=77),
                              [0.0])
@@ -252,9 +252,11 @@ def test_09_feedback_ensemble_reaches_target(ou401):
                        mode="feedback")
 
     t0 = time.perf_counter()
-    snaps = dc.simulate_density_feedback(spec, target, cfg,
-                                         snapshot_times=[10.0])
-    tv = dc.tv_distance(dc.histogram_density(snaps[-1], g), target)
+    out = dc.simulate_sde(spec, cfg, dc.uniform_ensemble(g, cfg.n_paths,
+                                                         cfg.seed),
+                          target=target)
+    tv = dc.tv_distance(dc.histogram_density(dc.Ensemble(out.terminal), g),
+                        target)
     elapsed = time.perf_counter() - t0
 
     ok = tv <= 0.05 and elapsed < 120.0

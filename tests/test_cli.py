@@ -4,6 +4,7 @@ Commands run in process through main(argv) for speed; one subprocess
 test covers the console script wiring.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -12,8 +13,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from densctl import SdeConfig, load_config, path_integral_desirability
-from densctl.cli import main
+from densctl import (
+    SdeConfig,
+    load_config,
+    path_integral_desirabilities,
+    solve_inverse,
+)
+from densctl.cli import _drift_input, _Run, main
 from densctl.output import format_float
 
 FORWARD = {
@@ -29,6 +35,13 @@ INVERSE = {
     "dynamics": {"phi": "x1^2", "sigma": [["sqrt(2)"]]},
     "target": {"p_inf": "exp(-2*x1^2)"},
     "sampling": {"dt": 0.01, "T": 1.0, "n_paths": 400, "seed": 1},
+}
+
+SIGMA2D_INVERSE = {
+    "grid": {"lows": [-3.5, -3.5], "highs": [3.5, 3.5], "counts": [25, 25]},
+    "dynamics": {"phi": "(x1^2 + x2^2)/2",
+                 "Sigma": [["1 + x1^2/4", "0.5"], ["0.5", "1 + x2^2/4"]]},
+    "target": {"p_inf": "exp(-(x1^2 + x2^2))"},
 }
 
 
@@ -113,6 +126,14 @@ class TestExitCodes:
         assert code == 0
         m = json.loads((only_dir(out, "check") / "manifest.json").read_text())
         assert "threads" not in m
+
+    @pytest.mark.parametrize("mode", ["steady-control", "density-feedback"])
+    def test_removed_mode_spellings(self, tmp_path, capsys, mode):
+        bad = {**FORWARD, "sampling": {**FORWARD["sampling"], "mode": mode}}
+        assert run(["sample", "paths"], tmp_path, config=bad)[0] == 2
+        assert ("[sampling] mode must be one of "
+                "('uncontrolled', 'steady', 'feedback')") in \
+            capsys.readouterr().err
 
     def test_mode_mismatch(self, tmp_path):
         assert run(["solve"], tmp_path, config=INVERSE)[0] == 2
@@ -414,6 +435,25 @@ class TestInverseCommand:
             assert col in header
 
 
+class TestInverseDriftInputs:
+    """On an inverse config the steady control and the feedback target
+    are read off the target density with no operator. They are the
+    fields that the full inverse design gives, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:target density mass")
+    @pytest.mark.parametrize("config", [INVERSE, SIGMA2D_INVERSE],
+                             ids=["ou1d", "sigma2d"])
+    def test_match_the_inverse_design(self, tmp_path, config):
+        cfg = load_config(write_config(tmp_path, config))
+        cli_run = _Run(argparse.Namespace(), cfg)
+        inv = solve_inverse(cfg.spec)
+        np.testing.assert_array_equal(
+            _drift_input(cli_run, "steady")["control"].values, inv.u.values)
+        np.testing.assert_array_equal(
+            _drift_input(cli_run, "feedback")["target"].values,
+            inv.target.values)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["paths", "desirability", "cost", "feedback"])
     def test_rerun_bit_identical_across_threads(self, tmp_path, kind):
@@ -440,9 +480,9 @@ class TestDeterminism:
         rows = (d / "desirability.csv").read_text().splitlines()[1:]
         for qi, row in enumerate(rows):
             x1, *fields = row.split(",")
-            e = path_integral_desirability(
-                spec, spec.q, c, (float(x1),), cfg,
-                stream_base=qi * cfg.n_paths)
+            e = path_integral_desirabilities(
+                spec, spec.q, c, [(float(x1),)], cfg,
+                stream_base=qi * cfg.n_paths)[0]
             expect = [e.value, e.stderr, e.n_used, e.n_excluded]
             assert fields[:4] == [format_float(v) for v in expect]
 
@@ -558,6 +598,10 @@ def _scipy_loaded_after(code: str) -> bool:
     return proc.stdout.strip().splitlines()[-1] == "True"
 
 
+def _with_mode(config, mode):
+    return {**config, "sampling": {**config["sampling"], "mode": mode}}
+
+
 class TestScipyStaysUnloaded:
     """scipy is imported only by the code that assembles, factors or
     solves, so importing densctl and the commands that need no operator
@@ -572,6 +616,8 @@ class TestScipyStaysUnloaded:
         (["sample", "paths"], FORWARD, False),
         (["sample", "feedback"], INVERSE, False),
         (["solve"], FORWARD, True),     # the guard is not vacuous
+        (["sample", "paths"], _with_mode(INVERSE, "steady"), False),
+        (["sample", "paths"], _with_mode(INVERSE, "feedback"), False),
     ])
     def test_commands(self, tmp_path, args, config, loads):
         argv = args + ["--config", write_config(tmp_path, config),

@@ -7,7 +7,6 @@ and trapezoid-weighted total mass is conserved. Weighted self
 adjointness is tested at the 1e-10 gate on all benchmark operators.
 """
 
-import json
 
 import numpy as np
 import pytest
@@ -117,16 +116,6 @@ class TestStationaryWeight:
 
 
 class TestWeightedAlgebra:
-    def test_inner_and_norm(self, ou_operator):
-        g = ou_operator.grid
-        one = dc.ScalarField(g, np.ones(g.size))
-        rho = ou_operator.rho
-        np.testing.assert_allclose(dc.weighted_inner(one, one, rho), 1.0, rtol=1e-13)
-        np.testing.assert_allclose(dc.weighted_norm(one, rho), 1.0, rtol=1e-13)
-        x = dc.ScalarField(g, g.node_coords()[:, 0])
-        # Cauchy-Schwarz with the constant
-        assert abs(dc.weighted_inner(x, one, rho)) <= dc.weighted_norm(x, rho)
-
     def test_apply_matches_matrix(self, ou_operator):
         g = ou_operator.grid
         f = dc.ScalarField(g, np.cos(g.node_coords()[:, 0]))
@@ -265,20 +254,6 @@ class TestRefinement:
             s = dc.eig_generator(op, 2)
             errs.append(abs(s.eigenvalues[1] + 2.0))
         assert errs[1] < errs[0] / 3.0
-
-
-class TestDump:
-    def test_coo_dump_roundtrip(self, tmp_path, ou_operator):
-        path = tmp_path / "op.txt"
-        dc.dump_operator(ou_operator, str(path))
-        meta = json.loads((tmp_path / "op.txt.meta.json").read_text())
-        assert meta["nodes"] == 401
-        assert meta["nnz"] > 0
-        rows = np.loadtxt(path)
-        G = dense(ou_operator.G)
-        rebuilt = np.zeros_like(G)
-        rebuilt[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2]
-        np.testing.assert_allclose(rebuilt, G, atol=1e-16)
 
 
 class TestAssemblyErrors:

@@ -58,12 +58,19 @@ class TestConfig:
             cfg(seed=-1)
         with pytest.raises(SamplingError):
             cfg(seed=2**64 - 1)
-        with pytest.raises(SamplingError):
-            cfg(mode="warp")
+        for mode in ("warp", "steady-control", "density-feedback"):
+            with pytest.raises(SamplingError, match="unknown drift mode"):
+                cfg(mode=mode)
 
-    def test_mode_aliases(self):
-        assert cfg(mode="steady-control").mode == "steady"
-        assert cfg(mode="density-feedback").mode == "feedback"
+    @pytest.mark.parametrize("kw, message", [
+        (dict(dt=np.nan, T=1.0), "dt must be finite and positive, got nan"),
+        (dict(T=np.inf), "T must be finite and positive, got inf"),
+        (dict(dt=np.inf), "dt must be finite and positive, got inf"),
+        (dict(T=np.nan), "T must be finite and positive, got nan"),
+    ], ids=["dt-nan", "T-inf", "dt-inf", "T-nan"])
+    def test_nonfinite_step_or_horizon(self, kw, message):
+        with pytest.raises(SamplingError, match=message):
+            cfg(**kw)
 
     def test_step_count_rounding(self):
         c = cfg(dt=0.1, T=1.0)
@@ -79,12 +86,13 @@ class TestDeterminism:
         for mode in ("uncontrolled", "steady", "feedback"):
             c = cfg(n_paths=512, T=0.2, mode=mode, record=True,
                     record_stride=7)
-            ref = dc.simulate_sde(ou401, c, ens, hjb=ou_hjb, cost_expr=ou401.q)
+            ref = dc.simulate_sde(ou401, c, ens, control=ou_hjb.u,
+                                  target=ou_hjb.p, cost_expr=ou401.q)
             with monkeypatch.context() as m:
                 m.setattr(dc.sampling, "CHUNK_PATHS", 37)
                 m.setattr(dc.sampling, "BLOCK_STEPS", 16)
-                small = dc.simulate_sde(ou401, c, ens, hjb=ou_hjb,
-                                        cost_expr=ou401.q)
+                small = dc.simulate_sde(ou401, c, ens, control=ou_hjb.u,
+                                        target=ou_hjb.p, cost_expr=ou401.q)
             assert ref.exited.any()
             np.testing.assert_array_equal(ref.terminal, small.terminal)
             np.testing.assert_array_equal(ref.states, small.states)
@@ -151,8 +159,8 @@ class TestDeterminism:
         pts = [(-1.0,), (0.0,), (1.5,)]
         batch = dc.path_integral_desirabilities(ou401, ou401.q, ou_hjb.c,
                                                 pts, c)
-        singles = [dc.path_integral_desirability(ou401, ou401.q, ou_hjb.c,
-                                                 y, c, stream_base=i * 100)
+        singles = [dc.path_integral_desirabilities(
+                       ou401, ou401.q, ou_hjb.c, [y], c, stream_base=i * 100)[0]
                    for i, y in enumerate(pts)]
         assert batch == singles
 
@@ -202,7 +210,7 @@ class TestDriftModes:
         # both modes realize the same total drift for the solved problem
         x0 = np.full((200, 1), 0.3)
         a = dc.simulate_sde(ou401, cfg(mode="steady", n_paths=200, T=0.5),
-                            dc.Ensemble(positions=x0), hjb=ou_hjb)
+                            dc.Ensemble(positions=x0), control=ou_hjb.u)
         b = dc.simulate_sde(ou401, cfg(mode="feedback", n_paths=200, T=0.5),
                             dc.Ensemble(positions=x0), target=ou_hjb.p)
         assert np.abs(a.terminal - b.terminal).max() <= 1e-9
@@ -210,7 +218,7 @@ class TestDriftModes:
     def test_controlled_ensemble_contracts_to_target(self, ou401, ou_hjb):
         # controlled stationary density has variance 1/4
         c = cfg(dt=1e-3, T=4.0, n_paths=20000, seed=19, mode="steady")
-        out = dc.simulate_sde(ou401, c, x0=(0.0,), hjb=ou_hjb)
+        out = dc.simulate_sde(ou401, c, x0=(0.0,), control=ou_hjb.u)
         var = out.terminal[:, 0].var(ddof=1)
         se = 0.25 * np.sqrt(2.0 / (c.n_paths - 1))
         assert abs(var - 0.25) <= 3 * se + 5e-3
@@ -276,7 +284,8 @@ class TestStartsOutsideTheBox:
             -ou401.grid.node_coords()[:, 0] ** 2))
         ens = dc.Ensemble(positions=[[0.0], [6.001], [1.0]])
         with pytest.raises(SamplingError, match=r"x = \[6.001\]"):
-            dc.simulate_density_feedback(ou401, target, cfg(T=0.01), ens)
+            dc.simulate_sde(ou401, cfg(T=0.01, mode="feedback"), ens,
+                            target=target)
 
     def test_starts_on_a_face_stay_legal(self, ou401):
         out = dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01),
@@ -301,9 +310,9 @@ class TestRecording:
 
 class TestEstimators:
     def test_constant_cost_equal_to_shift_gives_unit_weight(self, ou401, ou_hjb):
-        est = dc.path_integral_desirability(
-            ou401, "2", 2.0, (0.0,), cfg(n_paths=64)
-        )
+        est = dc.path_integral_desirabilities(
+            ou401, "2", 2.0, [(0.0,)], cfg(n_paths=64)
+        )[0]
         assert est.value == 1.0
         assert est.stderr == 0.0
         assert not est.degenerate
@@ -320,8 +329,8 @@ class TestEstimators:
         c = cfg(dt=1e-2, T=400.0, n_paths=64, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = dc.path_integral_desirability(ou401, ou401.q, 0.0,
-                                                (0.0,), c)
+            est = dc.path_integral_desirabilities(ou401, ou401.q, 0.0,
+                                                  [(0.0,)], c)[0]
         assert 0.0 < est.value < 1e-200
         assert est.stderr > 0.0 or est.degenerate
         assert 1.0 <= est.ess <= 64
@@ -347,24 +356,24 @@ class TestEstimators:
         # ESS about 2% of 1000 paths at a relative stderr near 0.2
         c = cfg(dt=1e-2, T=10.0, n_paths=1000, seed=1)
         with pytest.warns(UserWarning, match="ESS"):
-            est = dc.path_integral_desirability(ou401, ou401.q, 2.0,
-                                                (2.0,), c)
+            est = dc.path_integral_desirabilities(ou401, ou401.q, 2.0,
+                                                  [(2.0,)], c)[0]
         assert est.stderr < 0.5 * est.value
         assert est.ess < ESS_FLOOR * est.n_used
         assert est.degenerate
 
     def test_ess_of_equal_weights_is_the_path_count(self, ou401):
-        est = dc.path_integral_desirability(ou401, "2", 0.0, (0.0,),
-                                            cfg(n_paths=64))
+        est = dc.path_integral_desirabilities(ou401, "2", 0.0, [(0.0,)],
+                                              cfg(n_paths=64))[0]
         assert est.ess == 64.0
 
     def test_desirability_matches_grid_ratios(self, ou401, ou_hjb):
         qs = [(-1.0,), (0.0,), (1.0,)]
         c = cfg(dt=1e-3, T=5.0, n_paths=4000, seed=123)
         ests = [
-            dc.path_integral_desirability(
-                ou401, ou401.q, ou_hjb.c, y, c, stream_base=i * c.n_paths
-            )
+            dc.path_integral_desirabilities(
+                ou401, ou401.q, ou_hjb.c, [y], c, stream_base=i * c.n_paths
+            )[0]
             for i, y in enumerate(qs)
         ]
         pts = np.array(qs)
@@ -388,7 +397,8 @@ class TestEstimators:
     def test_nan_costs_are_excluded(self, ou401):
         # log of a sign-changing coordinate poisons some paths only
         c = cfg(n_paths=200, T=0.2, seed=3)
-        est = dc.path_integral_desirability(ou401, "log(x1)", 0.0, (0.05,), c)
+        est = dc.path_integral_desirabilities(ou401, "log(x1)", 0.0, [(0.05,)],
+                                              c)[0]
         assert est.n_excluded > 0
         assert est.n_used == 200 - est.n_excluded
         assert np.isfinite(est.value)
@@ -396,7 +406,8 @@ class TestEstimators:
     def test_all_paths_excluded_raises(self, ou401):
         c = cfg(n_paths=16, T=0.2)
         with pytest.raises(SamplingError):
-            dc.path_integral_desirability(ou401, "log(0 - x1^2)", 0.0, (0.0,), c)
+            dc.path_integral_desirabilities(ou401, "log(0 - x1^2)", 0.0,
+                                            [(0.0,)], c)
 
 
 class TestHistogramAndTv:
@@ -422,7 +433,7 @@ class TestHistogramAndTv:
         # equilibrated controlled-free ensemble vs Gibbs density
         c = cfg(dt=2e-3, T=6.0, n_paths=40000, seed=31)
         out = dc.simulate_sde(ou401, c, x0=(0.0,))
-        ens = dc.Ensemble(positions=out.terminal, time=c.horizon, seed=c.seed)
+        ens = dc.Ensemble(positions=out.terminal)
         hist = dc.histogram_density(ens, ou401.grid)
         w = ou401.grid.quadrature_weights()
         x = ou401.grid.node_coords()[:, 0]
@@ -441,11 +452,13 @@ class TestDensityFeedbackLoop:
         tgt /= w @ tgt
         target = dc.ScalarField(g, tgt)
         c = dc.SdeConfig(dt=1e-2, T=8.0, n_paths=20000, seed=9,
-                         mode="feedback")
-        snaps = dc.simulate_density_feedback(ou401, target, c,
-                                             snapshot_times=[0.0, 2.0, 8.0])
-        assert len(snaps) == 3
-        assert snaps[0].time == 0.0
+                         mode="feedback", record=True, record_stride=200)
+        out = dc.simulate_sde(ou401, c, dc.uniform_ensemble(g, 20000, 9),
+                              target=target)
+        # states at t = 0, 2 and 8
+        snaps = [dc.Ensemble(positions=out.states[:, i]) for i in (0, 1, -1)]
+        np.testing.assert_allclose(out.times[[0, 1, -1]], [0.0, 2.0, 8.0])
+        assert out.times[0] == 0.0
         tvs = [dc.tv_distance(dc.histogram_density(s, g), target) for s in snaps]
         assert tvs[-1] <= 0.05
         assert tvs[-1] < tvs[0]
@@ -455,7 +468,7 @@ class TestDensityFeedbackLoop:
         bad = dc.ScalarField(g, np.zeros(g.size))
         c = dc.SdeConfig(dt=1e-2, T=0.1, n_paths=10, seed=0, mode="feedback")
         with pytest.raises(SamplingError):
-            dc.simulate_density_feedback(ou401, bad, c)
+            dc.simulate_sde(ou401, c, (0.0,), target=bad)
 
 
 class TestEnsemble:
