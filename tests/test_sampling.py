@@ -534,12 +534,16 @@ class TestStackedRoot:
 
 
 class TestGoldenBits:
-    """sha256 of the terminal, cost_integral and exited bytes of four
-    small runs, recorded before the per-path streams, the step's
-    error-state handling, the stacked Cholesky root and the in-place
-    interpolant were reworked. The runs need no eigensolver, so BLAS and
-    ARPACK do not enter the bits. Only a change that alters the
-    definition of the random streams on purpose may re-record them."""
+    """sha256 of the terminal, cost_integral and exited bytes of six
+    small runs. The first four were recorded before the per-path
+    streams, the step's error-state handling, the stacked Cholesky root
+    and the in-place interpolant were reworked; the two sigma2d_* runs,
+    which read a two-column table under a state-dependent Sigma, before
+    the step loop went dimension-major. The runs need no eigensolver, and
+    their matrix products are 1 x 1 or explicit, so BLAS and ARPACK do
+    not enter the bits.
+    Only a change that alters the definition of the random streams on
+    purpose may re-record them."""
 
     GOLDEN = {
         "uncontrolled": "de852c6c640e16916604843b159786e6"
@@ -550,6 +554,10 @@ class TestGoldenBits:
                     "1c465fa7940c49224b326ad67f75ed60",
         "sigma2d": "39ded46b6f9f6aca9c4d5ef948c60766"
                    "08a35b39cff16f252dc8f2e01d56c803",
+        "sigma2d_steady": "a107c54d5ee0a617c9be61a8826c8b3d"
+                          "5d8beea44155ef28458a6be0778d174f",
+        "sigma2d_feedback": "97ad7469d498382eff46e14f709eda3d"
+                            "a9b9ddff1fc5fa3fb8622b3481b82495",
     }
 
     @staticmethod
@@ -572,13 +580,32 @@ class TestGoldenBits:
         spec = dc.ProblemSpec(
             grid=g2, phi="(x1^2 + x2^2)/2", q="x1^2",
             Sigma=[["1 + x1^2/4", "0.5"], ["0.5", "1 + x2^2/4"]])
-        return dc.simulate_sde(spec, cfg(dt=2e-3, T=0.1, n_paths=300),
-                               dc.uniform_ensemble(g2, 300, 3),
+        ens2 = dc.uniform_ensemble(g2, 300, 3)
+        x2 = g2.node_coords()
+        if name == "sigma2d_steady":
+            # a two-column control table, read through the interpolant
+            u = np.stack([-x2[:, 0] + 0.3 * x2[:, 1] ** 2,
+                          np.sin(x2[:, 0]) - x2[:, 1]], axis=1)
+            return dc.simulate_sde(
+                spec, cfg(dt=2e-3, T=0.1, n_paths=300, mode="steady"), ens2,
+                control=dc.VectorField(g2, u), cost_expr=spec.q)
+        if name == "sigma2d_feedback":
+            # grad(log p) of a skewed target is a two-column table
+            p = np.exp(-(x2[:, 0] ** 2 + x2[:, 0] * x2[:, 1] + x2[:, 1] ** 2)
+                       / 2 - 0.1 * x2[:, 0])
+            return dc.simulate_sde(
+                spec, cfg(dt=2e-3, T=0.1, n_paths=300, mode="feedback"),
+                ens2, target=dc.ScalarField(g2, p), cost_expr=spec.q)
+        return dc.simulate_sde(spec, cfg(dt=2e-3, T=0.1, n_paths=300), ens2,
                                cost_expr=spec.q)
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_hash(self, name, ou401):
         batch = self._run(name, ou401)
+        if name.startswith("sigma2d"):
+            # the uniform start puts paths near the faces: the
+            # reflection is part of the pinned bits
+            assert batch.exited.any()
         h = hashlib.sha256()
         for a in (batch.terminal, batch.cost_integral, batch.exited):
             h.update(np.ascontiguousarray(a).tobytes())
