@@ -284,9 +284,13 @@ def _compile(expr: Expr):
         (a,) = parts
         return lambda x: fn(a(x))
     a, b = parts
+    # a constant operand goes in as a 0-d array, which numpy dispatches
+    # faster than a scalar of the same value
     if not callable(a):
+        a = np.array(a)
         return lambda x: fn(a, b(x))
     if not callable(b):
+        b = np.array(b)
         return lambda x: fn(a(x), b)
     return lambda x: fn(a(x), b(x))
 

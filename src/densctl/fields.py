@@ -180,52 +180,74 @@ def interpolant(grid: Grid, values: np.ndarray):
 
     values is (N,) or (N, c) in flat node order. Returns a function of
     points (P, n), which are clamped to the box, giving (P,) or (P, c);
-    the strides and corner offsets are built here, not per call. A call
-    works in place on its own temporaries and never writes to points.
+    the strides and the shifted tables are built here, not per call. A
+    call works in place on its own temporaries and never writes to
+    points.
+
+    The work is dimension-major: each axis of the points and each
+    column of the table is one contiguous run, so every numpy call is a
+    1-D operation P entries long and needs no broadcasting. A (P, c)
+    result is the transpose of a (c, P) array, column-ordered. Points
+    may come in either order; column-ordered ones are read in place.
+    Corner c of the cell at node i is entry i of each column shifted by
+    the corner's offset, so the gather adds no offset per corner.
     """
     vals = np.asarray(values, dtype=float)
     n = grid.dim
-    lows = np.asarray(grid.lows)
-    spacing = np.asarray(grid.spacing)
-    top = np.asarray(grid.counts) - 2.0
-    strides = np.ones(n, dtype=np.int64)
+    strides = [1] * n
     for k in range(n - 2, -1, -1):
         strides[k] = strides[k + 1] * grid.counts[k + 1]
+    # per axis: low, spacing and top cell as 0-d arrays, which numpy
+    # dispatches faster than Python floats, and the flat stride
+    axes = [(k, np.array(lo), np.array(h), np.array(c - 2.0), s)
+            for k, (lo, h, c, s) in enumerate(
+                zip(grid.lows, grid.spacing, grid.counts, strides))]
+    zero, one = np.array(0.0), np.array(1.0)
     # corner c sits at offset bit k of c along axis k
     bits = [[(c >> k) & 1 for k in range(n)] for c in range(1 << n)]
-    offsets = [int(np.dot(b, strides)) for b in bits]
+    rows = np.ascontiguousarray(vals.reshape(grid.size, -1).T)
+    corners = [(b, [row[sum(i * s for i, s in zip(b, strides)):]
+                    for row in rows]) for b in bits]
+    squeeze = vals.ndim == 1
 
     def interpolate(points: np.ndarray) -> np.ndarray:
         if not (isinstance(points, np.ndarray) and points.ndim == 2
                 and points.dtype == np.float64):
             points = np.atleast_2d(np.asarray(points, dtype=float))
-        t = points - lows
-        t /= spacing
-        # lower corner, clamped to the box; fmax sends NaN to 0 so the
-        # gather stays in range and NaN reaches the result through hi
-        i0 = np.floor(t)
-        np.fmax(i0, 0.0, out=i0)
-        np.fmin(i0, top, out=i0)
-        hi = np.subtract(t, i0, out=t)
-        np.maximum(hi, 0.0, out=hi)
-        np.minimum(hi, 1.0, out=hi)
-        lo = 1.0 - hi
-        base = i0[:, -1]
-        for k in range(n - 1):
-            base = base + strides[k] * i0[:, k]
+        his, los, base = [], [], None
+        for k, low, h, top, stride in axes:
+            t = np.subtract(points[:, k], low)
+            t /= h
+            # lower corner, clamped to the box; fmax sends NaN to 0 so
+            # the gather stays in range and NaN reaches the result
+            # through hi
+            i0 = np.floor(t)
+            np.fmax(i0, zero, out=i0)
+            np.fmin(i0, top, out=i0)
+            hi = np.subtract(t, i0, out=t)
+            np.maximum(hi, zero, out=hi)
+            np.minimum(hi, one, out=hi)
+            his.append(hi)
+            los.append(one - hi)
+            if stride != 1:
+                i0 *= stride
+            base = i0 if base is None else base + i0
         base = base.astype(np.int64)
-        out = None
-        for b, off in zip(bits, offsets):
-            w = hi[:, 0] if b[0] else lo[:, 0]
+        out = np.empty((rows.shape[0], points.shape[0]))
+        first = True
+        for b, columns in corners:
+            w = his[0] if b[0] else los[0]
             for k in range(1, n):
-                w = w * (hi[:, k] if b[k] else lo[:, k])
-            term = vals.take(base + off if off else base, axis=0)
-            term *= w if vals.ndim == 1 else w[:, None]
-            if out is None:
-                out = term
-            else:
-                out += term
-        return out
+                w = w * (his[k] if b[k] else los[k])
+            for col, acc in zip(columns, out):
+                if first:
+                    np.multiply(col.take(base), w, out=acc)
+                else:
+                    term = col.take(base)
+                    term *= w
+                    acc += term
+            first = False
+        return out[0] if squeeze else out.T
 
     return interpolate
 

@@ -8,8 +8,9 @@ Every path owns a counter-based random stream keyed by (seed, path
 index), so a path's result does not depend on which other paths run
 beside it: results are bit-identical for any chunking of the path range
 and any batching of start points. A stream is Philox with the 128-bit
-key [seed, stream id], handed to it directly (`_stream`), so building
-one draws no OS entropy; it is the stream of Philox(key=...). Two
+key [seed, stream id], handed to it directly (`_streams`, one key
+array per chunk), so building one draws no OS entropy; it is the
+stream of Philox(key=...). Two
 stream ids at the top of the 64-bit range are reserved: 2^64 - 1 drives
 bootstrap resampling and 2^64 - 2 draws initial ensembles, which is why
 user seeds must stay below 2^64 - 2. Reductions always run in
@@ -25,7 +26,23 @@ the model's constant 1/LAMBDA, the noise-matched weight that makes the
 path-integral form exact, and use the left-endpoint rule, consistent
 with the weak order of the integrator.
 Noise is drawn in time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m
-floats however long the horizon (m noise dimensions).
+floats however long the horizon (m noise dimensions); each path draws
+its block into one flat row.
+
+The step loop works dimension-major. A chunk's state is a (P, n) array
+in column order, the transpose of an (n, P) array, so each coordinate
+is one contiguous run over the paths; the drift and increment, the
+interpolated tables, the Sigma stack (P, n, n) and its Cholesky root
+are laid out the same way, so that every x[:, i] or A[:, i, j] is
+contiguous and each numpy call runs its inner loop P entries long,
+where a row-major (P, 2) array would run it two entries long. The
+layout changes no arithmetic: every entry is computed by the same
+operations in the same order, so results are bit-identical to the
+row-major loop. Only a state-dependent sigma keeps its (P, n, m) stack
+in row order, as the stacked matmul for sigma sigma^T reads it. The
+noise of one step is a strided column of the block; a step-major copy
+of the block costs as much as those reads and would double the
+block's memory.
 
 The drift, noise and cost of a run are compiled once, before the first
 step: grad(phi) and div(Sigma) are symbolic derivatives of the
@@ -78,6 +95,7 @@ BLOCK_STEPS = 256        # time steps of noise drawn at once
 ESS_FLOOR = 0.05
 
 DRIFT_MODES = ("uncontrolled", "steady", "feedback")
+_HALF = np.array(0.5)
 
 
 @dataclass(frozen=True)
@@ -181,25 +199,44 @@ class _Key(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
+_COUNTER0 = np.zeros(4, dtype=np.uint64)
+
+
+def _streams(seed: int, first: int, count: int) -> list:
+    """The counter-based Philox streams keyed by (seed, first + j) for
+    j < count; their keys are the rows of one array."""
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = seed
+    keys[:, 1] = np.arange(count, dtype=np.uint64)
+    keys[:, 1] += np.uint64(first)
+    # the zero counter is Philox's default; handed over as an array it
+    # skips a conversion from a Python int per stream
+    return [np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER0))
+            for key in keys]
+
+
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
     """The counter-based Philox stream keyed by (seed, stream_id)."""
-    return np.random.Generator(np.random.Philox(
-        _Key(np.array([seed, stream_id], dtype=np.uint64))))
+    return _streams(seed, stream_id, 1)[0]
 
 
 # ---------------------------------------------------------------------------
 # drift and noise evaluation along paths
+#
+# Path arrays are dimension-major: a (P, n) state or drift is the
+# transpose of an (n, P) array, and a (P, r, c) stack of matrices that of
+# an (r, c, P) array, so that every [:, i] or [:, i, j] is one contiguous
+# run over the paths and each numpy call below runs P entries long.
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A v for stacks A (P, r, c) and v (P, c), each entry summed in
-    column order."""
-    out = np.empty(A.shape[:2])
-    for i in range(A.shape[1]):
-        acc = A[:, i, 0] * v[:, 0]
+    column order, as a dimension-major (P, r)."""
+    rows = np.empty((A.shape[1], A.shape[0]))
+    for i, acc in enumerate(rows):
+        np.multiply(A[:, i, 0], v[:, 0], out=acc)
         for j in range(1, A.shape[2]):
             acc += A[:, i, j] * v[:, j]
-        out[:, i] = acc
-    return out
+    return rows.T
 
 
 def _cholesky(A: np.ndarray, step: int) -> np.ndarray:
@@ -208,16 +245,17 @@ def _cholesky(A: np.ndarray, step: int) -> np.ndarray:
     Each column is LAPACK's (the pivot's square root, then the entries
     below scaled by its reciprocal), so for n <= 2 the roots equal
     np.linalg.cholesky bit for bit. A pivot at or below zero raises; a
-    NaN pivot passes, and the path is then excluded as non-finite.
+    NaN pivot passes, and the path is then excluded as non-finite. The
+    roots are a dimension-major stack.
     """
     n = A.shape[1]
-    L = np.zeros(A.shape)
+    L = np.zeros((n, n, A.shape[0])).transpose(2, 0, 1)
     for j in range(n):
         d = A[:, j, j]
         for k in range(j):
             d = d - L[:, j, k] * L[:, j, k]
         # min is NaN when any pivot is, so NaN takes the slow test too
-        if not d.min() > 0.0 and (d <= 0.0).any():
+        if not np.minimum.reduce(d) > 0.0 and (d <= 0.0).any():
             raise SamplingError(
                 f"Sigma is not positive definite at step {step} "
                 f"(pivot {j + 1} is {float(np.fmin.reduce(d)):.3g})")
@@ -233,13 +271,14 @@ def _cholesky(A: np.ndarray, step: int) -> np.ndarray:
 
 
 def _columns(fns: list, x: np.ndarray) -> np.ndarray:
-    """Stack compiled scalar functions of x (P, n) as columns (P, len)."""
+    """Compiled scalar functions of x (P, n) as the columns of a
+    dimension-major (P, len)."""
     if len(fns) == 1:
         return fns[0](x)[:, None]
-    out = np.empty((x.shape[0], len(fns)))
-    for k, f in enumerate(fns):
-        out[:, k] = f(x)
-    return out
+    rows = np.empty((len(fns), x.shape[0]))
+    for f, row in zip(fns, rows):
+        row[...] = f(x)
+    return rows.T
 
 
 class _Dynamics:
@@ -247,38 +286,51 @@ class _Dynamics:
 
     grad(phi) and div Sigma are symbolic derivatives of the expression
     trees (with sigma given, div Sigma differentiates the products of
-    sigma sigma^T); Sigma and sigma entries are compiled closures; the
-    steady control or grad(log p) table is read through an interpolant
-    built once. Constant diffusion folds -Sigma/2 and sqrt(dt) sigma into
-    fixed matrices. The closures are the bare compiled bodies, so the
-    caller holds np.errstate.
+    sigma sigma^T); Sigma and sigma entries are compiled closures, or
+    floats where an entry is constant; the steady control or
+    grad(log p) table is read through an interpolant built once.
+    Constant diffusion folds -Sigma/2 and sqrt(dt) sigma into fixed
+    matrices. The closures are the bare compiled bodies, so the caller
+    holds np.errstate. Paths and increments are dimension-major.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SdeConfig,
                  table: np.ndarray | None = None):
         self.grid = spec.grid
-        self.mode = cfg.mode
-        self.dt = cfg.dt
-        self.sqdt = np.sqrt(cfg.dt)
+        # step constants as 0-d arrays, which numpy dispatches faster
+        # than Python floats
+        self.dt = np.array(cfg.dt)
+        self.sqdt = np.sqrt(self.dt)
         n = spec.grid.dim
         self.m = len(spec.sigma[0]) if spec.sigma is not None else n
         self.table = None if table is None else interpolant(self.grid, table)
-        self.gphi = [compile_body(derivative(spec.phi, k + 1))
-                     for k in range(n)]
+        self.steady = self.table if cfg.mode == "steady" else None
+        gphi = [compile_body(derivative(spec.phi, k + 1)) for k in range(n)]
         # the drift is div(Sigma)/2 + half * Sigma v, where v is grad(phi)
         # with half = -1/2, or grad(log p) with half = +1/2 under feedback
-        self.half = 0.5 if self.mode == "feedback" else -0.5
+        if cfg.mode == "feedback":
+            self.half, self.v = np.array(0.5), self.table
+        else:
+            self.half, self.v = np.array(-0.5), lambda x: _columns(gphi, x)
         self.const_diffusion = spec.diffusion_is_constant()
         if self.const_diffusion:
             origin = np.zeros((1, n))
-            self.drift_matrix = np.ascontiguousarray(
-                (self.half * spec.diffusion_at(origin)[0]).T)
-            self.noise_matrix = np.ascontiguousarray(
-                (self.sqdt * spec.noise_at(origin)[0]).T)
+            self.drift_matrix = self.half * spec.diffusion_at(origin)[0]
+            self.noise_matrix = self.sqdt * spec.noise_at(origin)[0]
+            self.increment = self._constant_increment
             return
+        self.increment = self._state_increment
         self.given_sigma = spec.sigma is not None
         mat = spec.sigma if self.given_sigma else spec.Sigma
-        self.entries = [[compile_body(e) for e in row] for row in mat]
+        self.shape = (len(mat), len(mat[0]))
+        entries = [(i, j, e) for i, row in enumerate(mat)
+                   for j, e in enumerate(row)]
+        # a constant entry is written as a float, with no array per step
+        origin = np.zeros((1, n))
+        self.fixed = [(i, j, float(compile_body(e)(origin)[0]))
+                      for i, j, e in entries if not free_variables(e)]
+        self.entries = [(i, j, compile_body(e))
+                        for i, j, e in entries if free_variables(e)]
         Sig = spec.diffusion_exprs()
         # (div Sigma)_i = sum_k d Sigma_ik / dx_k, zero terms dropped
         self.div = [[compile_body(d) for k in range(n)
@@ -287,38 +339,58 @@ class _Dynamics:
 
     def div_sigma(self, x: np.ndarray) -> np.ndarray:
         """div Sigma at paths x (P, n)."""
-        if self.const_diffusion:
-            return np.zeros_like(x)
-        out = np.zeros_like(x)
-        for i, terms in enumerate(self.div):
-            for f in terms:
-                out[:, i] += f(x)
-        return out
+        rows = np.zeros((x.shape[1], x.shape[0]))
+        if not self.const_diffusion:
+            for terms, row in zip(self.div, rows):
+                for f in terms:
+                    row += f(x)
+        return rows.T
 
-    def increment(self, x: np.ndarray, dw: np.ndarray,
-                  step: int) -> np.ndarray:
-        """b(x) dt + sigma(x) sqrt(dt) dw for paths x (P, n), dw (P, m)
-        at time step `step`."""
-        v = self.table(x) if self.mode == "feedback" else _columns(self.gphi, x)
-        if self.const_diffusion:
-            # np.dot: a matmul by a 1 x 1 matrix costs several times more
-            b = np.dot(v, self.drift_matrix)
-            if self.mode == "steady":
-                b += self.table(x)
-            return b * self.dt + np.dot(dw, self.noise_matrix)
-        vals = np.empty((x.shape[0], len(self.entries), len(self.entries[0])))
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                vals[:, i, j] = f(x)
+    # increment(x, dw, step): b(x) dt + sigma(x) sqrt(dt) dw for paths
+    # x (P, n) and normals dw (P, m) at time step `step`, as a fresh
+    # dimension-major (P, n); one of the two methods below
+
+    def _constant_increment(self, x: np.ndarray, dw: np.ndarray,
+                            step: int) -> np.ndarray:
+        # b^T = (half Sigma) v^T: np.dot of the transposes returns the
+        # transpose of a C-ordered product, which is dimension-major
+        # (np.dot: a matmul by a 1 x 1 matrix costs several times more)
+        b = np.dot(self.drift_matrix, self.v(x).T).T
+        if self.steady is not None:
+            b += self.steady(x)
+        b *= self.dt
+        b += np.dot(self.noise_matrix, dw.T).T
+        return b
+
+    def _state_increment(self, x: np.ndarray, dw: np.ndarray,
+                         step: int) -> np.ndarray:
+        P = x.shape[0]
+        if self.given_sigma:
+            # C-ordered, as the stacked matmul below has always read it
+            vals = np.empty((P,) + self.shape)
+        else:
+            vals = np.empty(self.shape + (P,)).transpose(2, 0, 1)
+        for i, j, c in self.fixed:
+            vals[:, i, j] = c
+        for i, j, f in self.entries:
+            vals[:, i, j] = f(x)
         if self.given_sigma:
             root, Sig = vals, vals @ np.swapaxes(vals, 1, 2)
         else:
             # the noise factor is the Cholesky root of this step's Sigma
             root, Sig = _cholesky(vals, step), vals
-        b = 0.5 * self.div_sigma(x) + self.half * _matvec(Sig, v)
-        if self.mode == "steady":
-            b += self.table(x)
-        return b * self.dt + _matvec(root, dw) * self.sqdt
+        b = self.div_sigma(x)
+        b *= _HALF
+        drift = _matvec(Sig, self.v(x))
+        drift *= self.half
+        b += drift
+        if self.steady is not None:
+            b += self.steady(x)
+        b *= self.dt
+        noise = _matvec(root, dw)
+        noise *= self.sqdt
+        b += noise
+        return b
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +398,13 @@ class _Dynamics:
 
 def _inside(x: np.ndarray, bounds: list) -> bool:
     """Whether every entry of x (P, n) lies within its axis's
-    (k, low, high) bounds; False when any entry is NaN. Column minima
-    and maxima: reducing a (P, 2) array along axis 0, or comparing it
-    with a (2,) row, runs numpy's inner loop two entries long."""
+    (k, low, high) bounds; False when any entry is NaN. Each axis is
+    tested by its minimum and maximum, which for a dimension-major x
+    are reductions over one contiguous run."""
     for k, low, high in bounds:
         col = x[:, k]
-        if not (col.min() >= low and col.max() <= high):
+        if not (np.minimum.reduce(col) >= low
+                and np.maximum.reduce(col) <= high):
             return False
     return True
 
@@ -372,23 +445,36 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     highs = lows + spans
     bounds = [(k, float(lows[k]), float(highs[k])) for k in range(n)]
     running_cost = None if cost_expr is None else compile_body(cost_expr)
-    cost_scale = cfg.dt / LAMBDA
-    noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps), dyn.m))
+    cost_scale = np.array(cfg.dt / LAMBDA)
+    # subtracting a zero shift would leave every entry as it is
+    shift = np.array(cost_shift) if cost_shift else None
+    m = dyn.m
+    # one flat row of BLOCK_STEPS * m normals per path
+    noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps) * m))
+    increment = dyn.increment
 
     for lo in range(0, P, CHUNK_PATHS):
         hi = min(lo + CHUNK_PATHS, P)
-        gens = [_stream(cfg.seed, stream_base + j) for j in range(lo, hi)]
-        x = x0[lo:hi].copy()
+        gens = _streams(cfg.seed, stream_base + lo, hi - lo)
+        cost_chunk = cost[lo:hi]
+        x = x0[lo:hi].copy(order="F")
         if 0 in slot:
             states[lo:hi, slot[0]] = x
         for k0 in range(0, n_steps, BLOCK_STEPS):
-            block = noise[:hi - lo, :min(BLOCK_STEPS, n_steps - k0)]
-            for gen, row in zip(gens, block):
+            steps = min(BLOCK_STEPS, n_steps - k0)
+            rows = noise[:hi - lo, :steps * m]
+            for gen, row in zip(gens, rows):
                 gen.standard_normal(out=row)
-            for b in range(block.shape[1]):
+            block = rows.reshape(hi - lo, steps, m)
+            for b in range(steps):
                 if running_cost is not None:
-                    cost[lo:hi] += cost_scale * (running_cost(x) - cost_shift)
-                x_new = x + dyn.increment(x, block[:, b], k0 + b)
+                    r = running_cost(x)
+                    if shift is not None:
+                        r -= shift
+                    r *= cost_scale
+                    cost_chunk += r
+                x_new = increment(x, block[:, b], k0 + b)
+                x_new += x
                 # one test per step; it also fails on NaN, so the
                 # exclusion and reflection below run only when needed
                 if not _inside(x_new, bounds):
@@ -404,9 +490,8 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
                         # entries by an ulp, which would tie a path's bytes
                         # to its chunk
                         y = np.mod(x_new - lows, 2.0 * spans)
-                        x_new = np.where(outside,
-                                         lows + (spans - np.abs(y - spans)),
-                                         x_new)
+                        np.copyto(x_new, lows + (spans - np.abs(y - spans)),
+                                  where=outside)
                 x = x_new
                 if k0 + b + 1 in slot:
                     states[lo:hi, slot[k0 + b + 1]] = x
@@ -419,7 +504,13 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
 
 def _resolve_x0(x0, n_paths: int, dim: int) -> np.ndarray:
     if isinstance(x0, Ensemble):
-        return x0.positions
+        pos = x0.positions
+        if pos.shape[0] == 0:
+            raise SamplingError("the start ensemble is empty")
+        if pos.shape[1] != dim:
+            raise SamplingError(f"start ensemble has dimension "
+                                f"{pos.shape[1]}, grid {dim}")
+        return pos
     pt = np.asarray(x0, dtype=float).reshape(-1)
     if pt.shape[0] != dim:
         raise SamplingError(f"start point has dimension {pt.shape[0]}, grid {dim}")
@@ -457,6 +548,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
             raise SamplingError("feedback target density must be positive")
         table = gradient_values(grid, np.log(target.values))
 
+    if not math.isfinite(cost_shift):
+        raise SamplingError(f"cost_shift must be finite, got {cost_shift}")
     if isinstance(cost_expr, str):
         cost_expr = parse_expression(cost_expr)
     if cost_expr is not None:
@@ -520,6 +613,8 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
     call with stream_base + i * n_paths.
     """
     n_paths = cfg.n_paths
+    if len(points) == 0:
+        raise SamplingError("no query points given")
     pts = np.asarray(points, dtype=float).reshape(len(points), -1)
     if pts.shape[1] != spec.grid.dim:
         raise SamplingError(f"start point has dimension {pts.shape[1]}, "

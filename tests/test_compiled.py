@@ -273,6 +273,17 @@ class TestInterpolationStencil:
             got = f(pts)
             np.testing.assert_array_equal(got, dc.interpolate_values(grid, values, pts))
             np.testing.assert_array_equal(got, reference_interpolate(grid, values, pts))
+            # the SDE engine hands over column-ordered points
+            cols = np.asfortranarray(pts)
+            kept = cols.copy()
+            np.testing.assert_array_equal(f(cols), got)
+            np.testing.assert_array_equal(cols, kept)
+            # a two-column table, read column by column
+            table2 = np.stack([np.asarray(values).reshape(grid.size, -1)[:, 0],
+                               -np.arange(grid.size, dtype=float)], axis=1)
+            np.testing.assert_array_equal(
+                dc.interpolant(grid, table2)(cols),
+                reference_interpolate(grid, table2, pts))
 
     def test_points_are_not_modified(self):
         g = dc.Grid((0.0, -1.0), (1.0, 1.0), (5, 3))

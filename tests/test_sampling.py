@@ -123,6 +123,27 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak <= 7e6
 
+    def test_state_dependent_step_memory_is_per_step(self):
+        # sigma2d's Sigma(x) under feedback, with a running cost: the
+        # noise block of 2048 paths x 256 steps x 2 is 8.4 MB and the run
+        # peaked at 10.5 MB before the step loop went dimension-major;
+        # the bound allows 9% more, far below another block-sized buffer
+        g = dc.Grid((-3.5, -3.5), (3.5, 3.5), (25, 25))
+        spec = dc.ProblemSpec(
+            grid=g, phi="(x1^2 + x2^2)/2",
+            q="3/8*(x1 + x2)^2 + 3/16*(x1^4 + x2^4)",
+            Sigma=[["1 + x1^2/4", "0.5"], ["0.5", "1 + x2^2/4"]])
+        target = dc.ScalarField(g, np.exp(-spec.phi_field().values))
+        ens = dc.uniform_ensemble(g, 2048, 3)
+        c = cfg(dt=2e-3, T=0.512, n_paths=2048, mode="feedback")
+        tracemalloc.start()
+        try:
+            dc.simulate_sde(spec, c, ens, target=target, cost_expr=spec.q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.5e6
+
     @pytest.mark.parametrize("diffusion", [
         {"Sigma": [["2", "1"], ["1", "2"]]},
         {"Sigma": [["1 + x1^2/4", "0.5"], ["0.5", "1 + x2^2/4"]]},
@@ -295,6 +316,42 @@ class TestStartsOutsideTheBox:
         spec = dc.ProblemSpec(grid=g, phi="x1^2 + x2^2",
                               Sigma=[["1", "0"], ["0", "1"]], q="0")
         dc.simulate_sde(spec, cfg(n_paths=4, T=0.01), x0=(1.0, 0.0))
+
+
+class TestInputsWithNothingToRun:
+    """An input that leaves no path to run, or no finite cost, is
+    refused by name; it is not reported as paths that blew up."""
+
+    def test_empty_ensemble(self, ou401):
+        ens = dc.Ensemble(positions=np.empty((0, 1)))
+        with pytest.raises(SamplingError, match="start ensemble is empty"):
+            dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01), ens)
+
+    def test_empty_ensemble_cost_estimate(self, ou401):
+        ens = dc.Ensemble(positions=np.empty((0, 1)))
+        with pytest.raises(SamplingError, match="start ensemble is empty"):
+            dc.estimate_c_mc(ou401, ou401.q, cfg(n_paths=8, T=0.01), ens)
+
+    def test_ensemble_of_another_dimension(self, ou401):
+        ens = dc.Ensemble(positions=[[0.0, 0.0]])
+        with pytest.raises(SamplingError, match="dimension 2, grid 1"):
+            dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01), ens)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cost_shift(self, ou401, shift):
+        c = cfg(n_paths=8, T=0.01)
+        with pytest.raises(SamplingError, match="cost_shift must be finite"):
+            dc.simulate_sde(ou401, c, (0.0,), cost_expr=ou401.q,
+                            cost_shift=shift)
+        # the desirability estimator's c is the shift
+        with pytest.raises(SamplingError, match="cost_shift must be finite"):
+            dc.path_integral_desirabilities(ou401, ou401.q, shift,
+                                            [(0.0,)], c)
+
+    def test_no_query_points(self, ou401):
+        with pytest.raises(SamplingError, match="no query points"):
+            dc.path_integral_desirabilities(ou401, ou401.q, 2.0, [],
+                                            cfg(n_paths=8, T=0.01))
 
 
 class TestRecording:
