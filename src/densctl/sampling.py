@@ -27,7 +27,8 @@ path-integral form exact, and use the left-endpoint rule, consistent
 with the weak order of the integrator.
 Noise is drawn in time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m
 floats however long the horizon (m noise dimensions); each path draws
-its block into one flat row.
+its block into one flat row, and the rows are padded so that the
+strided reads of one step's noise spread over the cache sets.
 
 The step loop works dimension-major. A chunk's state is a (P, n) array
 in column order, the transpose of an (n, P) array, so each coordinate
@@ -37,9 +38,9 @@ are laid out the same way, so that every x[:, i] or A[:, i, j] is
 contiguous and each numpy call runs its inner loop P entries long,
 where a row-major (P, 2) array would run it two entries long. The
 layout changes no arithmetic: every entry is computed by the same
-operations in the same order, so results are bit-identical to the
-row-major loop. Only a state-dependent sigma keeps its (P, n, m) stack
-in row order, as the stacked matmul for sigma sigma^T reads it. The
+operations in the same order, so a path's bytes do not depend on it.
+Only a state-dependent sigma keeps its (P, n, m) stack in row order,
+for the stacked matmul that forms sigma sigma^T. The
 noise of one step is a strided column of the block; a step-major copy
 of the block costs as much as those reads and would double the
 block's memory.
@@ -207,8 +208,7 @@ def _streams(seed: int, first: int, count: int) -> list:
     j < count; their keys are the rows of one array."""
     keys = np.empty((count, 2), dtype=np.uint64)
     keys[:, 0] = seed
-    keys[:, 1] = np.arange(count, dtype=np.uint64)
-    keys[:, 1] += np.uint64(first)
+    keys[:, 1] = np.arange(first, first + count, dtype=np.uint64)
     # the zero counter is Philox's default; handed over as an array it
     # skips a conversion from a Python int per stream
     return [np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER0))
@@ -366,7 +366,9 @@ class _Dynamics:
                          step: int) -> np.ndarray:
         P = x.shape[0]
         if self.given_sigma:
-            # C-ordered, as the stacked matmul below has always read it
+            # row order keeps the stacked matmul below on its BLAS
+            # route; on a dimension-major stack it would take numpy's
+            # own loop, which may round differently
             vals = np.empty((P,) + self.shape)
         else:
             vals = np.empty(self.shape + (P,)).transpose(2, 0, 1)
@@ -449,8 +451,11 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     # subtracting a zero shift would leave every entry as it is
     shift = np.array(cost_shift) if cost_shift else None
     m = dyn.m
-    # one flat row of BLOCK_STEPS * m normals per path
-    noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps) * m))
+    # one flat row of BLOCK_STEPS * m normals per path, padded by one
+    # 64-byte cache line: with rows a power of two bytes long, a step's
+    # strided column of the block falls into a few cache sets only, and
+    # its reads miss the caches (2.5x slower at 2048 paths)
+    noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps) * m + 8))
     increment = dyn.increment
 
     for lo in range(0, P, CHUNK_PATHS):
