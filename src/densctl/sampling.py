@@ -96,7 +96,6 @@ BLOCK_STEPS = 256        # time steps of noise drawn at once
 ESS_FLOOR = 0.05
 
 DRIFT_MODES = ("uncontrolled", "steady", "feedback")
-_HALF = np.array(0.5)
 
 
 @dataclass(frozen=True)
@@ -300,21 +299,21 @@ class _Dynamics:
         # step constants as 0-d arrays, which numpy dispatches faster
         # than Python floats
         self.dt = np.array(cfg.dt)
-        self.sqdt = np.sqrt(self.dt)
+        self.sqdt = np.array(np.sqrt(cfg.dt))
         n = spec.grid.dim
+        origin = np.zeros((1, n))
         self.m = len(spec.sigma[0]) if spec.sigma is not None else n
-        self.table = None if table is None else interpolant(self.grid, table)
-        self.steady = self.table if cfg.mode == "steady" else None
+        read = None if table is None else interpolant(self.grid, table)
+        self.steady = read if cfg.mode == "steady" else None
         gphi = [compile_body(derivative(spec.phi, k + 1)) for k in range(n)]
         # the drift is div(Sigma)/2 + half * Sigma v, where v is grad(phi)
         # with half = -1/2, or grad(log p) with half = +1/2 under feedback
         if cfg.mode == "feedback":
-            self.half, self.v = np.array(0.5), self.table
+            self.half, self.v = np.array(0.5), read
         else:
             self.half, self.v = np.array(-0.5), lambda x: _columns(gphi, x)
         self.const_diffusion = spec.diffusion_is_constant()
         if self.const_diffusion:
-            origin = np.zeros((1, n))
             self.drift_matrix = self.half * spec.diffusion_at(origin)[0]
             self.noise_matrix = self.sqdt * spec.noise_at(origin)[0]
             self.increment = self._constant_increment
@@ -326,7 +325,6 @@ class _Dynamics:
         entries = [(i, j, e) for i, row in enumerate(mat)
                    for j, e in enumerate(row)]
         # a constant entry is written as a float, with no array per step
-        origin = np.zeros((1, n))
         self.fixed = [(i, j, float(compile_body(e)(origin)[0]))
                       for i, j, e in entries if not free_variables(e)]
         self.entries = [(i, j, compile_body(e))
@@ -382,7 +380,7 @@ class _Dynamics:
             # the noise factor is the Cholesky root of this step's Sigma
             root, Sig = _cholesky(vals, step), vals
         b = self.div_sigma(x)
-        b *= _HALF
+        b *= 0.5
         drift = _matvec(Sig, self.v(x))
         drift *= self.half
         b += drift
@@ -448,8 +446,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     bounds = [(k, float(lows[k]), float(highs[k])) for k in range(n)]
     running_cost = None if cost_expr is None else compile_body(cost_expr)
     cost_scale = np.array(cfg.dt / LAMBDA)
-    # subtracting a zero shift would leave every entry as it is
-    shift = np.array(cost_shift) if cost_shift else None
+    shift = np.array(cost_shift)
     m = dyn.m
     # one flat row of BLOCK_STEPS * m normals per path, padded by one
     # 64-byte cache line: with rows a power of two bytes long, a step's
@@ -474,8 +471,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
             for b in range(steps):
                 if running_cost is not None:
                     r = running_cost(x)
-                    if shift is not None:
-                        r -= shift
+                    r -= shift
                     r *= cost_scale
                     cost_chunk += r
                 x_new = increment(x, block[:, b], k0 + b)
