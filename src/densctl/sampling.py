@@ -40,10 +40,9 @@ where a row-major (P, 2) array would run it two entries long. The
 layout changes no arithmetic: every entry is computed by the same
 operations in the same order, so a path's bytes do not depend on it.
 Only a state-dependent sigma keeps its (P, n, m) stack in row order,
-for the stacked matmul that forms sigma sigma^T. The
-noise of one step is a strided column of the block; a step-major copy
-of the block costs as much as those reads and would double the
-block's memory.
+for the stacked matmul that forms sigma sigma^T. The noise of one step
+is a strided column of the block; a step-major copy of the block costs
+as much as those reads and would double the block's memory.
 
 The drift, noise and cost of a run are compiled once, before the first
 step: grad(phi) and div(Sigma) are symbolic derivatives of the

@@ -126,8 +126,9 @@ class TestDeterminism:
     def test_state_dependent_step_memory_is_per_step(self):
         # sigma2d's Sigma(x) under feedback, with a running cost: the
         # noise block of 2048 paths x 256 steps x 2 is 8.4 MB and the run
-        # peaked at 10.5 MB before the step loop went dimension-major;
-        # the bound allows 9% more, far below another block-sized buffer
+        # peaks at 10.7 MB; the bound, 9% above the 10.5 MB of a
+        # row-major step loop, keeps the work buffers path-sized, as one
+        # more block-sized buffer would add 8.4 MB
         g = dc.Grid((-3.5, -3.5), (3.5, 3.5), (25, 25))
         spec = dc.ProblemSpec(
             grid=g, phi="(x1^2 + x2^2)/2",
@@ -598,9 +599,8 @@ class TestGoldenBits:
     which read a two-column table under a state-dependent Sigma, before
     the step loop went dimension-major. The runs need no eigensolver, and
     their matrix products are 1 x 1 or explicit, so BLAS and ARPACK do
-    not enter the bits.
-    Only a change that alters the definition of the random streams on
-    purpose may re-record them."""
+    not enter the bits. Only a change that alters the definition of the
+    random streams on purpose may re-record them."""
 
     GOLDEN = {
         "uncontrolled": "de852c6c640e16916604843b159786e6"
