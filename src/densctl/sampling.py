@@ -140,7 +140,11 @@ class Ensemble:
     positions: np.ndarray = field(repr=False)   # (count, dim)
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        pos = np.asarray(self.positions, dtype=float)
+        # no positions at all is no particle, not one of dimension 0
+        if pos.size == 0 and pos.ndim < 2:
+            pos = pos.reshape(0, 0)
+        pos = np.atleast_2d(pos)
         if not np.isfinite(pos).all():
             raise SamplingError("ensemble positions must be finite")
         object.__setattr__(self, "positions", pos)

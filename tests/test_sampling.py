@@ -538,6 +538,14 @@ class TestEnsemble:
         ens = dc.Ensemble(positions=np.zeros((7, 1)))
         assert ens.count == 7
 
+    def test_empty_list_is_an_empty_ensemble(self, ou401):
+        ens = dc.Ensemble(positions=[])
+        assert ens.count == 0
+        with pytest.raises(SamplingError, match="start ensemble is empty"):
+            dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01), ens)
+        with pytest.raises(SamplingError, match="empty ensemble"):
+            dc.histogram_density(ens, ou401.grid)
+
 
 class TestStreams:
     # Philox(key=k) builds a seed sequence from OS entropy before it
