@@ -454,7 +454,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     # one flat row of BLOCK_STEPS * m normals per path, padded by one
     # 64-byte cache line: with rows a power of two bytes long, a step's
     # strided column of the block falls into a few cache sets only, and
-    # its reads miss the caches (2.5x slower at 2048 paths)
+    # its reads miss the caches
     noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps) * m + 8))
     increment = dyn.increment
 
