@@ -113,7 +113,8 @@ def _shifted_lu(A: sp.csr_matrix, shift: float):
 
 
 def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
-    """Top k eigenpairs of symmetric A, descending; bound >= its spectrum.
+    """Top k eigenpairs of symmetric A, descending; bound >= its spectrum;
+    v0, the Lanczos start, should approximate the top vector.
 
     Also returns the one factor of (sigma I - A), sigma a little above
     the bound, whose inertia certifies the bound; callers reuse it.
@@ -124,8 +125,12 @@ def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
     # shift a little above the bound (zero for the negative semidefinite
     # S): A - sigma I is nonsingular and shift-invert targets the top of
     # the spectrum; the offset grows with |A| only as far as rounding in
-    # the factor needs, so a stiff A does not swamp the gaps below it
-    scale = float(np.abs(A.diagonal()).max())
+    # the factor needs, so a stiff A does not swamp the gaps below it.
+    # Rounding in the near-zero pivot scales with the diagonal where the
+    # top vector lives, so |diag A| is averaged under v0^2: the largest
+    # entry, at nodes of vanishing mu, can exceed it by 1e20 and would
+    # push the shift so far out that Lanczos stalls.
+    scale = float(v0 * v0 @ np.abs(A.diagonal())) / float(v0 @ v0)
     sigma = bound + max(1e-6 * max(1.0, abs(bound)),
                         1e3 * np.finfo(float).eps * scale)
     lu = _shifted_lu(A, sigma)

@@ -226,6 +226,36 @@ class TestGraphLaplacian:
         )
         assert sol.diagnostics["min_eigvec"] > 0.0
 
+    @pytest.mark.parametrize("lows, phi, Sigma, q", [
+        ((-3.0, -3.5, -3.0),
+         "x1^2 + 0.25*x1^4 + x2^2 + 0.25*x2^4 + x3^2 + 0.25*x3^4",
+         [["1", "1", "0"], ["1", "2", "1"], ["0", "1", "2"]], "x3^2"),
+        ((-3.5, -3.0, -3.5),
+         "0.5*x1^2 + 0.25*x1^4 + x2^2 + 0.125*x2^4 + x3^2 + 0.28125*x3^4",
+         [["2.25", "1.5", "0"], ["1.5", "2", "1"], ["0", "1", "2"]], "0"),
+    ], ids=["cost", "no_cost"])
+    def test_steep_phi_on_a_coarse_grid(self, lows, phi, Sigma, q):
+        # 5^3 nodes under a quartic phi: the corner diagonals of S reach
+        # 1e20 and 1e22 while the mu-weighted one is about 0.1; a shift
+        # scaled by the largest diagonal stalled ARPACK on the first and
+        # left eigenpair 0 unconverged on the second
+        g = dc.Grid(lows, tuple(-a for a in lows), (5, 5, 5))
+        spec = dc.ProblemSpec(grid=g, phi=phi, Sigma=Sigma, q=q)
+        op = assemble(spec)
+        s = dc.eig_generator(op, 3)
+        assert s.eigenvalues[0] == 0.0
+        assert s.eigenvalues[1] < 0.0
+        assert s.residuals.max() <= 1e-12
+
+        sol = dc.solve_hjb_principal(
+            spec.diffusion_field(), spec.phi_field(), spec.q_field(), k=3
+        )
+        assert sol.diagnostics["min_eigvec"] > 0.0
+        assert sol.controlled.residuals.max() <= 1e-12
+        # the Rayleigh quotient of M at sqrt(mu) bounds mu0 from below,
+        # so the optimal cost is at most the uncontrolled one
+        assert -1e-12 <= sol.c <= float(op.mu @ spec.q_field().values) + 1e-12
+
     def test_offsets_outside_the_box_are_refused(self):
         # Sigma_11 / h_1^2 = 1/16 against Sigma_22 / h_2^2 = 32/9: the
         # Selling offsets (0, 1), (1, 5) and (1, 6) need 6 nodes along x2,
