@@ -92,6 +92,9 @@ class _Run:
         if k is not None and k < 1:
             raise ConfigError(f"--k must be at least 1, got {k}")
         self.k = k if k is not None else cfg.solver.k
+        n = self.spec.grid.size
+        if self.k is not None and self.k > n:
+            raise ConfigError(f"k = {self.k} outside the valid range 1..{n}")
 
         # evolve's flags
         for flag in ("dt", "T"):
@@ -160,32 +163,21 @@ def _require_inverse(run: _Run) -> None:
                           "[target] section; this one has a [cost]")
 
 
-def _gated(run: _Run, **fields) -> tuple:
-    """The spec's fields, evaluated once for the whole command, after
-    they pass the structural gates."""
-    report = validate_spec(run.spec, **fields)
+def _gate(run: _Run) -> None:
+    """Refuse a spec that fails the structural gates. The gates evaluate
+    the spec's fields, which the spec keeps for the rest of the
+    command."""
+    report = validate_spec(run.spec)
     if not report.passed:
         raise DensctlError(
             "constraint checks failed:\n" + "\n".join(report.lines()))
-    return tuple(fields.values())
-
-
-def _forward_fields(run: _Run):
-    """(Sigma, phi, q), gated."""
-    spec = run.spec
-    return _gated(run, Sigma=spec.diffusion_field(), phi=spec.phi_field(),
-                  q=spec.q_field())
-
-
-def _inverse_fields(run: _Run):
-    """(Sigma, target), gated."""
-    spec = run.spec
-    return _gated(run, Sigma=spec.diffusion_field(),
-                  target=spec.target_field())
 
 
 def _solve_forward(run: _Run, k: int = 1):
-    return solve_hjb_principal(*_forward_fields(run), k)
+    _gate(run)
+    spec = run.spec
+    return solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
+                               spec.q_field(), k)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +197,8 @@ def cmd_check(run: _Run) -> int:
 def cmd_solve(run: _Run) -> int:
     _require_forward(run)
     spec = run.spec
-    Sigma, phi, q = _forward_fields(run)
-    sol = solve_hjb_principal(Sigma, phi, q,
-                              min(run.default_k(), spec.grid.size))
-    residual = verify_hjb_residual(sol, q)
+    sol = _solve_forward(run, run.default_k())
+    residual = verify_hjb_residual(sol, spec.q_field())
     ctrl = sol.controlled
     gap = spectral_gap(ctrl) if ctrl.k >= 2 else None
 
@@ -240,8 +230,6 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
     spec = run.spec
     g = spec.grid
     k = run.default_k()
-    if k > g.size:
-        raise ConfigError(f"k = {k} outside the valid range 1..{g.size}")
     if controlled:
         _require_forward(run)
         s = _solve_forward(run, k).controlled
@@ -291,15 +279,16 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
     k = run.default_k()
     if mode_index is not None:
         k = max(k, mode_index + 1)
-    k = min(max(k, 2), g.size)
+    k = max(k, 2)
     if spec.mode == "forward":
         # the controlled generator, read off M: no reassembly
         gen = _solve_forward(run, k)
         s = gen.controlled
     else:
-        Sigma, target = _inverse_fields(run)
-        p = _normalized_target(target, warn=False)
-        gen = assemble_generator(Sigma, ScalarField(g, -np.log(p)))
+        _gate(run)
+        p = _normalized_target(spec.target_field())
+        gen = assemble_generator(spec.diffusion_field(),
+                                 ScalarField(g, -np.log(p)))
         s = eig_generator(gen, k)
     rate = spectral_gap(s)
 
@@ -361,11 +350,12 @@ def _drift_input(run: _Run, mode: str) -> dict:
     if spec.mode == "forward":
         sol = _solve_forward(run)
         return {"control": sol.u} if mode == "steady" else {"target": sol.p}
-    Sigma, p_inf = _inverse_fields(run)
+    _gate(run)
+    p_inf = spec.target_field()
     if mode == "steady":
-        return {"control": control_from_target(p_inf, spec.phi_field(), Sigma)}
-    return {"target": ScalarField(spec.grid,
-                                  _normalized_target(p_inf, warn=False))}
+        return {"control": control_from_target(p_inf, spec.phi_field(),
+                                               spec.diffusion_field())}
+    return {"target": ScalarField(spec.grid, _normalized_target(p_inf))}
 
 
 def cmd_sample_paths(run: _Run) -> int:
@@ -512,8 +502,8 @@ def cmd_inverse(run: _Run) -> int:
     _require_inverse(run)
     spec = run.spec
     g = spec.grid
-    Sigma, target = _inverse_fields(run)
-    rt = roundtrip_verify(target, spec, Sigma=Sigma)
+    _gate(run)
+    rt = roundtrip_verify(spec.target_field(), spec)
     inv = rt.inverse
 
     coords = g.node_coords()

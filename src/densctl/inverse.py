@@ -8,7 +8,9 @@ u = (Sigma/LAMBDA)(grad log p + grad phi), the model's `control_law`
 that the forward solve applies to -grad v. No optimization loop is
 involved; every step is a direct evaluation, so the round trip through
 the forward solver is the natural correctness check. The gauge of Psi
-is the forward solver's, `spectral._gauged_log_psi`.
+is the forward solver's, `spectral._gauged_log_psi`. Sigma, phi and the
+target are read off the spec, which evaluates each once, so the design
+and its round trip take no field from the caller.
 """
 from __future__ import annotations
 
@@ -37,18 +39,13 @@ PSI_DIVISION_FLOOR = 1e-12
 LOG_CURVATURE_LIMIT = 1.0
 
 
-def _normalized_target(p_inf: ScalarField, warn: bool = True) -> np.ndarray:
+def _normalized_target(p_inf: ScalarField) -> np.ndarray:
     if p_inf.values.min() <= 0.0:
         k = int(np.argmin(p_inf.values))
         raise InverseError(
             "target density must be strictly positive, min "
             f"{p_inf.values.min():.3e} at node {k}")
-    w = p_inf.grid.quadrature_weights()
-    mass = float(w @ p_inf.values)
-    if abs(mass - 1.0) > 1e-8 and warn:
-        warnings.warn(f"target density mass {mass:.6g} != 1, renormalizing",
-                      stacklevel=3)
-    return p_inf.values / mass
+    return p_inf.values / float(p_inf.grid.quadrature_weights() @ p_inf.values)
 
 
 def _check_log_curvature(grid, log_p: np.ndarray) -> None:
@@ -75,6 +72,10 @@ def desirability_from_target(p_inf: ScalarField, phi: ScalarField) -> ScalarFiel
     if phi.grid != g:
         raise InverseError("target and phi live on different grids")
     p = _normalized_target(p_inf)
+    mass = float(g.quadrature_weights() @ p_inf.values)
+    if abs(mass - 1.0) > 1e-8:
+        warnings.warn(f"target density mass {mass:.6g} != 1, renormalizing",
+                      stacklevel=2)
     log_p = np.log(p)
     _check_log_curvature(g, log_p)
     return ScalarField(g, np.exp(_gauged_log_psi(0.5 * (log_p + phi.values),
@@ -118,7 +119,7 @@ def control_from_target(p_inf: ScalarField, phi: ScalarField,
     g = p_inf.grid
     if phi.grid != g or Sigma.grid != g:
         raise InverseError("target, phi and Sigma must share one grid")
-    p = _normalized_target(p_inf, warn=False)
+    p = _normalized_target(p_inf)
     return control_law(Sigma, gradient_values(g, np.log(p)) +
                        gradient_values(g, phi.values))
 
@@ -145,7 +146,7 @@ def _design(p_inf: ScalarField, phi: ScalarField,
     q, c = cost_from_target(Psi, phi, Sigma)
     u = control_from_target(p_inf, phi, Sigma)
     v = ScalarField(g, -LAMBDA * np.log(Psi.values))
-    p_norm = ScalarField(g, _normalized_target(p_inf, warn=False))
+    p_norm = ScalarField(g, _normalized_target(p_inf))
     diag = {
         "target_mass": float(g.quadrature_weights() @ p_inf.values),
         "q_max": float(q.values.max()),
@@ -154,21 +155,18 @@ def _design(p_inf: ScalarField, phi: ScalarField,
                            diagnostics=diag)
 
 
-def solve_inverse(spec: ProblemSpec, *, Sigma: TensorField | None = None,
-                  target: ScalarField | None = None) -> InverseSolution:
+def solve_inverse(spec: ProblemSpec) -> InverseSolution:
     """Full inverse design for an inverse-mode problem.
 
     Produces the desirability, the synthesized nonnegative cost with
     its gauge constant, the value v = -LAMBDA log Psi, and the steady
-    control, all on the problem grid. Sigma and the target, when the
-    caller has evaluated them already, are passed in.
+    control, all on the problem grid.
     """
     if spec.mode != "inverse":
         raise InverseError("problem has a cost q; inverse design needs a "
                            "target density instead")
-    return _design(spec.target_field() if target is None else target,
-                   spec.phi_field(),
-                   spec.diffusion_field() if Sigma is None else Sigma)
+    return _design(spec.target_field(), spec.phi_field(),
+                   spec.diffusion_field())
 
 
 @dataclass(frozen=True)
@@ -195,20 +193,18 @@ class RoundtripReport:
         ]
 
 
-def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec, *,
-                     Sigma: TensorField | None = None) -> RoundtripReport:
+def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec) -> RoundtripReport:
     """Feed the synthesized cost back through the forward solver.
 
     Compares the recovered stationary density, control and average cost
     against the inverse-design values and reports the spectral gap of
     the controlled generator, which certifies exponential stability of
-    the target. Sigma, when the caller has evaluated it already, is
-    passed in.
+    the target.
     """
     g = p_inf.grid
     if g != spec.grid:
         raise InverseError("target grid does not match the problem grid")
-    Sigma = spec.diffusion_field() if Sigma is None else Sigma
+    Sigma = spec.diffusion_field()
     phi = spec.phi_field()
     inv = _design(p_inf, phi, Sigma)
     forward = solve_hjb_principal(Sigma, phi, inv.q, k=2)

@@ -7,6 +7,12 @@ mode). The control weight is tied to the noise, R = LAMBDA Sigma^{-1}
 with the constant LAMBDA = 2, which linearizes the stationary value
 equation; nothing sets it. R enters only as Sigma / LAMBDA, through
 `control_law`. The box boundary is always zero-flux (reflecting).
+
+The spec owns its grid fields: `phi_field`, `q_field`, `target_field`
+and `diffusion_field` evaluate their expressions on the nodes once per
+spec and keep the result, read-only, for every later call. The gates,
+the solvers and the commands all read the fields off the spec, so no
+caller evaluates a field twice or hands one down.
 """
 from __future__ import annotations
 
@@ -20,17 +26,18 @@ from .expressions import (
     EXPR_TYPES,
     BinOp,
     Expr,
+    evaluate,
     free_variables,
     parse_expression,
 )
 from .fields import (
     SPD_TOLERANCE,
+    SYMMETRY_TOLERANCE,
     ScalarField,
     TensorField,
     VectorField,
     _check_finite,
     eval_matrix,
-    eval_scalar_field,
     gradient_values,
     laplacian_values,
     noise_to_tensor,
@@ -72,6 +79,9 @@ class ProblemSpec:
     Sigma: ExprMatrix | None = None      # diffusion, n x n
     q: Expr | None = None
     target: Expr | None = None
+    # evaluated fields by name, filled by _field
+    _fields: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phi", _as_expr(self.phi))
@@ -111,20 +121,40 @@ class ProblemSpec:
     def mode(self) -> str:
         return "forward" if self.q is not None else "inverse"
 
-    # -- field construction ------------------------------------------------
+    # -- fields on the grid nodes, each evaluated once ---------------------
+
+    def _evaluate(self, name: str) -> ScalarField | TensorField:
+        """The field `name` on the nodes; a nonfinite value raises
+        FieldError naming the field."""
+        coords = self.grid.node_coords()
+        if name == "diffusion":
+            vals = self.diffusion_at(coords)
+            _check_finite(vals, self.grid, "diffusion tensor")
+            return TensorField(self.grid, vals)
+        vals = evaluate(getattr(self, name), coords)
+        _check_finite(vals, self.grid, name)
+        return ScalarField(self.grid, vals)
+
+    def _field(self, name: str) -> ScalarField | TensorField:
+        f = self._fields.get(name)
+        if f is None:
+            f = self._evaluate(name)
+            f.values.flags.writeable = False
+            self._fields[name] = f
+        return f
 
     def phi_field(self) -> ScalarField:
-        return eval_scalar_field(self.phi, self.grid)
+        return self._field("phi")
 
     def q_field(self) -> ScalarField:
         if self.q is None:
             raise ModelError("inverse-mode problem has no cost q")
-        return eval_scalar_field(self.q, self.grid)
+        return self._field("q")
 
     def target_field(self) -> ScalarField:
         if self.target is None:
             raise ModelError("forward-mode problem has no target density")
-        return eval_scalar_field(self.target, self.grid)
+        return self._field("target")
 
     def diffusion_at(self, points: np.ndarray) -> np.ndarray:
         """Sigma(x) at arbitrary points, shape (m_pts, n, n)."""
@@ -160,9 +190,7 @@ class ProblemSpec:
 
     def diffusion_field(self) -> TensorField:
         """Sigma on the grid nodes; a nonfinite entry raises FieldError."""
-        vals = self.diffusion_at(self.grid.node_coords())
-        _check_finite(vals, self.grid, "diffusion tensor")
-        return TensorField(self.grid, vals)
+        return self._field("diffusion")
 
     def diffusion_is_constant(self) -> bool:
         mat = self.Sigma if self.Sigma is not None else self.sigma
@@ -264,31 +292,34 @@ def _shell_minima(values: np.ndarray, shells: np.ndarray, n: int) -> list[float]
     return [float(values[shells == s].min()) for s in range(n)]
 
 
-def validate_spec(spec: ProblemSpec, *, Sigma: TensorField | None = None,
-                  phi: ScalarField | None = None,
-                  q: ScalarField | None = None,
-                  target: ScalarField | None = None) -> ValidationReport:
+def validate_spec(spec: ProblemSpec) -> ValidationReport:
     """Run the structural gates; FAIL findings block downstream solves.
 
-    A field the caller has evaluated already is passed in and not
-    evaluated again; the others are evaluated from the spec here.
+    The fields are read off the spec, which keeps them for the solves
+    that follow. A field that fails to evaluate is a FAIL finding named
+    after it, never an exception.
     """
     findings: list[Finding] = []
+
+    def read(name: str):
+        try:
+            return getattr(spec, f"{name}_field")()
+        except Exception as e:  # noqa: BLE001 - report, never raise
+            findings.append(Finding(name, "FAIL", f"evaluation failed: {e}"))
+            return None
 
     findings.append(Finding(
         "cost-coupling", "PASS",
         "control weight tied to noise, R = 2 Sigma^(-1), lam = 2"))
 
-    try:
-        Sig = spec.diffusion_field() if Sigma is None else Sigma
-    except Exception as e:  # noqa: BLE001 - report, never raise
-        findings.append(Finding("diffusion", "FAIL", f"evaluation failed: {e}"))
+    Sig = read("diffusion")
+    if Sig is None:
         return ValidationReport(tuple(findings))
 
     d = Sig.symmetry_defect()
     findings.append(Finding(
         "diffusion-symmetry",
-        "PASS" if d <= 1e-12 else "FAIL",
+        "PASS" if d <= SYMMETRY_TOLERANCE else "FAIL",
         f"max |Sigma - Sigma^T| = {d:.3e}"))
 
     lam_min = Sig.min_eigenvalue()
@@ -299,11 +330,11 @@ def validate_spec(spec: ProblemSpec, *, Sigma: TensorField | None = None,
 
     # confinement is a property of the stationary exponent: phi before the
     # solve in forward mode, -log(target) in inverse mode
+    Phi = None
     try:
         if spec.mode == "forward":
-            Phi = spec.phi_field() if phi is None else phi
-        else:
-            t = spec.target_field() if target is None else target
+            Phi = read("phi")
+        elif (t := read("target")) is not None:
             if t.values.min() <= 0.0:
                 findings.append(Finding(
                     "target-positive", "FAIL",
@@ -312,18 +343,19 @@ def validate_spec(spec: ProblemSpec, *, Sigma: TensorField | None = None,
             findings.append(Finding("target-positive", "PASS",
                                     f"target min = {t.values.min():.3e}"))
             Phi = ScalarField(spec.grid, -np.log(t.values))
-        rep = confinement_report(Phi)
-        findings.append(Finding(
-            "confinement",
-            "PASS" if rep.passed else "FAIL",
-            rep.detail + ", shell minima " +
-            "[" + ", ".join(f"{m:.4g}" for m in rep.shell_minima) + "]"))
+        if Phi is not None:
+            rep = confinement_report(Phi)
+            findings.append(Finding(
+                "confinement",
+                "PASS" if rep.passed else "FAIL",
+                rep.detail + ", shell minima " +
+                "[" + ", ".join(f"{m:.4g}" for m in rep.shell_minima) + "]"))
     except ModelError as e:
         findings.append(Finding("confinement", "FAIL", str(e)))
         Phi = None
 
-    if spec.mode == "forward":
-        qf = spec.q_field() if q is None else q
+    qf = read("q") if spec.mode == "forward" else None
+    if qf is not None:
         shells = spec.grid.boundary_shell_index()
         n_sh = min(5, int(shells.max()) + 1)
         minima = _shell_minima(qf.values, shells, n_sh)

@@ -127,8 +127,7 @@ def _selling(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cross(v[:, rest[:, 0]], v[:, rest[:, 1]]), lam
 
 
-def assemble_generator(Sigma: TensorField, Phi: ScalarField,
-                       grid: Grid | None = None) -> GeneratorOperator:
+def assemble_generator(Sigma: TensorField, Phi: ScalarField) -> GeneratorOperator:
     """Assemble the generator from two-point fluxes along grid offsets.
 
     At each node H^-1 Sigma H^-1 (H = diag of spacings) is written as
@@ -144,8 +143,8 @@ def assemble_generator(Sigma: TensorField, Phi: ScalarField,
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
     g = Sigma.grid
-    if Phi.grid != g or (grid is not None and grid != g):
-        raise OperatorError("Sigma, Phi and grid must agree")
+    if Phi.grid != g:
+        raise OperatorError("Sigma and Phi live on different grids")
     Sigma.check_spd()
 
     n = g.dim

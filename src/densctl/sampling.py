@@ -28,7 +28,10 @@ with the weak order of the integrator.
 Noise is drawn in time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m
 floats however long the horizon (m noise dimensions); each path draws
 its block into one flat row, and the rows are padded so that the
-strided reads of one step's noise spread over the cache sets.
+strided reads of one step's noise spread over the cache sets. There is
+no path recorder: a run keeps each path's terminal state, cost integral
+and flags, never its intermediate states, so no array grows with the
+number of steps.
 
 The step loop works dimension-major. A chunk's state is a (P, n) array
 in column order, the transpose of an (n, P) array, so each coordinate
@@ -104,8 +107,6 @@ class SdeConfig:
     n_paths: int
     seed: int
     mode: str = "uncontrolled"
-    record: bool = False
-    record_stride: int = 1
 
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("T", self.T)):
@@ -119,8 +120,6 @@ class SdeConfig:
         if not 0 <= int(self.seed) < INIT_STREAM:
             raise SamplingError(
                 f"seed must lie in [0, 2^64 - 3], got {self.seed}")
-        if self.record_stride < 1:
-            raise SamplingError("record_stride must be >= 1")
         if self.mode not in DRIFT_MODES:
             raise SamplingError(f"unknown drift mode {self.mode!r}; "
                                 f"use one of {DRIFT_MODES}")
@@ -162,8 +161,6 @@ class TrajectoryBatch:
     excluded: np.ndarray = field(repr=False)        # (P,) blew up, do not use
     seed: int = 0
     horizon: float = 0.0
-    times: np.ndarray | None = field(repr=False, default=None)
-    states: np.ndarray | None = field(repr=False, default=None)  # (P, K, n)
 
     @property
     def n_paths(self) -> int:
@@ -315,8 +312,7 @@ class _Dynamics:
             self.half, self.v = np.array(0.5), read
         else:
             self.half, self.v = np.array(-0.5), lambda x: _columns(gphi, x)
-        self.const_diffusion = spec.diffusion_is_constant()
-        if self.const_diffusion:
+        if spec.diffusion_is_constant():
             self.drift_matrix = self.half * spec.diffusion_at(origin)[0]
             self.noise_matrix = self.sqdt * spec.noise_at(origin)[0]
             self.increment = self._constant_increment
@@ -339,12 +335,11 @@ class _Dynamics:
                     for i in range(n)]
 
     def div_sigma(self, x: np.ndarray) -> np.ndarray:
-        """div Sigma at paths x (P, n)."""
+        """div Sigma at paths x (P, n), for state-dependent diffusion."""
         rows = np.zeros((x.shape[1], x.shape[0]))
-        if not self.const_diffusion:
-            for terms, row in zip(self.div, rows):
-                for f in terms:
-                    row += f(x)
+        for terms, row in zip(self.div, rows):
+            for f in terms:
+                row += f(x)
         return rows.T
 
     # increment(x, dw, step): b(x) dt + sigma(x) sqrt(dt) dw for paths
@@ -414,8 +409,7 @@ def _inside(x: np.ndarray, bounds: list) -> bool:
 
 @np.errstate(all="ignore")
 def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
-               stream_base: int, record_steps: list,
-               cost_expr: Expr | None, cost_shift: float):
+               stream_base: int, cost_expr: Expr | None, cost_shift: float):
     """Euler-Maruyama over all paths; the one step loop of the module.
 
     Paths run side by side in chunks of CHUNK_PATHS; each chunk draws
@@ -423,8 +417,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     live for the whole chunk. One np.errstate covers the whole run, so
     the compiled bodies run bare. The cost integral is that of
     (cost_expr - cost_shift)/LAMBDA. Returns terminal states, cost
-    integrals, exit and exclusion flags, and the states at
-    `record_steps`. A start point outside the closed box raises
+    integrals, and exit and exclusion flags. A start point outside the closed box raises
     SamplingError: the reflection would fold it in without a trace.
     """
     outside = ~dyn.grid.contains(x0)
@@ -441,8 +434,6 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     cost = np.zeros(P)
     exited = np.zeros(P, dtype=bool)
     excluded = np.zeros(P, dtype=bool)
-    states = np.empty((P, len(record_steps), n))
-    slot = {step: i for i, step in enumerate(record_steps)}
     lows = np.asarray(dyn.grid.lows)
     spans = np.asarray(dyn.grid.highs) - lows
     highs = lows + spans
@@ -463,8 +454,6 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
         gens = _streams(cfg.seed, stream_base + lo, hi - lo)
         cost_chunk = cost[lo:hi]
         x = x0[lo:hi].copy(order="F")
-        if 0 in slot:
-            states[lo:hi, slot[0]] = x
         for k0 in range(0, n_steps, BLOCK_STEPS):
             steps = min(BLOCK_STEPS, n_steps - k0)
             rows = noise[:hi - lo, :steps * m]
@@ -497,13 +486,11 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
                         np.copyto(x_new, lows + (spans - np.abs(y - spans)),
                                   where=outside)
                 x = x_new
-                if k0 + b + 1 in slot:
-                    states[lo:hi, slot[k0 + b + 1]] = x
         terminal[lo:hi] = x
 
     if cost_expr is not None:
         excluded |= ~np.isfinite(cost)
-    return terminal, cost, exited, excluded, states
+    return terminal, cost, exited, excluded
 
 
 def _resolve_x0(x0, n_paths: int, dim: int) -> np.ndarray:
@@ -534,9 +521,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     stream stream_base + j. The steady mode adds the field `control` to
     the passive drift. The feedback mode needs only the positive target
     density `target`: its drift div(Sigma)/2 + (Sigma/2) grad(log p)
-    reads grad(log p), tabulated on the grid once. With cfg.record the
-    states are kept every cfg.record_stride steps, the first and the
-    last included. The running cost integral of (q - shift)/LAMBDA is
+    reads grad(log p), tabulated on the grid once. Only the terminal
+    states are kept. The running cost integral of (q - shift)/LAMBDA is
     accumulated when cost_expr is given.
     """
     grid = spec.grid
@@ -563,24 +549,13 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 
     dyn = _Dynamics(spec, cfg, table)
     x0_arr = _resolve_x0(x0, cfg.n_paths, grid.dim)
-    n_steps = cfg.n_steps
-
-    record_steps: list[int] = []
-    times = None
-    if cfg.record:
-        record_steps = list(range(0, n_steps + 1, cfg.record_stride))
-        if record_steps[-1] != n_steps:
-            record_steps.append(n_steps)
-        times = cfg.dt * np.asarray(record_steps, dtype=float)
-
-    terminal, cost, exited, excluded, states = _integrate(
-        dyn, cfg, x0_arr, stream_base, record_steps, cost_expr, cost_shift)
+    terminal, cost, exited, excluded = _integrate(
+        dyn, cfg, x0_arr, stream_base, cost_expr, cost_shift)
     if excluded.all():
         raise SamplingError("every path blew up; check the drift and dt")
     return TrajectoryBatch(
         terminal=terminal, cost_integral=cost, exited=exited,
-        excluded=excluded, seed=cfg.seed, horizon=cfg.horizon,
-        times=times, states=states if cfg.record else None)
+        excluded=excluded, seed=cfg.seed, horizon=cfg.horizon)
 
 
 # ---------------------------------------------------------------------------

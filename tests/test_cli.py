@@ -229,6 +229,20 @@ class TestRangeErrors:
         assert run(command + ["--k", "0"], tmp_path)[0] == 2
         assert "--k must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["solve", "spectrum", "evolve"])
+    def test_k_above_the_grid_size(self, tmp_path, capsys, command, source):
+        # every command refuses it alike, before writing anything
+        if source == "flag":
+            code, out = run([command, "--k", "202"], tmp_path)
+        else:
+            big = {**FORWARD, "solver": {"k": 202}}
+            code, out = run([command], tmp_path, config=big)
+        assert code == 2
+        assert "k = 202 outside the valid range 1..201" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("queries", [[0.1], [0.1, 0.2]]), ("x0", [0.1, 0.2])])
     def test_sampling_point_of_the_wrong_dimension(self, tmp_path, capsys,
@@ -261,6 +275,22 @@ class TestRangeErrors:
         fails = [f for f in payload["findings"] if f["status"] == "FAIL"]
         assert [f["name"] for f in fails] == ["diffusion"]
         assert "nonfinite at node 100" in fails[0]["detail"]
+
+    @pytest.mark.parametrize("config, section, key, name", [
+        (FORWARD, "dynamics", "phi", "phi"),
+        (FORWARD, "cost", "q", "q"),
+        (INVERSE, "target", "p_inf", "target"),
+    ], ids=["phi", "q", "target"])
+    def test_nonfinite_field_fails_check(self, tmp_path, config, section, key,
+                                         name):
+        # 1/x1 is infinite at the node x = 0
+        bad = {**config, section: {**config[section], key: "1/x1"}}
+        assert run(["check"], tmp_path, config=bad)[0] == 1
+        payload = json.loads(
+            (only_dir(tmp_path / "out", "check") / "check.json").read_text())
+        fails = [f for f in payload["findings"] if f["status"] == "FAIL"]
+        assert [f["name"] for f in fails] == [name]
+        assert f"{name} is nonfinite at node 100" in fails[0]["detail"]
 
 
 class TestSolveOutputs:
@@ -353,22 +383,22 @@ class TestFactorCounts:
 
 
 class TestFieldEvaluations:
-    """A command evaluates each field of the spec once and passes it
-    down, to the gates and to every solve."""
+    """The spec evaluates each of its fields once and keeps it, so a
+    command evaluates each field at most once, for the gates and every
+    solve together."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
         from densctl.model import ProblemSpec
 
         counts = {}
-        for name in ("diffusion", "phi", "q", "target"):
-            method = getattr(ProblemSpec, f"{name}_field")
+        evaluate = ProblemSpec._evaluate
 
-            def counted(spec, _name=name, _method=method):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _method(spec)
+        def counted(spec, name):
+            counts[name] = counts.get(name, 0) + 1
+            return evaluate(spec, name)
 
-            monkeypatch.setattr(ProblemSpec, f"{name}_field", counted)
+        monkeypatch.setattr(ProblemSpec, "_evaluate", counted)
         return counts
 
     @pytest.mark.filterwarnings("ignore:target density mass")
@@ -381,6 +411,34 @@ class TestFieldEvaluations:
                                        config, expected):
         assert run(args, tmp_path, config=config)[0] == 0
         assert evaluations == expected
+
+    @pytest.mark.filterwarnings("ignore:target density mass")
+    @pytest.mark.parametrize("config", [
+        {**FORWARD, "sampling": {**FORWARD["sampling"], "T": 0.05}},
+        INVERSE,
+    ], ids=["forward", "inverse"])
+    @pytest.mark.parametrize("args", [
+        ["check"], ["solve"], ["spectrum"], ["spectrum", "--controlled"],
+        ["evolve", "--T", "0.5"], ["inverse"], ["sample", "paths"],
+        ["sample", "desirability"], ["sample", "cost"],
+        ["sample", "feedback"],
+    ], ids=" ".join)
+    def test_every_command_evaluates_each_field_at_most_once(
+            self, tmp_path, evaluations, args, config):
+        code, _ = run(args, tmp_path, config=config)
+        assert code in (0, 2)       # 2: the command needs the other mode
+        assert all(n == 1 for n in evaluations.values()), evaluations
+
+    @pytest.mark.parametrize("config", [FORWARD, INVERSE],
+                             ids=["forward", "inverse"])
+    def test_kept_fields_are_read_only(self, tmp_path, config):
+        spec = load_config(write_config(tmp_path, config)).spec
+        names = ["diffusion", "phi", "q" if spec.mode == "forward" else "target"]
+        for name in names:
+            field = getattr(spec, f"{name}_field")()
+            assert getattr(spec, f"{name}_field")() is field
+            with pytest.raises(ValueError, match="read-only"):
+                field.values[0] = 1.0
 
 
 class TestSamplingCommands:

@@ -84,8 +84,7 @@ class TestDeterminism:
         # a uniform start puts particles at the wall, so paths reflect
         ens = dc.uniform_ensemble(ou401.grid, 512, 3)
         for mode in ("uncontrolled", "steady", "feedback"):
-            c = cfg(n_paths=512, T=0.2, mode=mode, record=True,
-                    record_stride=7)
+            c = cfg(n_paths=512, T=0.2, mode=mode)
             ref = dc.simulate_sde(ou401, c, ens, control=ou_hjb.u,
                                   target=ou_hjb.p, cost_expr=ou401.q)
             with monkeypatch.context() as m:
@@ -95,7 +94,6 @@ class TestDeterminism:
                                         target=ou_hjb.p, cost_expr=ou401.q)
             assert ref.exited.any()
             np.testing.assert_array_equal(ref.terminal, small.terminal)
-            np.testing.assert_array_equal(ref.states, small.states)
             np.testing.assert_array_equal(ref.cost_integral, small.cost_integral)
             np.testing.assert_array_equal(ref.exited, small.exited)
 
@@ -355,17 +353,6 @@ class TestInputsWithNothingToRun:
                                             cfg(n_paths=8, T=0.01))
 
 
-class TestRecording:
-    def test_recorded_states(self, ou401):
-        c = cfg(n_paths=16, T=0.5, dt=0.01, record=True, record_stride=10)
-        out = dc.simulate_sde(ou401, c, x0=(0.2,))
-        assert out.states is not None
-        assert out.times[0] == 0.0
-        np.testing.assert_allclose(out.times[-1], c.horizon)
-        assert out.states.shape == (16, len(out.times), 1)
-        np.testing.assert_array_equal(out.states[:, -1], out.terminal)
-
-
 class TestEstimators:
     def test_constant_cost_equal_to_shift_gives_unit_weight(self, ou401, ou_hjb):
         est = dc.path_integral_desirabilities(
@@ -510,13 +497,11 @@ class TestDensityFeedbackLoop:
         tgt /= w @ tgt
         target = dc.ScalarField(g, tgt)
         c = dc.SdeConfig(dt=1e-2, T=8.0, n_paths=20000, seed=9,
-                         mode="feedback", record=True, record_stride=200)
-        out = dc.simulate_sde(ou401, c, dc.uniform_ensemble(g, 20000, 9),
-                              target=target)
-        # states at t = 0, 2 and 8
-        snaps = [dc.Ensemble(positions=out.states[:, i]) for i in (0, 1, -1)]
-        np.testing.assert_allclose(out.times[[0, 1, -1]], [0.0, 2.0, 8.0])
-        assert out.times[0] == 0.0
+                         mode="feedback")
+        start = dc.uniform_ensemble(g, 20000, 9)
+        out = dc.simulate_sde(ou401, c, start, target=target)
+        # the ensemble at t = 0 and at t = 8
+        snaps = [start, dc.Ensemble(positions=out.terminal)]
         tvs = [dc.tv_distance(dc.histogram_density(s, g), target) for s in snaps]
         assert tvs[-1] <= 0.05
         assert tvs[-1] < tvs[0]
