@@ -103,7 +103,7 @@ class _Run:
                 raise ConfigError(f"--{flag} must be finite and positive, "
                                   f"got {value}")
         mode = getattr(args, "mode_index", None)
-        top = self.spec.grid.size - 1
+        top = n - 1
         if mode is not None and not 1 <= mode <= top:
             raise ConfigError(f"--mode must lie between 1 and {top}, "
                               f"got {mode}")
