@@ -7,6 +7,11 @@ changes the artifacts (seed, k, --controlled, evolve's --perturb,
 --mode, --dt and --T). Exit codes: 0 success, 1 numerical or
 constraint failure, 2 usage or configuration error.
 
+Every run takes one path through `main`: the usage checks (exit 2),
+the command's mode requirement (exit 2), then, for every command but
+`check`, the gates that `check` reports (exit 1, printing the report),
+then the command. So a run with a usage error and a failing gate exits 2.
+
 Flag precedence is flag > environment > config file; the recognized
 environment variables are DENSCTL_OUT, DENSCTL_SEED and DENSCTL_QUIET.
 --threads is still parsed, for scripts that pass it, and ignored:
@@ -107,6 +112,16 @@ class _Run:
         if mode is not None and not 1 <= mode <= top:
             raise ConfigError(f"--mode must lie between 1 and {top}, "
                               f"got {mode}")
+        perturb = getattr(args, "perturb", None)
+        if perturb is not None:
+            try:
+                expr = parse_expression(perturb)
+            except ExpressionError as e:
+                raise ConfigError(f"--perturb does not parse: {e}") from e
+            fv = free_variables(expr)
+            if fv and max(fv) > self.spec.grid.dim:
+                raise ConfigError(f"--perturb uses x{max(fv)} but the grid "
+                                  f"is {self.spec.grid.dim}-dimensional")
 
     def say(self, msg: str) -> None:
         if not self.quiet:
@@ -136,31 +151,25 @@ class _Run:
         g = self.spec.grid
         x0 = self.cfg.sampling.x0
         if x0 is not None:
-            _check_in_box(g, np.array([x0]), "x0")
             return x0
         return tuple(0.5 * (lo + hi) for lo, hi in zip(g.lows, g.highs))
 
 
-def _check_in_box(g, points: np.ndarray, key: str) -> None:
-    """Refuse [sampling] points outside the closed grid box."""
-    outside = ~g.contains(points)
-    if outside.any():
-        box = ", ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(g.lows, g.highs))
-        raise ConfigError(
-            f"[sampling] {key} point {points[np.argmax(outside)].tolist()} "
-            f"lies outside the grid box {box}")
-
-
-def _require_forward(run: _Run) -> None:
-    if run.spec.mode != "forward":
-        raise ConfigError("this command needs a forward-mode config with a "
-                          "[cost] section; this one has a [target]")
-
-
-def _require_inverse(run: _Run) -> None:
-    if run.spec.mode != "inverse":
-        raise ConfigError("this command needs an inverse-mode config with a "
-                          "[target] section; this one has a [cost]")
+def _require_mode(run: _Run, args) -> None:
+    """Refuse a config of the other mode: inverse design needs a
+    [target], and the commands that solve for the optimal control need
+    a [cost]."""
+    if args.command == "inverse":
+        need, config = "inverse", "an inverse-mode config with a [target] " \
+            "section; this one has a [cost]"
+    elif args.command == "solve" or getattr(args, "controlled", False) \
+            or getattr(args, "kind", None) in ("desirability", "cost"):
+        need, config = "forward", "a forward-mode config with a [cost] " \
+            "section; this one has a [target]"
+    else:
+        return
+    if run.spec.mode != need:
+        raise ConfigError(f"this command needs {config}")
 
 
 def _gate(run: _Run) -> None:
@@ -174,7 +183,6 @@ def _gate(run: _Run) -> None:
 
 
 def _solve_forward(run: _Run, k: int = 1):
-    _gate(run)
     spec = run.spec
     return solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
                                spec.q_field(), k)
@@ -195,7 +203,6 @@ def cmd_check(run: _Run) -> int:
 
 
 def cmd_solve(run: _Run) -> int:
-    _require_forward(run)
     spec = run.spec
     sol = _solve_forward(run, run.default_k())
     residual = verify_hjb_residual(sol, spec.q_field())
@@ -231,7 +238,6 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
     g = spec.grid
     k = run.default_k()
     if controlled:
-        _require_forward(run)
         s = _solve_forward(run, k).controlled
     else:
         s = eig_generator(assemble_generator(spec.diffusion_field(),
@@ -267,15 +273,6 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
                dt: float | None, T: float | None) -> int:
     spec = run.spec
     g = spec.grid
-    if perturb is not None:
-        try:
-            expr = parse_expression(perturb)
-        except ExpressionError as e:
-            raise ConfigError(f"--perturb does not parse: {e}") from e
-        fv = free_variables(expr)
-        if fv and max(fv) > g.dim:
-            raise ConfigError(f"--perturb uses x{max(fv)} but the grid is "
-                              f"{g.dim}-dimensional")
     k = run.default_k()
     if mode_index is not None:
         k = max(k, mode_index + 1)
@@ -285,7 +282,6 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
         gen = _solve_forward(run, k)
         s = gen.controlled
     else:
-        _gate(run)
         p = _normalized_target(spec.target_field())
         gen = assemble_generator(spec.diffusion_field(),
                                  ScalarField(g, -np.log(p)))
@@ -293,7 +289,7 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
     rate = spectral_gap(s)
 
     if perturb is not None:
-        pt0 = eval_scalar_field(expr, g)
+        pt0 = eval_scalar_field(parse_expression(perturb), g)
     else:
         # _Run keeps --mode below g.size, so k > mode_index
         pt0 = s.eigenfunction(1 if mode_index is None else mode_index)
@@ -350,7 +346,6 @@ def _drift_input(run: _Run, mode: str) -> dict:
     if spec.mode == "forward":
         sol = _solve_forward(run)
         return {"control": sol.u} if mode == "steady" else {"target": sol.p}
-    _gate(run)
     p_inf = spec.target_field()
     if mode == "steady":
         return {"control": control_from_target(p_inf, spec.phi_field(),
@@ -396,11 +391,9 @@ def _default_queries(run: _Run) -> tuple[tuple[float, ...], ...]:
 
 
 def cmd_sample_desirability(run: _Run) -> int:
-    _require_forward(run)
     spec = run.spec
     queries = run.cfg.sampling.queries or _default_queries(run)
-    pts = np.array([q for q in queries], dtype=float)
-    _check_in_box(spec.grid, pts, "queries")
+    pts = np.array(queries, dtype=float)
     sol = _solve_forward(run)
     cfg = run.sde_config(mode="uncontrolled")
 
@@ -436,7 +429,6 @@ def cmd_sample_desirability(run: _Run) -> int:
 
 
 def cmd_sample_cost(run: _Run) -> int:
-    _require_forward(run)
     spec = run.spec
     cfg = run.sde_config(mode="uncontrolled")
     x0 = run.x0()
@@ -499,10 +491,8 @@ def cmd_sample_feedback(run: _Run) -> int:
 
 
 def cmd_inverse(run: _Run) -> int:
-    _require_inverse(run)
     spec = run.spec
     g = spec.grid
-    _gate(run)
     rt = roundtrip_verify(spec.target_field(), spec)
     inv = rt.inverse
 
@@ -601,6 +591,8 @@ def main(argv: list[str] | None = None) -> int:
         cmd = args.command
         if cmd == "check":
             return cmd_check(run)
+        _require_mode(run, args)
+        _gate(run)
         if cmd == "solve":
             return cmd_solve(run)
         if cmd == "spectrum":

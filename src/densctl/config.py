@@ -7,7 +7,8 @@ exit-code-2 errors instead of silently running with defaults, and so
 are values out of range: every number must be finite (the JSON
 extensions NaN and Infinity are refused), time steps and horizons
 positive, seeds below the reserved streams, and points of the grid's
-dimension. All expressions are strings in the x1, x2, ... grammar.
+dimension inside its closed box. All expressions are strings in the
+x1, x2, ... grammar.
 """
 from __future__ import annotations
 
@@ -111,12 +112,19 @@ def check_seed(seed, source: str) -> int:
     return seed
 
 
-def _point(x, dim: int, key: str) -> tuple[float, ...]:
-    """A [sampling] point of the grid's dimension."""
+def _point(x, grid: Grid, key: str) -> tuple[float, ...]:
+    """A [sampling] point of the grid's dimension in its closed box; the
+    reflecting integrator would fold a point outside in without a
+    trace."""
     pt = tuple(_number_list(x, "sampling", key))
-    if len(pt) != dim:
+    if len(pt) != grid.dim:
         raise ConfigError(f"[sampling] {key} point {list(pt)} has dimension "
-                          f"{len(pt)}, the grid {dim}")
+                          f"{len(pt)}, the grid {grid.dim}")
+    if not grid.contains(pt)[0]:
+        box = ", ".join(f"[{lo:g}, {hi:g}]"
+                        for lo, hi in zip(grid.lows, grid.highs))
+        raise ConfigError(f"[sampling] {key} point {list(pt)} lies outside "
+                          f"the grid box {box}")
     return pt
 
 
@@ -163,7 +171,7 @@ def _parse_grid(data: dict) -> Grid:
         raise ConfigError(f"[grid] {e}") from e
 
 
-def _parse_sampling(data: dict, dim: int) -> SamplingOptions:
+def _parse_sampling(data: dict, grid: Grid) -> SamplingOptions:
     _reject_unknown("sampling", data, _SAMPLING_KEYS)
     kw: dict = {}
     if "dt" in data:
@@ -179,14 +187,14 @@ def _parse_sampling(data: dict, dim: int) -> SamplingOptions:
             raise ConfigError(f"[sampling] mode must be one of {DRIFT_MODES}")
         kw["mode"] = data["mode"]
     if "x0" in data:
-        kw["x0"] = _point(data["x0"], dim, "x0")
+        kw["x0"] = _point(data["x0"], grid, "x0")
     if "queries" in data:
         q = data["queries"]
         if not isinstance(q, list) or not q:
             raise ConfigError("[sampling] queries must be a nonempty list "
                               "of points")
         # a bare number is a 1D point
-        kw["queries"] = tuple(_point([p] if _is_number(p) else p, dim,
+        kw["queries"] = tuple(_point([p] if _is_number(p) else p, grid,
                                      "queries") for p in q)
     if "n_particles" in data:
         kw["n_particles"] = _int_value(data["n_particles"], "sampling",
@@ -261,7 +269,7 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         raise ConfigError(f"invalid problem: {e}") from e
 
     solver = _parse_solver(data.get("solver", {}))
-    sampling = _parse_sampling(data.get("sampling", {}), grid.dim)
+    sampling = _parse_sampling(data.get("sampling", {}), grid)
 
     out_dir = None
     if "output" in data:

@@ -12,7 +12,9 @@ The spec owns its grid fields: `phi_field`, `q_field`, `target_field`
 and `diffusion_field` evaluate their expressions on the nodes once per
 spec and keep the result, read-only, for every later call. The gates,
 the solvers and the commands all read the fields off the spec, so no
-caller evaluates a field twice or hands one down.
+caller evaluates a field twice or hands one down. `validate_spec`
+evaluates every field a command reads, in both modes, so a spec that
+passes it fails no later field evaluation.
 """
 from __future__ import annotations
 
@@ -167,12 +169,19 @@ class ProblemSpec:
         """Noise factor sigma(x) at points, shape (m_pts, n, m).
 
         When only Sigma is specified the factor is the pointwise
-        Cholesky root, which is a valid sigma for simulation purposes.
+        Cholesky root, which is a valid sigma for simulation purposes;
+        a Sigma that is not positive definite raises SamplingError.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.sigma is not None:
             return eval_matrix(self.sigma, points)
-        return np.linalg.cholesky(eval_matrix(self.Sigma, points))
+        # the SDE engine's own root, so both factor Sigma alike; the
+        # import is local because sampling imports this module
+        from .sampling import _cholesky
+
+        root = _cholesky(eval_matrix(self.Sigma, points))
+        # in C order, as np.linalg.cholesky returned it
+        return np.ascontiguousarray(root)
 
     def diffusion_exprs(self) -> ExprMatrix:
         """Sigma as expression trees; sum_p sigma_ip sigma_kp when sigma
@@ -296,8 +305,9 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
     """Run the structural gates; FAIL findings block downstream solves.
 
     The fields are read off the spec, which keeps them for the solves
-    that follow. A field that fails to evaluate is a FAIL finding named
-    after it, never an exception.
+    that follow: Sigma and phi in both modes, and q or the target. A
+    field that fails to evaluate is a FAIL finding named after it,
+    never an exception.
     """
     findings: list[Finding] = []
 
@@ -328,12 +338,14 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
         "PASS" if lam_min >= SPD_TOLERANCE else "FAIL",
         f"min eigenvalue over nodes = {lam_min:.3e} (threshold {SPD_TOLERANCE:.1e})"))
 
+    # every command but inverse-mode `sample feedback` reads phi
+    phi = read("phi")
     # confinement is a property of the stationary exponent: phi before the
     # solve in forward mode, -log(target) in inverse mode
     Phi = None
     try:
         if spec.mode == "forward":
-            Phi = read("phi")
+            Phi = phi
         elif (t := read("target")) is not None:
             if t.values.min() <= 0.0:
                 findings.append(Finding(

@@ -238,14 +238,15 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-def _cholesky(A: np.ndarray, step: int) -> np.ndarray:
+def _cholesky(A: np.ndarray, step: int | None = None) -> np.ndarray:
     """Lower Cholesky roots of a stack A (P, n, n), column by column.
 
     Each column is LAPACK's (the pivot's square root, then the entries
     below scaled by its reciprocal), so for n <= 2 the roots equal
-    np.linalg.cholesky bit for bit. A pivot at or below zero raises; a
-    NaN pivot passes, and the path is then excluded as non-finite. The
-    roots are a dimension-major stack.
+    np.linalg.cholesky bit for bit. A pivot at or below zero raises,
+    naming the time step when one is given; a NaN pivot passes, and the
+    path is then excluded as non-finite. The roots are a dimension-major
+    stack.
     """
     n = A.shape[1]
     L = np.zeros((n, n, A.shape[0])).transpose(2, 0, 1)
@@ -255,8 +256,9 @@ def _cholesky(A: np.ndarray, step: int) -> np.ndarray:
             d = d - L[:, j, k] * L[:, j, k]
         # min is NaN when any pivot is, so NaN takes the slow test too
         if not np.minimum.reduce(d) > 0.0 and (d <= 0.0).any():
+            at = "" if step is None else f" at step {step}"
             raise SamplingError(
-                f"Sigma is not positive definite at step {step} "
+                f"Sigma is not positive definite{at} "
                 f"(pivot {j + 1} is {float(np.fmin.reduce(d)):.3g})")
         np.sqrt(d, out=L[:, j, j])
         if j + 1 < n:
@@ -611,8 +613,10 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
         log_mean, rel, ess = _log_mean_weight(cost)
         value = float(np.exp(log_mean))
         n_used = int(cost.shape[0])
-        # a mean that underflows to zero has no usable error bar
-        degenerate = rel > 0.5 or value == 0.0 or ess < ESS_FLOOR * n_used
+        # a mean that underflows to zero has no usable error bar, nor
+        # has one of fewer than two paths
+        degenerate = n_used < 2 or rel > 0.5 or value == 0.0 or \
+            ess < ESS_FLOOR * n_used
         if degenerate:
             warnings.warn("desirability estimator is degenerate (stderr/mean "
                           f"= {rel:.2f}, psi_hat = {value:.3g}, ESS "
@@ -656,7 +660,8 @@ def estimate_c_mc(spec: ProblemSpec, q, cfg: SdeConfig, y0) -> Estimate:
     boot = -(LAMBDA / T) * boot_log_means
     stderr = float(boot.std(ddof=1))
 
-    degenerate = stderr > 0.5 * max(abs(value), 1e-12) or \
+    # the bootstrap of fewer than two paths has no spread
+    degenerate = n < 2 or stderr > 0.5 * max(abs(value), 1e-12) or \
         ess < ESS_FLOOR * n
     if degenerate:
         warnings.warn(f"cost estimator is degenerate (stderr {stderr:.3g} "

@@ -5,6 +5,8 @@ test covers the console script wiring.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -12,8 +14,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densctl import (
+    FieldError,
     SdeConfig,
     load_config,
     path_integral_desirabilities,
@@ -293,6 +298,156 @@ class TestRangeErrors:
         assert f"{name} is nonfinite at node 100" in fails[0]["detail"]
 
 
+# Sigma = -1 fails the diffusion-spd gate in either mode
+FAILING = {**FORWARD, "dynamics": {"phi": "x1^2", "Sigma": [["-1.0"]]}}
+FAILING_INVERSE = {**INVERSE, "dynamics": FAILING["dynamics"]}
+
+
+def _with_sampling(config, **kw):
+    return {**config, "sampling": {**config["sampling"], **kw}}
+
+
+def _run_capturing(args, tmp_path, config, out="out"):
+    """run(), with the exit code, stderr and the FieldErrors raised."""
+    err = io.StringIO()
+    raised = []
+    init = FieldError.__init__
+
+    def record(self, *a):
+        raised.append(a)
+        init(self, *a)
+
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stderr(err):
+        m.setattr(FieldError, "__init__", record)
+        code, out_dir = run(args, tmp_path, config=config, out=out)
+    return code, err.getvalue(), raised, out_dir
+
+
+# the ingredients of a random spec: each list pairs ones that pass the
+# gates with ones that mostly fail them (1/x1 passes where no node is 0)
+_PHI = (["x1^2", "(x1^2 - 1)^2"], ["1", "-x1^2", "1/x1", "log(x1)"])
+_Q = (["x1^2", "0", "(x1^2 - 1)^2"], ["-x1^2", "1/x1", "log(x1)"])
+_SIGMA = {
+    1: ([[["1"]], [["1 + x1^2"]]],
+        [[["-1"]], [["x1"]], [["1/x1"]], [["log(x1)"]]]),
+    2: ([[["2", "1"], ["1", "2"]],
+         [["1 + x1^2/4", "0.5"], ["0.5", "1 + x2^2/4"]]],
+        [[["1", "2"], ["2", "1"]], [["1", "x1"], ["x1", "1"]],
+         [["1/x1", "0"], ["0", "1"]], [["log(x1)", "0"], ["0", "1"]]]),
+}
+
+
+@st.composite
+def _small_forward_configs(draw):
+    """1D or 2D forward configs of at most 17 nodes per axis, half of
+    them with one ingredient drawn from its failing list. Odd counts put
+    a node at 0, where 1/x1 is infinite; below 9 nodes an axis has too
+    few shells for the confinement gate."""
+    dim = draw(st.integers(1, 2))
+    broken = draw(st.none() | st.sampled_from(["phi", "q", "Sigma"]))
+
+    def pick(name, lists):
+        return draw(st.sampled_from(lists[name == broken]))
+
+    half = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    x2 = " + x2^2" if dim == 2 else ""
+    return {
+        "grid": {"lows": [-half] * dim, "highs": [half] * dim,
+                 "counts": draw(st.lists(st.integers(7, 17), min_size=dim,
+                                         max_size=dim))},
+        "dynamics": {"phi": pick("phi", _PHI) + x2,
+                     "Sigma": pick("Sigma", _SIGMA[dim])},
+        "cost": {"q": pick("q", _Q) + x2},
+        "sampling": {"dt": 0.01, "T": 0.05, "n_paths": 8},
+    }
+
+
+class TestOneGate:
+    """Every command but `check` runs the gates that `check` reports,
+    after every usage check and before any work. main returning at all
+    means no traceback."""
+
+    @pytest.mark.parametrize("args, config", [
+        (["solve"], FAILING), (["spectrum"], FAILING),
+        (["spectrum", "--controlled"], FAILING), (["evolve"], FAILING),
+        (["sample", "paths"], FAILING), (["sample", "desirability"], FAILING),
+        (["sample", "cost"], FAILING), (["sample", "feedback"], FAILING),
+        (["inverse"], FAILING_INVERSE), (["spectrum"], FAILING_INVERSE),
+        (["evolve"], FAILING_INVERSE), (["sample", "paths"], FAILING_INVERSE),
+        (["sample", "feedback"], FAILING_INVERSE),
+    ], ids=["solve", "spectrum", "spectrum-controlled", "evolve", "paths",
+            "desirability", "cost", "feedback", "inverse", "inverse-spectrum",
+            "inverse-evolve", "inverse-paths", "inverse-feedback"])
+    def test_failing_spec_is_refused(self, tmp_path, capsys, args, config):
+        code, out = run(args, tmp_path, config=config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: constraint checks failed:\n")
+        assert "FAIL diffusion-spd" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, config, message", [
+        (["solve"], FAILING_INVERSE, "needs a forward-mode config"),
+        (["inverse"], FAILING, "needs an inverse-mode config"),
+        (["sample", "paths"], _with_sampling(FAILING, x0=[10.0]),
+         "outside the grid box"),
+        (["sample", "desirability"],
+         _with_sampling(FAILING, queries=[[0.0], [50.0]]),
+         "outside the grid box"),
+        (["evolve", "--perturb", "bad("], FAILING, "--perturb does not parse"),
+    ], ids=["mode-forward", "mode-inverse", "x0", "queries", "perturb"])
+    def test_usage_error_comes_before_the_gate(self, tmp_path, capsys, args,
+                                               config, message):
+        code, out = run(args, tmp_path, config=config)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "constraint checks failed" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(config=_small_forward_configs())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_check_decides_the_gate(self, tmp_path_factory, config):
+        tmp = tmp_path_factory.mktemp("gate")
+        checked, _, _, _ = _run_capturing(["check"], tmp, config, "check")
+        assert checked in (0, 1)
+        for args in (["solve", "--k", "2"], ["sample", "paths"]):
+            code, err, raised, _ = _run_capturing(args, tmp, config)
+            refused = "constraint checks failed" in err
+            if checked == 1:
+                assert code == 1 and refused, (args, err)
+            else:
+                assert not refused and not raised, (args, err, raised)
+
+    def test_inverse_phi_is_gated(self, tmp_path, capsys):
+        # phi reaches inverse design and the steady control, so the gate
+        # evaluates it in inverse mode as well; sample feedback reads no
+        # phi and is refused all the same, since check is the gate
+        config = {
+            "grid": {"lows": [-2.0], "highs": [2.0], "counts": [41]},
+            "dynamics": {"phi": "1/x1", "sigma": [["sqrt(2)"]]},
+            "target": {"p_inf": "exp(-x1^2)"},
+            "sampling": {"dt": 0.01, "T": 0.1, "n_paths": 8},
+        }
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+        line = "FAIL phi: evaluation failed: phi is nonfinite at node 20, " \
+            "x = [0.0]"
+        assert line in capsys.readouterr().out.splitlines()
+        assert (only_dir(out, "check") / "check.json").exists()
+        for args, cfg_path in (
+                (["inverse"], cfg),
+                (["sample", "paths"],
+                 write_config(tmp_path, _with_sampling(config, mode="steady"),
+                              "steady.json")),
+                (["sample", "feedback"], cfg)):
+            assert main(args + ["--config", cfg_path, "--out", str(out),
+                                "--quiet"]) == 1
+            assert line in capsys.readouterr().err
+
+
 class TestSolveOutputs:
     def test_solution_and_summary(self, tmp_path):
         code, out = run(["solve"], tmp_path)
@@ -405,7 +560,9 @@ class TestFieldEvaluations:
     @pytest.mark.parametrize("args, config, expected", [
         (["solve"], FORWARD, {"diffusion": 1, "phi": 1, "q": 1}),
         (["inverse"], INVERSE, {"diffusion": 1, "phi": 1, "target": 1}),
-        (["sample", "feedback"], INVERSE, {"diffusion": 1, "target": 1}),
+        # reads no phi, but the gate evaluates it: `check` is the gate
+        (["sample", "feedback"], INVERSE,
+         {"diffusion": 1, "phi": 1, "target": 1}),
     ])
     def test_each_field_evaluated_once(self, tmp_path, evaluations, args,
                                        config, expected):
@@ -656,10 +813,6 @@ def _scipy_loaded_after(code: str) -> bool:
     return proc.stdout.strip().splitlines()[-1] == "True"
 
 
-def _with_mode(config, mode):
-    return {**config, "sampling": {**config["sampling"], "mode": mode}}
-
-
 class TestScipyStaysUnloaded:
     """scipy is imported only by the code that assembles, factors or
     solves, so importing densctl and the commands that need no operator
@@ -674,8 +827,8 @@ class TestScipyStaysUnloaded:
         (["sample", "paths"], FORWARD, False),
         (["sample", "feedback"], INVERSE, False),
         (["solve"], FORWARD, True),     # the guard is not vacuous
-        (["sample", "paths"], _with_mode(INVERSE, "steady"), False),
-        (["sample", "paths"], _with_mode(INVERSE, "feedback"), False),
+        (["sample", "paths"], _with_sampling(INVERSE, mode="steady"), False),
+        (["sample", "paths"], _with_sampling(INVERSE, mode="feedback"), False),
     ])
     def test_commands(self, tmp_path, args, config, loads):
         argv = args + ["--config", write_config(tmp_path, config),

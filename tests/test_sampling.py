@@ -407,6 +407,20 @@ class TestEstimators:
         assert est.ess < ESS_FLOOR * est.n_used
         assert est.degenerate
 
+    @pytest.mark.parametrize("estimator", ["cost", "desirability"])
+    def test_one_path_is_degenerate(self, estimator):
+        # one path has no spread, so its zero stderr is no error bar
+        spec = ou_spec(101)
+        c = cfg(dt=1e-2, T=1.0, n_paths=1, seed=3)
+        with pytest.warns(UserWarning, match="degenerate"):
+            if estimator == "cost":
+                ests = [dc.estimate_c_mc(spec, spec.q, c, (0.0,))]
+            else:
+                ests = dc.path_integral_desirabilities(
+                    spec, spec.q, 2.0, [(-3.0,), (0.0,), (3.0,)], c)
+        for est in ests:
+            assert (est.n_used, est.stderr, est.degenerate) == (1, 0.0, True)
+
     def test_ess_of_equal_weights_is_the_path_count(self, ou401):
         est = dc.path_integral_desirabilities(ou401, "2", 0.0, [(0.0,)],
                                               cfg(n_paths=64))[0]
@@ -575,6 +589,24 @@ class TestStackedRoot:
         A[3, -1, -1] = -1.0
         with pytest.raises(SamplingError, match="step 17"):
             _cholesky(A, 17)
+
+    def test_noise_factor_is_the_lapack_root(self):
+        spec = dc.ProblemSpec(grid=dc.Grid((-1.0, -1.0), (1.0, 1.0), (5, 5)),
+                              phi="x1^2 + x2^2",
+                              Sigma=[["2", "1"], ["1", "2"]], q="0")
+        pts = spec.grid.node_coords()
+        root = spec.noise_at(pts)
+        assert root.flags.c_contiguous
+        np.testing.assert_array_equal(
+            root, np.linalg.cholesky(spec.diffusion_at(pts)))
+
+    def test_indefinite_constant_sigma_is_a_densctl_error(self):
+        spec = dc.ProblemSpec(grid=dc.Grid((-3.0, -3.0), (3.0, 3.0), (9, 9)),
+                              phi="x1^2 + x2^2",
+                              Sigma=[["1", "2"], ["2", "1"]], q="0")
+        with pytest.raises(SamplingError,
+                           match=r"Sigma is not positive definite \(pivot 2"):
+            dc.simulate_sde(spec, cfg(T=0.01, n_paths=4), (0.0, 0.0))
 
     def test_nan_member_passes_for_exclusion(self):
         A = np.tile(np.eye(2), (3, 1, 1))
