@@ -390,6 +390,11 @@ def _default_queries(run: _Run) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple([x] + list(center[1:])) for x in xs)
 
 
+def _degenerate_note(est) -> str:
+    """The stdout marker of an estimate whose stderr is no error bar."""
+    return " (degenerate: no valid error bar)" if est.degenerate else ""
+
+
 def cmd_sample_desirability(run: _Run) -> int:
     spec = run.spec
     queries = run.cfg.sampling.queries or _default_queries(run)
@@ -423,7 +428,8 @@ def cmd_sample_desirability(run: _Run) -> int:
     w.close()
     for y, e in zip(queries, est):
         label = ", ".join(f"{float(v):g}" for v in y)
-        run.say(f"psi_hat({label}) = {e.value:.6g} +- {e.stderr:.2g}")
+        run.say(f"psi_hat({label}) = {e.value:.6g} +- {e.stderr:.2g}"
+                f"{_degenerate_note(e)}")
     run.say(f"artifacts in {w.dir}")
     return 0
 
@@ -453,7 +459,7 @@ def cmd_sample_cost(run: _Run) -> int:
     })
     w.close()
     run.say(f"c_hat = {est.value:.6g} +- {est.stderr:.2g} "
-            f"(grid c = {sol.c:.6g})")
+            f"(grid c = {sol.c:.6g}){_degenerate_note(est)}")
     run.say(f"artifacts in {w.dir}")
     return 0
 

@@ -11,8 +11,8 @@ and any batching of start points. A stream is Philox with the 128-bit
 key [seed, stream id], handed to it directly (`_streams`, one key
 array per chunk), so building one draws no OS entropy; it is the
 stream of Philox(key=...). Two
-stream ids at the top of the 64-bit range are reserved: 2^64 - 1 drives
-bootstrap resampling and 2^64 - 2 draws initial ensembles, which is why
+stream ids at the top of the 64-bit range are reserved: 2^64 - 2 draws
+initial ensembles, and 2^64 - 1 is unused but kept free, which is why
 user seeds must stay below 2^64 - 2. Reductions always run in
 path-index order.
 
@@ -21,7 +21,9 @@ Integration is Euler-Maruyama with reflection at the box boundary
 truncation bias is visible. Every start point must lie in the closed
 box, or the run raises SamplingError. The path-integral estimators take
 their log-space means with `fields._logsumexp`, the log-sum-exp that
-the spectral and inverse gauges share. Running costs are weighed by
+the spectral and inverse gauges share, and share one error model
+(`_mean_weight`): the delta method on the log mean weight, with one
+rule for a degenerate estimate. Running costs are weighed by
 the model's constant 1/LAMBDA, the noise-matched weight that makes the
 path-integral form exact, and use the left-endpoint rule, consistent
 with the weak order of the integrator.
@@ -87,10 +89,7 @@ from .fields import (
 from .grid import Grid
 from .model import LAMBDA, ProblemSpec
 
-BOOTSTRAP_STREAM = 2**64 - 1
 INIT_STREAM = 2**64 - 2
-BOOTSTRAP_SAMPLES = 200
-BOOTSTRAP_BLOCK = 2**20  # resampling indices drawn at once
 CHUNK_PATHS = 8192       # paths integrated side by side
 BLOCK_STEPS = 256        # time steps of noise drawn at once
 # an estimate whose Kish ESS is below this fraction of the paths it used
@@ -158,7 +157,7 @@ class TrajectoryBatch:
     terminal: np.ndarray = field(repr=False)        # (P, n)
     cost_integral: np.ndarray = field(repr=False)   # (P,)
     exited: np.ndarray = field(repr=False)          # (P,) reflected at least once
-    excluded: np.ndarray = field(repr=False)        # (P,) blew up, do not use
+    excluded: np.ndarray = field(repr=False)        # (P,) non-finite, unused
     seed: int = 0
     horizon: float = 0.0
 
@@ -419,7 +418,8 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     live for the whole chunk. One np.errstate covers the whole run, so
     the compiled bodies run bare. The cost integral is that of
     (cost_expr - cost_shift)/LAMBDA. Returns terminal states, cost
-    integrals, and exit and exclusion flags. A start point outside the closed box raises
+    integrals, and the flags of paths that exited the box and of paths
+    whose state blew up. A start point outside the closed box raises
     SamplingError: the reflection would fold it in without a trace.
     """
     outside = ~dyn.grid.contains(x0)
@@ -435,7 +435,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     terminal = np.empty((P, n))
     cost = np.zeros(P)
     exited = np.zeros(P, dtype=bool)
-    excluded = np.zeros(P, dtype=bool)
+    blew_up = np.zeros(P, dtype=bool)
     lows = np.asarray(dyn.grid.lows)
     spans = np.asarray(dyn.grid.highs) - lows
     highs = lows + spans
@@ -475,7 +475,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
                 if not _inside(x_new, bounds):
                     bad = ~np.isfinite(x_new).all(axis=1)
                     if bad.any():
-                        excluded[lo:hi] |= bad
+                        blew_up[lo:hi] |= bad
                         x_new[bad] = x[bad]
                     outside = (x_new < lows) | (x_new > highs)
                     if outside.any():
@@ -490,9 +490,7 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
                 x = x_new
         terminal[lo:hi] = x
 
-    if cost_expr is not None:
-        excluded |= ~np.isfinite(cost)
-    return terminal, cost, exited, excluded
+    return terminal, cost, exited, blew_up
 
 
 def _resolve_x0(x0, n_paths: int, dim: int) -> np.ndarray:
@@ -525,7 +523,9 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     density `target`: its drift div(Sigma)/2 + (Sigma/2) grad(log p)
     reads grad(log p), tabulated on the grid once. Only the terminal
     states are kept. The running cost integral of (q - shift)/LAMBDA is
-    accumulated when cost_expr is given.
+    accumulated when cost_expr is given. A path is excluded when its
+    state or its cost integral is not finite; when every path is, the
+    SamplingError names the cost if no state blew up.
     """
     grid = spec.grid
     table = None
@@ -551,10 +551,16 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 
     dyn = _Dynamics(spec, cfg, table)
     x0_arr = _resolve_x0(x0, cfg.n_paths, grid.dim)
-    terminal, cost, exited, excluded = _integrate(
+    terminal, cost, exited, blew_up = _integrate(
         dyn, cfg, x0_arr, stream_base, cost_expr, cost_shift)
+    excluded = blew_up | ~np.isfinite(cost)
     if excluded.all():
-        raise SamplingError("every path blew up; check the drift and dt")
+        if blew_up.any():
+            raise SamplingError("every path blew up; check the drift and dt")
+        raise SamplingError(
+            "the running cost q is not finite along the paths: every "
+            "path's cost integral is infinite or NaN, though no state "
+            "blew up; check q")
     return TrajectoryBatch(
         terminal=terminal, cost_integral=cost, exited=exited,
         excluded=excluded, seed=cfg.seed, horizon=cfg.horizon)
@@ -563,16 +569,31 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 # ---------------------------------------------------------------------------
 # estimators
 
-def _log_mean_weight(cost: np.ndarray) -> tuple[float, float, float]:
-    """Log of the mean path weight exp(-cost), computed in log space so
-    that tiny weights do not underflow, with the relative standard error
-    of that mean and the Kish ESS (sum w)^2 / sum w^2."""
+def _mean_weight(cost: np.ndarray, estimator: str,
+                 linear: bool = False) -> tuple[float, float, float, bool]:
+    """The error model of both path-integral estimators, from the usable
+    paths' cost integrals: the log of the mean weight exp(-cost), taken
+    in log space so that tiny weights do not underflow; the relative
+    stderr of that mean; the Kish ESS (sum w)^2 / sum w^2; and whether
+    the estimate is degenerate, warning once if it is. It is when fewer
+    than two paths, a relative stderr above 0.5 or an ESS below
+    ESS_FLOOR of the paths leave no valid error bar; with linear=True,
+    for a caller that uses the mean itself, also when the mean
+    underflows to zero. A shift of the cost moves only the log mean.
+    """
     n = int(cost.shape[0])
     log_mean = float(_logsumexp(-cost) - np.log(n))
     # weights scaled so that the largest is one
     w = np.exp(cost.min() - cost)
     rel = float(w.std(ddof=1) / (w.mean() * np.sqrt(n))) if n > 1 else 0.0
-    return log_mean, rel, float(w.sum() ** 2 / (w * w).sum())
+    ess = float(w.sum() ** 2 / (w * w).sum())
+    degenerate = n < 2 or rel > 0.5 or ess < ESS_FLOOR * n or \
+        (linear and np.exp(log_mean) == 0.0)
+    if degenerate:
+        warnings.warn(f"{estimator} estimator is degenerate (relative stderr "
+                      f"{rel:.2f}, log mean weight {log_mean:.4g}, ESS "
+                      f"{ess:.3g} of {n})", stacklevel=3)
+    return log_mean, rel, ess, degenerate
 
 
 def _uncontrolled(cfg: SdeConfig) -> SdeConfig:
@@ -587,9 +608,8 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
     Averages exp(-integral (q - c)/LAMBDA) over cfg.n_paths uncontrolled
     paths started at each point with terminal weight one; the estimates
     carry the usual scale gauge of the desirability, so compare ratios,
-    not values. The mean and the relative standard error are taken in
-    log space, so tiny weights neither underflow nor lose their spread.
-    Path j of point i draws stream
+    not values. psi_hat is the mean weight and its stderr psi_hat times
+    the relative stderr of `_mean_weight`. Path j of point i draws stream
     stream_base + i * n_paths + j, so each estimate equals a single-point
     call with stream_base + i * n_paths.
     """
@@ -608,21 +628,15 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
         rows = slice(i * n_paths, (i + 1) * n_paths)
         excluded = batch.excluded[rows]
         if excluded.all():
-            raise SamplingError("every path blew up; check the drift and dt")
+            raise SamplingError(
+                f"every path from x = {pts[i].tolist()} was excluded: its "
+                "state or its cost integral is not finite")
         cost = batch.cost_integral[rows][~excluded]
-        log_mean, rel, ess = _log_mean_weight(cost)
+        log_mean, rel, ess, degenerate = _mean_weight(cost, "desirability",
+                                                      linear=True)
         value = float(np.exp(log_mean))
-        n_used = int(cost.shape[0])
-        # a mean that underflows to zero has no usable error bar, nor
-        # has one of fewer than two paths
-        degenerate = n_used < 2 or rel > 0.5 or value == 0.0 or \
-            ess < ESS_FLOOR * n_used
-        if degenerate:
-            warnings.warn("desirability estimator is degenerate (stderr/mean "
-                          f"= {rel:.2f}, psi_hat = {value:.3g}, ESS "
-                          f"{ess:.3g} of {n_used})", stacklevel=2)
         estimates.append(Estimate(
-            value=value, stderr=value * rel, n_used=n_used,
+            value=value, stderr=value * rel, n_used=int(cost.shape[0]),
             n_excluded=int(excluded.sum()),
             n_exited=int(batch.exited[rows].sum()), degenerate=degenerate,
             ess=ess))
@@ -635,39 +649,18 @@ def estimate_c_mc(spec: ProblemSpec, q, cfg: SdeConfig, y0) -> Estimate:
     c_hat = -(LAMBDA/T) log E exp(-integral q/LAMBDA); for T much longer than
     the uncontrolled mixing time the principal mode dominates the
     expectation and the log-rate converges to the optimal average cost.
-    The standard error is a bootstrap over paths with a reserved
-    resampling stream. Every mean is taken in log space, so long
-    horizons, whose weights underflow, still give an estimate.
+    The standard error is the delta method on the log mean weight:
+    (LAMBDA/T) times the relative stderr of `_mean_weight`. Every mean is
+    taken in log space, so long horizons, whose weights underflow, still
+    give an estimate.
     """
     batch = simulate_sde(spec, _uncontrolled(cfg), y0, cost_expr=q,
                          cost_shift=0.0)
-    cost = batch.cost_integral[~batch.excluded]
-    n = int(cost.shape[0])
-    log_mean, _, ess = _log_mean_weight(cost)
-    T = batch.horizon
-    value = float(-(LAMBDA / T) * log_mean)
-
-    gen = _stream(cfg.seed, BOOTSTRAP_STREAM)
-    boot_log_means = np.empty(BOOTSTRAP_SAMPLES)
-    rows = max(1, BOOTSTRAP_BLOCK // n)
-    for a in range(0, BOOTSTRAP_SAMPLES, rows):
-        r = min(rows, BOOTSTRAP_SAMPLES - a)
-        x = cost[gen.integers(0, n, size=(r, n))]
-        # log-sum-exp of each resampled row, in place to hold one block
-        low = x.min(axis=1, keepdims=True)
-        np.exp(np.subtract(low, x, out=x), out=x)
-        boot_log_means[a:a + r] = np.log(x.mean(axis=1)) - low[:, 0]
-    boot = -(LAMBDA / T) * boot_log_means
-    stderr = float(boot.std(ddof=1))
-
-    # the bootstrap of fewer than two paths has no spread
-    degenerate = n < 2 or stderr > 0.5 * max(abs(value), 1e-12) or \
-        ess < ESS_FLOOR * n
-    if degenerate:
-        warnings.warn(f"cost estimator is degenerate (stderr {stderr:.3g} "
-                      f"against c_hat {value:.3g}, ESS {ess:.3g} of {n})",
-                      stacklevel=2)
-    return Estimate(value=value, stderr=stderr, n_used=n,
+    log_mean, rel, ess, degenerate = _mean_weight(
+        batch.cost_integral[~batch.excluded], "cost")
+    scale = LAMBDA / batch.horizon
+    return Estimate(value=float(-scale * log_mean), stderr=scale * rel,
+                    n_used=batch.n_paths - batch.n_excluded,
                     n_excluded=batch.n_excluded,
                     n_exited=int(batch.exited.sum()), degenerate=degenerate,
                     ess=ess)

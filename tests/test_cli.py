@@ -10,6 +10,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -627,6 +628,26 @@ class TestSamplingCommands:
         s = json.loads((only_dir(out, "sample-cost") /
                         "summary.json").read_text())
         assert 1.0 <= s["ess"] <= s["n_used"]
+
+    @pytest.mark.parametrize("command", ["cost", "desirability"])
+    def test_degenerate_estimate_is_marked(self, tmp_path, capsys, command):
+        # one path has no spread, so its stderr of 0 is no error bar
+        one_path = {**FORWARD, "grid": {**FORWARD["grid"], "counts": [101]},
+                    "sampling": {"dt": 0.01, "T": 1.0, "n_paths": 1,
+                                 "seed": 3}}
+        marker = " (degenerate: no valid error bar)"
+        for config, marked in ((one_path, True), (FORWARD, False)):
+            argv = ["sample", command, "--config",
+                    write_config(tmp_path, config), "--out",
+                    str(tmp_path / "out")]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 0
+            assert bool(caught) == marked
+            lines = [line for line in capsys.readouterr().out.splitlines()
+                     if "+-" in line]
+            assert len(lines) == (1 if command == "cost" else 5)
+            assert all(line.endswith(marker) == marked for line in lines)
 
     def test_feedback(self, tmp_path):
         code, out = run(["sample", "feedback"], tmp_path)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import densctl as dc
 from densctl.errors import SamplingError
 from densctl.sampling import (
-    BOOTSTRAP_STREAM,
     ESS_FLOOR,
     INIT_STREAM,
     _cholesky,
@@ -165,14 +164,6 @@ class TestDeterminism:
             assert ref.exited.any()
             np.testing.assert_array_equal(ref.terminal, small.terminal)
             np.testing.assert_array_equal(ref.cost_integral, small.cost_integral)
-
-    def test_bootstrap_blocks_do_not_change_the_estimate(self, ou401,
-                                                         monkeypatch):
-        c = cfg(n_paths=300, T=0.5)
-        y0 = dc.Ensemble(positions=np.zeros((300, 1)))
-        ref = dc.estimate_c_mc(ou401, ou401.q, c, y0)
-        monkeypatch.setattr(dc.sampling, "BOOTSTRAP_BLOCK", 7 * 300 + 1)
-        assert dc.estimate_c_mc(ou401, ou401.q, c, y0) == ref
 
     def test_batched_desirability_matches_single_points(self, ou401, ou_hjb):
         c = cfg(n_paths=100, T=0.5)
@@ -336,6 +327,33 @@ class TestInputsWithNothingToRun:
         with pytest.raises(SamplingError, match="dimension 2, grid 1"):
             dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01), ens)
 
+    def test_infinite_cost_is_named(self):
+        # no node at 0, so the grid never sees the pole that every path
+        # starts on; the states stay finite
+        g = dc.Grid((-1.5,), (1.5,), (10,))
+        spec = dc.ProblemSpec(grid=g, phi="x1^2", sigma=[["sqrt(2)"]],
+                              q="1/x1")
+        with pytest.raises(SamplingError, match="running cost q is not "
+                           "finite along the paths"):
+            dc.simulate_sde(spec, cfg(n_paths=8, T=0.01), (0.0,),
+                            cost_expr=spec.q)
+
+    def test_point_without_a_usable_path_is_named(self, ou401):
+        # log(x1) is NaN from the first step at x = -1 only
+        with pytest.raises(SamplingError, match=r"every path from x = "
+                           r"\[-1.0\] was excluded"):
+            dc.path_integral_desirabilities(ou401, "log(x1)", 0.0,
+                                            [(1.0,), (-1.0,)],
+                                            cfg(n_paths=8, T=0.01))
+
+    def test_state_blow_up_keeps_its_message(self):
+        g = dc.Grid((-1.5,), (1.5,), (10,))
+        spec = dc.ProblemSpec(grid=g, phi="1/x1", sigma=[["sqrt(2)"]],
+                              q="x1^2")
+        with pytest.raises(SamplingError, match="every path blew up"):
+            dc.simulate_sde(spec, cfg(n_paths=8, T=0.01), (0.0,),
+                            cost_expr=spec.q)
+
     @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
     def test_nonfinite_cost_shift(self, ou401, shift):
         c = cfg(n_paths=8, T=0.01)
@@ -391,11 +409,32 @@ class TestEstimators:
         assert np.isfinite(est.value) and est.value > 0.0
         assert np.isfinite(est.stderr) and est.stderr > 0.0
         assert 1.0 <= est.ess <= 64
-        # the weights collapsed (ESS 1.4 of 64; c_hat = 2.81 +- 0.012
-        # against c = 2) although the bootstrap stderr looks healthy
+        # the weights collapsed (ESS 1.4 of 64; c_hat = 2.81 +- 0.0021
+        # against c = 2) although the stderr is small against c_hat
         assert est.stderr < 0.5 * est.value
         assert est.ess < ESS_FLOOR * est.n_used
         assert est.degenerate
+
+    def test_cost_flag_does_not_depend_on_the_gauge_of_q(self, ou401):
+        # the same paths and weights: shifting q by -1.7 shifts c_hat by
+        # -1.7 and leaves the error bar and the flag alone
+        c = cfg(n_paths=1024, seed=1)
+        est = dc.estimate_c_mc(ou401, "6*x1^2", c, (0.0,))
+        shifted = dc.estimate_c_mc(ou401, "6*x1^2 - 1.7", c, (0.0,))
+        # the per-step sums of q - 1.7 round differently, by about 1e-16
+        assert shifted.stderr == pytest.approx(est.stderr, rel=1e-12)
+        assert shifted.ess == pytest.approx(est.ess, rel=1e-12)
+        assert (shifted.n_used, shifted.degenerate) == (est.n_used, False)
+        assert not est.degenerate
+        assert shifted.value == pytest.approx(est.value - 1.7, abs=1e-12)
+
+    def test_cost_stderr_matches_the_spread_over_seeds(self, ou401):
+        ests = [dc.estimate_c_mc(ou401, ou401.q,
+                                 cfg(dt=1e-2, T=2.0, n_paths=500, seed=s),
+                                 (0.0,))
+                for s in range(1, 13)]
+        spread = np.std([e.value for e in ests], ddof=1)
+        assert 0.5 <= spread / np.median([e.stderr for e in ests]) <= 1.6
 
     def test_desirability_weight_collapse_is_flagged(self, ou401):
         # ESS about 2% of 1000 paths at a relative stderr near 0.2
@@ -551,7 +590,7 @@ class TestStreams:
     # takes the key; _stream hands the key over directly. A numpy release
     # that derived Philox's key differently would fail here.
     @pytest.mark.parametrize("key", [
-        (0, 0), (5, BOOTSTRAP_STREAM), (2**64 - 3, INIT_STREAM),
+        (0, 0), (5, 2**64 - 1), (2**64 - 3, INIT_STREAM),
         *[tuple(int(v) for v in k) for k in np.random.default_rng(2).integers(
             0, 2**64, size=(4, 2), dtype=np.uint64)],
     ])
