@@ -25,7 +25,7 @@ from densctl import (
     path_integral_desirabilities,
     solve_inverse,
 )
-from densctl.cli import _drift_input, _Run, main
+from densctl.cli import _build_parser, _drift_input, _Run, main
 from densctl.output import format_float
 
 FORWARD = {
@@ -447,6 +447,87 @@ class TestOneGate:
             assert main(args + ["--config", cfg_path, "--out", str(out),
                                 "--quiet"]) == 1
             assert line in capsys.readouterr().err
+
+
+# a small 1D problem of each mode, quick enough to run every command on
+SMALL_FORWARD = {
+    "grid": {"lows": [-3.0], "highs": [3.0], "counts": [41]},
+    "dynamics": {"phi": "x1^2", "sigma": [["sqrt(2)"]]},
+    "cost": {"q": "6*x1^2"},
+    "sampling": {"dt": 0.01, "T": 0.1, "n_paths": 16, "seed": 3},
+}
+SMALL_INVERSE = {**{k: v for k, v in SMALL_FORWARD.items() if k != "cost"},
+                 "target": {"p_inf": "exp(-2*x1^2)"}}
+
+NEEDS_FORWARD = ("error: this command needs a forward-mode config with a "
+                 "[cost] section; this one has a [target]")
+NEEDS_INVERSE = ("error: this command needs an inverse-mode config with a "
+                 "[target] section; this one has a [cost]")
+
+
+class TestCommandSurface:
+    """The commands, their options and the config mode each one needs,
+    pinned as the command line presents them."""
+
+    # each command: None where it runs (exit 0), else the first stderr
+    # line of its usage error (exit 2), on a forward and an inverse config
+    MATRIX = [
+        (["check"], None, None),
+        (["solve"], None, NEEDS_FORWARD),
+        (["spectrum"], None, None),
+        (["spectrum", "--controlled"], None, NEEDS_FORWARD),
+        (["evolve"], None, None),
+        (["inverse"], NEEDS_INVERSE, None),
+        (["sample", "paths"], None, None),
+        (["sample", "desirability"], None, NEEDS_FORWARD),
+        (["sample", "cost"], None, NEEDS_FORWARD),
+        (["sample", "feedback"], None, None),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:target density mass")
+    @pytest.mark.parametrize("args, forward, inverse", MATRIX,
+                             ids=[" ".join(row[0]) for row in MATRIX])
+    def test_exit_code_of_every_command_on_either_mode(
+            self, tmp_path, capsys, args, forward, inverse):
+        for name, config, refusal in (("fwd", SMALL_FORWARD, forward),
+                                      ("inv", SMALL_INVERSE, inverse)):
+            code, _ = run(args, tmp_path, config=config, out=name)
+            first = (capsys.readouterr().err.splitlines() or [None])[0]
+            if refusal is None:
+                assert code == 0, (name, first)
+            else:
+                assert (code, first) == (2, refusal), name
+
+    @staticmethod
+    def _options(parser):
+        """{option strings, or the dest of a positional: choices}."""
+        return {tuple(a.option_strings) or a.dest:
+                list(a.choices) if a.choices is not None else None
+                for a in parser._actions}
+
+    def test_options_and_choices(self):
+        common = {("-h", "--help"): None, ("--config",): None,
+                  ("--out",): None, ("--seed",): None, ("--threads",): None,
+                  ("--k",): None, ("--quiet",): None}
+        commands = ["check", "solve", "spectrum", "evolve", "sample",
+                    "inverse"]
+        parser = _build_parser()
+        assert self._options(parser) == {**common, "command": commands}
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        extra = {
+            "spectrum": {("--controlled",): None},
+            "evolve": {("--perturb",): None, ("--mode",): None,
+                       ("--dt",): None, ("--T",): None},
+            "sample": {"kind": ["paths", "desirability", "cost",
+                                "feedback"]},
+        }
+        for name in commands:
+            assert self._options(sub.choices[name]) == \
+                {**common, **extra.get(name, {})}, name
+        groups = [[a.option_strings for a in g._group_actions]
+                  for g in sub.choices["evolve"]._mutually_exclusive_groups]
+        assert groups == [[["--perturb"], ["--mode"]]]
 
 
 class TestSolveOutputs:
