@@ -7,10 +7,14 @@ changes the artifacts (seed, k, --controlled, evolve's --perturb,
 --mode, --dt and --T). Exit codes: 0 success, 1 numerical or
 constraint failure, 2 usage or configuration error.
 
-Every run takes one path through `main`: the usage checks (exit 2),
-the command's mode requirement (exit 2), then, for every command but
-`check`, the gates that `check` reports (exit 1, printing the report),
-then the command. So a run with a usage error and a failing gate exits 2.
+`_COMMANDS` declares each command, and each kind of `sample`, once:
+its handler, the config mode it needs, the arguments it adds to its
+subparser and its own usage checks. The parser is built from it, and
+every run takes one path through `main`: the option checks of `_Run`
+and the command's own usage checks (exit 2), the command's mode
+requirement (exit 2), then, for every command but `check`, the gates
+that `check` reports (exit 1, printing the report), then the handler.
+So a run with a usage error and a failing gate exits 2.
 
 Flag precedence is flag > environment > config file; the recognized
 environment variables are DENSCTL_OUT, DENSCTL_SEED and DENSCTL_QUIET.
@@ -26,6 +30,8 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,9 +81,14 @@ def _env_int(name: str) -> int | None:
 
 
 class _Run:
-    """Resolved options for one command invocation."""
+    """Resolved options for one command invocation, with its parsed
+    arguments."""
 
     def __init__(self, args, cfg: RunConfig):
+        self.args = args
+        # the artifact directory's prefix: the command's words, joined
+        self.command = "-".join(filter(None, (getattr(args, "command", None),
+                                              getattr(args, "kind", None))))
         self.cfg = cfg
         self.spec = cfg.spec
         self.quiet = bool(getattr(args, "quiet", False)) or \
@@ -101,36 +112,15 @@ class _Run:
         if self.k is not None and self.k > n:
             raise ConfigError(f"k = {self.k} outside the valid range 1..{n}")
 
-        # evolve's flags
-        for flag in ("dt", "T"):
-            value = getattr(args, flag, None)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"--{flag} must be finite and positive, "
-                                  f"got {value}")
-        mode = getattr(args, "mode_index", None)
-        top = n - 1
-        if mode is not None and not 1 <= mode <= top:
-            raise ConfigError(f"--mode must lie between 1 and {top}, "
-                              f"got {mode}")
-        perturb = getattr(args, "perturb", None)
-        if perturb is not None:
-            try:
-                expr = parse_expression(perturb)
-            except ExpressionError as e:
-                raise ConfigError(f"--perturb does not parse: {e}") from e
-            fv = free_variables(expr)
-            if fv and max(fv) > self.spec.grid.dim:
-                raise ConfigError(f"--perturb uses x{max(fv)} but the grid "
-                                  f"is {self.spec.grid.dim}-dimensional")
-
     def say(self, msg: str) -> None:
         if not self.quiet:
             print(msg)
 
-    def writer(self, command: str, **options) -> RunWriter:
-        """Artifact writer keyed by the config and the resolved options
-        that change the artifacts; never by --out or --quiet."""
-        return RunWriter(self.out_base, command, self.cfg.digest,
+    def writer(self, **options) -> RunWriter:
+        """Artifact writer keyed by the command, the config and the
+        resolved options that change the artifacts; never by --out or
+        --quiet."""
+        return RunWriter(self.out_base, self.command, self.cfg.digest,
                          dict(seed=self.seed, k=self.k, **options),
                          seed=self.seed)
 
@@ -155,23 +145,6 @@ class _Run:
         return tuple(0.5 * (lo + hi) for lo, hi in zip(g.lows, g.highs))
 
 
-def _require_mode(run: _Run, args) -> None:
-    """Refuse a config of the other mode: inverse design needs a
-    [target], and the commands that solve for the optimal control need
-    a [cost]."""
-    if args.command == "inverse":
-        need, config = "inverse", "an inverse-mode config with a [target] " \
-            "section; this one has a [cost]"
-    elif args.command == "solve" or getattr(args, "controlled", False) \
-            or getattr(args, "kind", None) in ("desirability", "cost"):
-        need, config = "forward", "a forward-mode config with a [cost] " \
-            "section; this one has a [target]"
-    else:
-        return
-    if run.spec.mode != need:
-        raise ConfigError(f"this command needs {config}")
-
-
 def _gate(run: _Run) -> None:
     """Refuse a spec that fails the structural gates. The gates evaluate
     the spec's fields, which the spec keeps for the rest of the
@@ -193,7 +166,7 @@ def _solve_forward(run: _Run, k: int = 1):
 
 def cmd_check(run: _Run) -> int:
     report = validate_spec(run.spec)
-    w = run.writer("check")
+    w = run.writer()
     w.json("check.json", report.as_dict())
     w.close()
     for line in report.lines():
@@ -216,7 +189,7 @@ def cmd_solve(run: _Run) -> int:
     cols = [coords[:, i] for i in range(g.dim)] + \
         [sol.Psi.values, sol.v.values, sol.p.values] + \
         [sol.u.values[:, i] for i in range(g.dim)]
-    w = run.writer("solve")
+    w = run.writer()
     w.csv("solution.csv", header, cols)
     w.json("summary.json", {
         "c": sol.c,
@@ -233,8 +206,9 @@ def cmd_solve(run: _Run) -> int:
     return 0
 
 
-def cmd_spectrum(run: _Run, controlled: bool) -> int:
+def cmd_spectrum(run: _Run) -> int:
     spec = run.spec
+    controlled = run.args.controlled
     g = spec.grid
     k = run.default_k()
     if controlled:
@@ -248,7 +222,7 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
         gap = -float(s.eigenvalues[1])
 
     coords = g.node_coords()
-    w = run.writer("spectrum", controlled=controlled)
+    w = run.writer(controlled=controlled)
     w.csv("eigenvalues.csv", ["index", "eigenvalue", "residual"],
           [np.arange(k, dtype=float), s.eigenvalues, s.residuals])
     w.csv("modes.csv",
@@ -269,10 +243,45 @@ def cmd_spectrum(run: _Run, controlled: bool) -> int:
     return 0
 
 
-def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
-               dt: float | None, T: float | None) -> int:
+def _evolve_arguments(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--perturb", help="perturbation expression")
+    group.add_argument("--mode", type=int, dest="mode_index",
+                       help="start from eigenmode N (default 1)")
+    p.add_argument("--dt", type=float, help="time step")
+    p.add_argument("--T", type=float, help="horizon")
+
+
+def _check_evolve(run: _Run) -> None:
+    """evolve's usage checks: --dt and --T finite and positive, --mode
+    an eigenmode above the first, --perturb an expression over the
+    grid's coordinates."""
+    args = run.args
+    for flag in ("dt", "T"):
+        value = getattr(args, flag)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{flag} must be finite and positive, "
+                              f"got {value}")
+    top = run.spec.grid.size - 1
+    if args.mode_index is not None and not 1 <= args.mode_index <= top:
+        raise ConfigError(f"--mode must lie between 1 and {top}, "
+                          f"got {args.mode_index}")
+    if args.perturb is not None:
+        try:
+            expr = parse_expression(args.perturb)
+        except ExpressionError as e:
+            raise ConfigError(f"--perturb does not parse: {e}") from e
+        fv = free_variables(expr)
+        if fv and max(fv) > run.spec.grid.dim:
+            raise ConfigError(f"--perturb uses x{max(fv)} but the grid "
+                              f"is {run.spec.grid.dim}-dimensional")
+
+
+def cmd_evolve(run: _Run) -> int:
     spec = run.spec
     g = spec.grid
+    args = run.args
+    perturb, mode_index, dt, T = args.perturb, args.mode_index, args.dt, args.T
     k = run.default_k()
     if mode_index is not None:
         k = max(k, mode_index + 1)
@@ -291,7 +300,7 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
     if perturb is not None:
         pt0 = eval_scalar_field(parse_expression(perturb), g)
     else:
-        # _Run keeps --mode below g.size, so k > mode_index
+        # _check_evolve keeps --mode below g.size, so k > mode_index
         pt0 = s.eigenfunction(1 if mode_index is None else mode_index)
 
     dt = dt if dt is not None else (run.cfg.solver.dt or 0.1 / rate)
@@ -309,7 +318,7 @@ def cmd_evolve(run: _Run, perturb: str | None, mode_index: int | None,
 
     fitted = fit_decay_rate(traj.times, traj.norm_rho, 0.5 / rate, 3.0 / rate)
 
-    w = run.writer("evolve", perturb=perturb, mode=mode_index, dt=dt, T=T)
+    w = run.writer(perturb=perturb, mode=mode_index, dt=dt, T=T)
     w.csv("trajectory.csv", ["t", "mass", "rho_norm"],
           [traj.times, traj.mass, traj.norm_rho])
     w.csv("densities.csv",
@@ -359,7 +368,7 @@ def cmd_sample_paths(run: _Run) -> int:
     batch = simulate_sde(spec, cfg, run.x0(), **_drift_input(run, cfg.mode),
                          cost_expr=spec.q if spec.mode == "forward" else None)
     g = spec.grid
-    w = run.writer("sample-paths")
+    w = run.writer()
     w.csv("terminal.csv",
           [f"x{i + 1}" for i in range(g.dim)] + ["cost", "exited", "excluded"],
           [batch.terminal[:, i] for i in range(g.dim)] +
@@ -406,7 +415,7 @@ def cmd_sample_desirability(run: _Run) -> int:
     psi_grid = interpolate_values(spec.grid, sol.Psi.values, pts)
 
     g = spec.grid
-    w = run.writer("sample-desirability")
+    w = run.writer()
     w.csv("desirability.csv",
           [f"x{i + 1}" for i in range(g.dim)] +
           ["psi_hat", "stderr", "n_used", "n_excluded", "psi_grid"],
@@ -441,7 +450,7 @@ def cmd_sample_cost(run: _Run) -> int:
     sol = _solve_forward(run)
     est = estimate_c_mc(spec, spec.q, cfg, x0)
 
-    w = run.writer("sample-cost")
+    w = run.writer()
     w.csv("cost.csv", ["c_hat", "stderr", "c_grid", "abs_error"],
           [np.array([est.value]), np.array([est.stderr]),
            np.array([sol.c]), np.array([abs(est.value - sol.c)])])
@@ -476,7 +485,7 @@ def cmd_sample_feedback(run: _Run) -> int:
     emp = histogram_density(final, g)
     tv = tv_distance(emp, target)
 
-    w = run.writer("sample-feedback")
+    w = run.writer()
     w.csv("ensemble.csv", [f"x{i + 1}" for i in range(g.dim)],
           [final.positions[:, i] for i in range(g.dim)])
     coords = g.node_coords()
@@ -503,7 +512,7 @@ def cmd_inverse(run: _Run) -> int:
     inv = rt.inverse
 
     coords = g.node_coords()
-    w = run.writer("inverse")
+    w = run.writer()
     w.csv("inverse.csv",
           [f"x{i + 1}" for i in range(g.dim)] +
           ["p_target", "Psi", "q"] +
@@ -529,7 +538,50 @@ def cmd_inverse(run: _Run) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command table, argument parsing and dispatch
+
+@dataclass(frozen=True)
+class _Command:
+    """One command, or one kind of `sample`.
+
+    `mode` is the config mode the command needs ("forward", "inverse"
+    or None), or a function of the run that gives it. `check` runs the
+    command's own usage checks; `gate` is whether the gates that `check`
+    reports run first. A command with `kinds` takes one of them as a
+    positional argument, and the kind's entry runs."""
+    run: Callable[[_Run], int] | None = None
+    help: str | None = None
+    mode: str | Callable[[_Run], str | None] | None = None
+    arguments: Callable[[argparse.ArgumentParser], None] | None = None
+    check: Callable[[_Run], None] | None = None
+    gate: bool = True
+    kinds: dict[str, _Command] | None = None
+
+
+_COMMANDS = {
+    "check": _Command(cmd_check, "run the structural constraint checks",
+                      gate=False),
+    "solve": _Command(cmd_solve, "solve the stationary HJB problem",
+                      mode="forward"),
+    "spectrum": _Command(
+        cmd_spectrum, "eigendecomposition of the generator",
+        mode=lambda run: "forward" if run.args.controlled else None,
+        arguments=lambda p: p.add_argument(
+            "--controlled", action="store_true",
+            help="use the optimally controlled generator")),
+    "evolve": _Command(cmd_evolve, "evolve a density perturbation",
+                       arguments=_evolve_arguments, check=_check_evolve),
+    "sample": _Command(help="Monte Carlo simulation and estimators", kinds={
+        "paths": _Command(cmd_sample_paths),
+        "desirability": _Command(cmd_sample_desirability, mode="forward"),
+        "cost": _Command(cmd_sample_cost, mode="forward"),
+        "feedback": _Command(cmd_sample_feedback),
+    }),
+    "inverse": _Command(cmd_inverse,
+                        "design cost and control from a target density",
+                        mode="inverse"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -553,68 +605,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="stationary density control: solve, verify, sample",
         parents=[common])
     sub = p.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("check", parents=[common],
-                   help="run the structural constraint checks")
-    sub.add_parser("solve", parents=[common],
-                   help="solve the stationary HJB problem")
-
-    ps = sub.add_parser("spectrum", parents=[common],
-                        help="eigendecomposition of the generator")
-    ps.add_argument("--controlled", action="store_true",
-                    help="use the optimally controlled generator")
-
-    pe = sub.add_parser("evolve", parents=[common],
-                        help="evolve a density perturbation")
-    group = pe.add_mutually_exclusive_group()
-    group.add_argument("--perturb", help="perturbation expression")
-    group.add_argument("--mode", type=int, dest="mode_index",
-                       help="start from eigenmode N (default 1)")
-    pe.add_argument("--dt", type=float, help="time step")
-    pe.add_argument("--T", type=float, help="horizon")
-
-    pp = sub.add_parser("sample", parents=[common],
-                        help="Monte Carlo simulation and estimators")
-    pp.add_argument("kind",
-                    choices=["paths", "desirability", "cost", "feedback"])
-
-    sub.add_parser("inverse", parents=[common],
-                   help="design cost and control from a target density")
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        if command.kinds:
+            sp.add_argument("kind", choices=list(command.kinds))
+        if command.arguments:
+            command.arguments(sp)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    if command.kinds:
+        command = command.kinds[args.kind]
 
     try:
         config_path = getattr(args, "config", None)
         if config_path is None:
             raise ConfigError("--config is required")
-        cfg = load_config(config_path)
-        run = _Run(args, cfg)
-
-        cmd = args.command
-        if cmd == "check":
-            return cmd_check(run)
-        _require_mode(run, args)
-        _gate(run)
-        if cmd == "solve":
-            return cmd_solve(run)
-        if cmd == "spectrum":
-            return cmd_spectrum(run, bool(args.controlled))
-        if cmd == "evolve":
-            return cmd_evolve(run, args.perturb, args.mode_index,
-                              args.dt, args.T)
-        if cmd == "sample":
-            if args.kind == "paths":
-                return cmd_sample_paths(run)
-            if args.kind == "desirability":
-                return cmd_sample_desirability(run)
-            if args.kind == "cost":
-                return cmd_sample_cost(run)
-            return cmd_sample_feedback(run)
-        return cmd_inverse(run)
+        run = _Run(args, load_config(config_path))
+        if command.check:
+            command.check(run)
+        need = command.mode(run) if callable(command.mode) else command.mode
+        if need not in (None, run.spec.mode):
+            config = {
+                "forward": "a forward-mode config with a [cost] section; "
+                           "this one has a [target]",
+                "inverse": "an inverse-mode config with a [target] "
+                           "section; this one has a [cost]",
+            }[need]
+            raise ConfigError(f"this command needs {config}")
+        if command.gate:
+            _gate(run)
+        return command.run(run)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

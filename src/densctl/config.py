@@ -1,8 +1,10 @@
 """JSON run configuration: parsing, validation, and defaults.
 
 A run file has sections grid, dynamics, cost or target, and the
-optional sections solver, sampling, output. Unknown sections and
-unknown keys are rejected rather than ignored so that typos surface as
+optional sections solver, sampling, output. `_SECTIONS` declares every
+section and, in reading order, each of its keys with the reader that
+checks and converts its value; the allowed-key messages come from it.
+Unknown sections and unknown keys are rejected rather than ignored so that typos surface as
 exit-code-2 errors instead of silently running with defaults, and so
 are values out of range: every number must be finite (the JSON
 extensions NaN and Infinity are refused), time steps and horizons
@@ -22,17 +24,6 @@ from .expressions import ExpressionError, parse_expression
 from .grid import Grid
 from .model import ProblemSpec
 from .sampling import DRIFT_MODES, INIT_STREAM
-
-_GRID_KEYS = {"lows", "highs", "counts"}
-_DYNAMICS_KEYS = {"phi", "sigma", "Sigma"}
-_COST_KEYS = {"q"}
-_TARGET_KEYS = {"p_inf"}
-_SOLVER_KEYS = {"k", "dt", "T"}
-_SAMPLING_KEYS = {"dt", "T", "n_paths", "seed", "mode", "x0", "queries",
-                  "n_particles"}
-_OUTPUT_KEYS = {"dir"}
-_SECTIONS = {"grid", "dynamics", "cost", "target", "solver", "sampling",
-             "output"}
 
 
 @dataclass(frozen=True)
@@ -64,41 +55,37 @@ class RunConfig:
     path: str = ""
 
 
-def _reject_unknown(section: str, data: dict, allowed: set) -> None:
-    extra = set(data) - allowed
-    if extra:
-        raise ConfigError(
-            f"unknown key(s) in [{section}]: {sorted(extra)}; "
-            f"allowed: {sorted(allowed)}")
-
-
-def _need(data: dict, section: str, key: str):
-    if key not in data:
-        raise ConfigError(f"[{section}] is missing required key {key!r}")
-    return data[key]
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and \
         math.isfinite(x)
 
 
-def _number_list(x, section: str, key: str) -> list[float]:
+# A reader takes (value, at, grid): `at` names the key in messages, as
+# "[section] key", and grid is the parsed [grid], or None while [grid]
+# itself is read. It returns the value to keep or raises ConfigError.
+
+def _numbers(x, at: str, grid=None) -> tuple[float, ...]:
     if not isinstance(x, list) or not x or not all(map(_is_number, x)):
-        raise ConfigError(f"[{section}] {key} must be a nonempty list of "
-                          "finite numbers")
-    return [float(v) for v in x]
+        raise ConfigError(f"{at} must be a nonempty list of finite numbers")
+    return tuple(float(v) for v in x)
 
 
-def _int_value(x, section: str, key: str, minimum: int) -> int:
-    if not isinstance(x, int) or isinstance(x, bool) or x < minimum:
-        raise ConfigError(f"[{section}] {key} must be an integer >= {minimum}")
+def _counts(x, at: str, grid=None) -> tuple[int, ...]:
+    if not isinstance(x, list) or \
+            not all(isinstance(c, int) and not isinstance(c, bool) for c in x):
+        raise ConfigError(f"{at} must be a list of integers")
+    return tuple(x)
+
+
+def _count(x, at: str, grid=None) -> int:
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise ConfigError(f"{at} must be an integer >= 1")
     return x
 
 
-def _positive_value(x, section: str, key: str) -> float:
+def _positive(x, at: str, grid=None) -> float:
     if not _is_number(x) or x <= 0:
-        raise ConfigError(f"[{section}] {key} must be a finite number > 0")
+        raise ConfigError(f"{at} must be a finite number > 0")
     return float(x)
 
 
@@ -112,110 +99,106 @@ def check_seed(seed, source: str) -> int:
     return seed
 
 
-def _point(x, grid: Grid, key: str) -> tuple[float, ...]:
-    """A [sampling] point of the grid's dimension in its closed box; the
-    reflecting integrator would fold a point outside in without a
-    trace."""
-    pt = tuple(_number_list(x, "sampling", key))
+def _mode(x, at: str, grid=None) -> str:
+    if not isinstance(x, str) or x not in DRIFT_MODES:
+        raise ConfigError(f"{at} must be one of {DRIFT_MODES}")
+    return x
+
+
+def _string(x, at: str, grid=None) -> str:
+    if not isinstance(x, str):
+        raise ConfigError(f"{at} must be a string")
+    return x
+
+
+def _point(x, at: str, grid: Grid) -> tuple[float, ...]:
+    """A point of the grid's dimension in its closed box; the reflecting
+    integrator would fold a point outside in without a trace."""
+    pt = _numbers(x, at)
     if len(pt) != grid.dim:
-        raise ConfigError(f"[sampling] {key} point {list(pt)} has dimension "
+        raise ConfigError(f"{at} point {list(pt)} has dimension "
                           f"{len(pt)}, the grid {grid.dim}")
     if not grid.contains(pt)[0]:
         box = ", ".join(f"[{lo:g}, {hi:g}]"
                         for lo, hi in zip(grid.lows, grid.highs))
-        raise ConfigError(f"[sampling] {key} point {list(pt)} lies outside "
+        raise ConfigError(f"{at} point {list(pt)} lies outside "
                           f"the grid box {box}")
     return pt
 
 
-def _expr_string(x, section: str, key: str) -> str:
+def _points(x, at: str, grid: Grid) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(x, list) or not x:
+        raise ConfigError(f"{at} must be a nonempty list of points")
+    # a bare number is a 1D point
+    return tuple(_point([p] if _is_number(p) else p, at, grid) for p in x)
+
+
+def _expression(x, at: str, grid=None) -> str:
     if not isinstance(x, str):
-        raise ConfigError(f"[{section}] {key} must be an expression string")
+        raise ConfigError(f"{at} must be an expression string")
     try:
         parse_expression(x)
     except ExpressionError as e:
-        raise ConfigError(f"[{section}] {key} does not parse: {e}") from e
+        raise ConfigError(f"{at} does not parse: {e}") from e
     return x
 
 
-def _matrix_of_expr(x, section: str, key: str) -> list[list[str]] | str:
+def _matrix(x, at: str, grid=None) -> list[list[str]] | str:
     if isinstance(x, str):
-        return _expr_string(x, section, key)
+        return _expression(x, at)
     if not isinstance(x, list) or not x:
         raise ConfigError(
-            f"[{section}] {key} must be an expression string or a matrix "
+            f"{at} must be an expression string or a matrix "
             "(list of rows) of expression strings")
     rows = []
     for row in x:
         if isinstance(row, str):
-            rows.append([_expr_string(row, section, key)])
+            rows.append([_expression(row, at)])
             continue
         if not isinstance(row, list) or not row:
-            raise ConfigError(f"[{section}] {key} rows must be lists of strings")
-        rows.append([_expr_string(e, section, key) for e in row])
+            raise ConfigError(f"{at} rows must be lists of strings")
+        rows.append([_expression(e, at) for e in row])
     return rows
 
 
-def _parse_grid(data: dict) -> Grid:
-    _reject_unknown("grid", data, _GRID_KEYS)
-    lows = _number_list(_need(data, "grid", "lows"), "grid", "lows")
-    highs = _number_list(_need(data, "grid", "highs"), "grid", "highs")
-    counts_raw = _need(data, "grid", "counts")
-    if not isinstance(counts_raw, list) or \
-            not all(isinstance(c, int) and not isinstance(c, bool)
-                    for c in counts_raw):
-        raise ConfigError("[grid] counts must be a list of integers")
-    try:
-        return Grid(tuple(lows), tuple(highs), tuple(counts_raw))
-    except ValueError as e:
-        raise ConfigError(f"[grid] {e}") from e
+# every section and, in reading order, its keys with their readers;
+# required keys come first, and parse_config says how many
+_SECTIONS = {
+    "grid": {"lows": _numbers, "highs": _numbers, "counts": _counts},
+    "dynamics": {"phi": _expression, "sigma": _matrix, "Sigma": _matrix},
+    "cost": {"q": _expression},
+    "target": {"p_inf": _expression},
+    "solver": {"k": _count, "dt": _positive, "T": _positive},
+    "sampling": {"dt": _positive, "T": _positive, "n_paths": _count,
+                 "seed": lambda x, at, grid: check_seed(x, at),
+                 "mode": _mode, "x0": _point, "queries": _points,
+                 "n_particles": _count},
+    "output": {"dir": _string},
+}
 
 
-def _parse_sampling(data: dict, grid: Grid) -> SamplingOptions:
-    _reject_unknown("sampling", data, _SAMPLING_KEYS)
-    kw: dict = {}
-    if "dt" in data:
-        kw["dt"] = _positive_value(data["dt"], "sampling", "dt")
-    if "T" in data:
-        kw["T"] = _positive_value(data["T"], "sampling", "T")
-    if "n_paths" in data:
-        kw["n_paths"] = _int_value(data["n_paths"], "sampling", "n_paths", 1)
-    if "seed" in data:
-        kw["seed"] = check_seed(data["seed"], "[sampling] seed")
-    if "mode" in data:
-        if not isinstance(data["mode"], str) or data["mode"] not in DRIFT_MODES:
-            raise ConfigError(f"[sampling] mode must be one of {DRIFT_MODES}")
-        kw["mode"] = data["mode"]
-    if "x0" in data:
-        kw["x0"] = _point(data["x0"], grid, "x0")
-    if "queries" in data:
-        q = data["queries"]
-        if not isinstance(q, list) or not q:
-            raise ConfigError("[sampling] queries must be a nonempty list "
-                              "of points")
-        # a bare number is a 1D point
-        kw["queries"] = tuple(_point([p] if _is_number(p) else p, grid,
-                                     "queries") for p in q)
-    if "n_particles" in data:
-        kw["n_particles"] = _int_value(data["n_particles"], "sampling",
-                                       "n_particles", 1)
-    opts = SamplingOptions(**kw)
-    if opts.T < opts.dt:
-        raise ConfigError(f"[sampling] T = {opts.T:g} is below one step "
-                          f"dt = {opts.dt:g}")
-    return opts
-
-
-def _parse_solver(data: dict) -> SolverOptions:
-    _reject_unknown("solver", data, _SOLVER_KEYS)
-    kw: dict = {}
-    if "k" in data:
-        kw["k"] = _int_value(data["k"], "solver", "k", 1)
-    if "dt" in data:
-        kw["dt"] = _positive_value(data["dt"], "solver", "dt")
-    if "T" in data:
-        kw["T"] = _positive_value(data["T"], "solver", "T")
-    return SolverOptions(**kw)
+def _read(section: str, data: dict, grid: Grid | None = None,
+          required: int = 0, one_of: tuple[str, ...] = ()) -> dict:
+    """The section's keys that `data` gives, each read by its reader in
+    table order. A key outside the table, a missing one among the first
+    `required`, or other than exactly one of the keys `one_of` (checked
+    where the first of them is read) raises ConfigError."""
+    table = _SECTIONS[section]
+    extra = set(data) - set(table)
+    if extra:
+        raise ConfigError(
+            f"unknown key(s) in [{section}]: {sorted(extra)}; "
+            f"allowed: {sorted(table)}")
+    out = {}
+    for i, (key, reader) in enumerate(table.items()):
+        if key in one_of and sum(k in data for k in one_of) != 1:
+            raise ConfigError(f"[{section}] needs exactly one of "
+                              + " or ".join(one_of))
+        if key in data:
+            out[key] = reader(data[key], f"[{section}] {key}", grid)
+        elif i < required:
+            raise ConfigError(f"[{section}] is missing required key {key!r}")
+    return out
 
 
 def _refuse_constant(name: str):
@@ -231,7 +214,7 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         raise ConfigError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    extra = set(data) - _SECTIONS
+    extra = set(data) - set(_SECTIONS)
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}; "
                           f"allowed: {sorted(_SECTIONS)}")
@@ -240,44 +223,30 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
     if ("cost" in data) == ("target" in data):
         raise ConfigError("config needs exactly one of [cost] or [target]")
 
-    grid = _parse_grid(data["grid"])
-
-    dyn = data["dynamics"]
-    _reject_unknown("dynamics", dyn, _DYNAMICS_KEYS)
-    phi = _expr_string(_need(dyn, "dynamics", "phi"), "dynamics", "phi")
-    if ("sigma" in dyn) == ("Sigma" in dyn):
-        raise ConfigError("[dynamics] needs exactly one of sigma or Sigma")
-    sigma = _matrix_of_expr(dyn["sigma"], "dynamics", "sigma") \
-        if "sigma" in dyn else None
-    Sigma = _matrix_of_expr(dyn["Sigma"], "dynamics", "Sigma") \
-        if "Sigma" in dyn else None
-
-    q = None
-    target = None
-    if "cost" in data:
-        _reject_unknown("cost", data["cost"], _COST_KEYS)
-        q = _expr_string(_need(data["cost"], "cost", "q"), "cost", "q")
-    else:
-        _reject_unknown("target", data["target"], _TARGET_KEYS)
-        target = _expr_string(_need(data["target"], "target", "p_inf"),
-                              "target", "p_inf")
-
     try:
-        spec = ProblemSpec(grid=grid, phi=phi, sigma=sigma, Sigma=Sigma,
-                           q=q, target=target)
+        grid = Grid(**_read("grid", data["grid"], required=3))
+    except ValueError as e:
+        raise ConfigError(f"[grid] {e}") from e
+
+    dynamics = _read("dynamics", data["dynamics"], required=1,
+                     one_of=("sigma", "Sigma"))
+    if "cost" in data:
+        goal = _read("cost", data["cost"], required=1)
+    else:
+        goal = {"target": _read("target", data["target"],
+                                required=1)["p_inf"]}
+    try:
+        spec = ProblemSpec(grid=grid, **dynamics, **goal)
     except Exception as e:
         raise ConfigError(f"invalid problem: {e}") from e
 
-    solver = _parse_solver(data.get("solver", {}))
-    sampling = _parse_sampling(data.get("sampling", {}), grid)
-
-    out_dir = None
-    if "output" in data:
-        _reject_unknown("output", data["output"], _OUTPUT_KEYS)
-        if "dir" in data["output"]:
-            if not isinstance(data["output"]["dir"], str):
-                raise ConfigError("[output] dir must be a string")
-            out_dir = data["output"]["dir"]
+    solver = SolverOptions(**_read("solver", data.get("solver", {})))
+    sampling = SamplingOptions(**_read("sampling", data.get("sampling", {}),
+                                       grid))
+    if sampling.T < sampling.dt:
+        raise ConfigError(f"[sampling] T = {sampling.T:g} is below one step "
+                          f"dt = {sampling.dt:g}")
+    out_dir = _read("output", data.get("output", {})).get("dir")
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return RunConfig(spec=spec, solver=solver, sampling=sampling,

@@ -71,12 +71,12 @@ class TensorField:
         sym = 0.5 * (v + np.swapaxes(v, 1, 2))
         return float(np.linalg.eigvalsh(sym)[:, 0].min())
 
-    def check_spd(self, eps: float = SPD_TOLERANCE) -> None:
+    def check_spd(self) -> None:
         d = self.symmetry_defect()
         if d > SYMMETRY_TOLERANCE:
             raise FieldError(f"tensor field asymmetric, defect {d:.3e}")
         m = self.min_eigenvalue()
-        if m < eps:
+        if m < SPD_TOLERANCE:
             raise FieldError(
                 f"tensor field not uniformly positive definite, min eigenvalue {m:.3e}")
 

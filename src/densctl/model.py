@@ -240,16 +240,17 @@ class ConstraintReport:
     detail: str
 
 
-def confinement_report(Phi: ScalarField, n_shells: int = 5) -> ConstraintReport:
+def confinement_report(Phi: ScalarField) -> ConstraintReport:
     """Confinement proxy for the generalized potential.
 
-    Evaluates W = |grad Phi|^2 / 2 - lap Phi on nested boundary shells.
-    Confinement at infinity is not checkable on a box; its grid
-    signature is W growing strictly toward the boundary and positive
-    on the outermost shell.
+    Evaluates W = |grad Phi|^2 / 2 - lap Phi on the five outermost
+    boundary shells. Confinement at infinity is not checkable on a box;
+    its grid signature is W growing strictly toward the boundary and
+    positive on the outermost shell.
     """
     g = Phi.grid
     shells = g.boundary_shell_index()
+    n_shells = 5
     if shells.max() + 1 < n_shells:
         raise ModelError(f"grid too small for {n_shells} boundary shells")
     grad = gradient_values(g, Phi.values)

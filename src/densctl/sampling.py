@@ -27,13 +27,13 @@ rule for a degenerate estimate. Running costs are weighed by
 the model's constant 1/LAMBDA, the noise-matched weight that makes the
 path-integral form exact, and use the left-endpoint rule, consistent
 with the weak order of the integrator.
-Noise is drawn in time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m
-floats however long the horizon (m noise dimensions); each path draws
-its block into one flat row, and the rows are padded so that the
-strided reads of one step's noise spread over the cache sets. There is
-no path recorder: a run keeps each path's terminal state, cost integral
-and flags, never its intermediate states, so no array grows with the
-number of steps.
+Noise is drawn in time blocks, so it takes
+CHUNK_PATHS * (BLOCK_STEPS * m + 8) floats however long the horizon
+(m noise dimensions); each path draws its block into one flat row, and
+the rows are padded by 8 floats so that the strided reads of one step's
+noise spread over the cache sets. There is no path recorder: a run
+keeps each path's terminal state, cost integral and flags, never its
+intermediate states, so no array grows with the number of steps.
 
 The step loop works dimension-major. A chunk's state is a (P, n) array
 in column order, the transpose of an (n, P) array, so each coordinate
@@ -44,8 +44,9 @@ contiguous and each numpy call runs its inner loop P entries long,
 where a row-major (P, 2) array would run it two entries long. The
 layout changes no arithmetic: every entry is computed by the same
 operations in the same order, so a path's bytes do not depend on it.
-Only a state-dependent sigma keeps its (P, n, m) stack in row order,
-for the stacked matmul that forms sigma sigma^T. The noise of one step
+A state-dependent sigma is a dimension-major (P, n, m) stack too, and
+sigma sigma^T is formed from explicit products summed in column order,
+as every matrix-vector product of the step is. The noise of one step
 is a strided column of the block; a step-major copy of the block costs
 as much as those reads and would double the block's memory.
 
@@ -362,19 +363,18 @@ class _Dynamics:
     def _state_increment(self, x: np.ndarray, dw: np.ndarray,
                          step: int) -> np.ndarray:
         P = x.shape[0]
-        if self.given_sigma:
-            # row order keeps the stacked matmul below on its BLAS
-            # route; on a dimension-major stack it would take numpy's
-            # own loop, which may round differently
-            vals = np.empty((P,) + self.shape)
-        else:
-            vals = np.empty(self.shape + (P,)).transpose(2, 0, 1)
+        vals = np.empty(self.shape + (P,)).transpose(2, 0, 1)
         for i, j, c in self.fixed:
             vals[:, i, j] = c
         for i, j, f in self.entries:
             vals[:, i, j] = f(x)
         if self.given_sigma:
-            root, Sig = vals, vals @ np.swapaxes(vals, 1, 2)
+            # column k of sigma sigma^T is sigma times row k of sigma
+            n = self.shape[0]
+            Sig = np.empty((n, n, P)).transpose(2, 0, 1)
+            for k in range(n):
+                Sig[:, :, k] = _matvec(vals, vals[:, k])
+            root = vals
         else:
             # the noise factor is the Cholesky root of this step's Sigma
             root, Sig = _cholesky(vals, step), vals

@@ -656,12 +656,15 @@ class TestStackedRoot:
 
 
 class TestGoldenBits:
-    """sha256 of the terminal, cost_integral and exited bytes of six
+    """sha256 of the terminal, cost_integral and exited bytes of seven
     small runs. The first four were recorded before the per-path
     streams, the step's error-state handling, the stacked Cholesky root
-    and the in-place interpolant were reworked; the two sigma2d_* runs,
-    which read a two-column table under a state-dependent Sigma, before
-    the step loop went dimension-major. The runs need no eigensolver, and
+    and the in-place interpolant were reworked; the sigma2d_steady and
+    sigma2d_feedback runs, which read a two-column table under a
+    state-dependent Sigma, before the step loop went dimension-major;
+    sigma2d_sigma, under a state-dependent sigma, when sigma sigma^T
+    became explicit products summed in column order. The runs need no
+    eigensolver, and
     their matrix products are 1 x 1 or explicit, so BLAS and ARPACK do
     not enter the bits. Only a change that alters the definition of the
     random streams on purpose may re-record them."""
@@ -679,6 +682,8 @@ class TestGoldenBits:
                           "5d8beea44155ef28458a6be0778d174f",
         "sigma2d_feedback": "97ad7469d498382eff46e14f709eda3d"
                             "a9b9ddff1fc5fa3fb8622b3481b82495",
+        "sigma2d_sigma": "84428563c83dd864d1454f92ea114b92"
+                         "69659497c3872fac7ba6cd45b542ab5a",
     }
 
     @staticmethod
@@ -717,6 +722,11 @@ class TestGoldenBits:
             return dc.simulate_sde(
                 spec, cfg(dt=2e-3, T=0.1, n_paths=300, mode="feedback"),
                 ens2, target=dc.ScalarField(g2, p), cost_expr=spec.q)
+        if name == "sigma2d_sigma":
+            # a state-dependent sigma with a constant entry
+            spec = dc.ProblemSpec(
+                grid=g2, phi=spec.phi, q=spec.q,
+                sigma=[["1 + x1^2/4", "0.5"], ["0.3*sin(x1)", "1 + x2^2/8"]])
         return dc.simulate_sde(spec, cfg(dt=2e-3, T=0.1, n_paths=300), ens2,
                                cost_expr=spec.q)
 
