@@ -124,12 +124,10 @@ class _Run:
                          dict(seed=self.seed, k=self.k, **options),
                          seed=self.seed)
 
-    def sde_config(self, **overrides) -> SdeConfig:
+    def sde_config(self, n_paths: int | None = None) -> SdeConfig:
         s = self.cfg.sampling
-        kw = dict(dt=s.dt, T=s.T, n_paths=s.n_paths, seed=self.seed,
-                  mode=s.mode)
-        kw.update(overrides)
-        return SdeConfig(**kw)
+        return SdeConfig(dt=s.dt, T=s.T, n_paths=n_paths or s.n_paths,
+                         seed=self.seed)
 
     def default_k(self) -> int:
         if self.k is not None:
@@ -253,15 +251,21 @@ def _evolve_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _check_evolve(run: _Run) -> None:
-    """evolve's usage checks: --dt and --T finite and positive, --mode
-    an eigenmode above the first, --perturb an expression over the
-    grid's coordinates."""
+    """evolve's usage checks: --dt and --T finite and positive, a horizon
+    no shorter than its step where both are set (a flag over its
+    [solver] key), --mode an eigenmode above the first, --perturb an
+    expression over the grid's coordinates."""
     args = run.args
     for flag in ("dt", "T"):
         value = getattr(args, flag)
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ConfigError(f"--{flag} must be finite and positive, "
                               f"got {value}")
+    dt = args.dt if args.dt is not None else run.cfg.solver.dt
+    T = args.T if args.T is not None else run.cfg.solver.T
+    if dt is not None and T is not None and T < dt:
+        raise ConfigError(f"evolve horizon T = {T:g} is below one step "
+                          f"dt = {dt:g}")
     top = run.spec.grid.size - 1
     if args.mode_index is not None and not 1 <= args.mode_index <= top:
         raise ConfigError(f"--mode must lie between 1 and {top}, "
@@ -365,7 +369,8 @@ def _drift_input(run: _Run, mode: str) -> dict:
 def cmd_sample_paths(run: _Run) -> int:
     spec = run.spec
     cfg = run.sde_config()
-    batch = simulate_sde(spec, cfg, run.x0(), **_drift_input(run, cfg.mode),
+    mode = run.cfg.sampling.mode
+    batch = simulate_sde(spec, cfg, run.x0(), **_drift_input(run, mode),
                          cost_expr=spec.q if spec.mode == "forward" else None)
     g = spec.grid
     w = run.writer()
@@ -376,7 +381,7 @@ def cmd_sample_paths(run: _Run) -> int:
            batch.excluded.astype(float)])
     w.json("summary.json", {
         "seed": cfg.seed,
-        "mode": cfg.mode,
+        "mode": mode,
         "n_paths": batch.n_paths,
         "n_excluded": batch.n_excluded,
         "n_exited": int(batch.exited.sum()),
@@ -409,7 +414,7 @@ def cmd_sample_desirability(run: _Run) -> int:
     queries = run.cfg.sampling.queries or _default_queries(run)
     pts = np.array(queries, dtype=float)
     sol = _solve_forward(run)
-    cfg = run.sde_config(mode="uncontrolled")
+    cfg = run.sde_config()
 
     est = path_integral_desirabilities(spec, spec.q, sol.c, pts, cfg)
     psi_grid = interpolate_values(spec.grid, sol.Psi.values, pts)
@@ -445,7 +450,7 @@ def cmd_sample_desirability(run: _Run) -> int:
 
 def cmd_sample_cost(run: _Run) -> int:
     spec = run.spec
-    cfg = run.sde_config(mode="uncontrolled")
+    cfg = run.sde_config()
     x0 = run.x0()
     sol = _solve_forward(run)
     est = estimate_c_mc(spec, spec.q, cfg, x0)
@@ -478,7 +483,7 @@ def cmd_sample_feedback(run: _Run) -> int:
     g = spec.grid
     target = _drift_input(run, "feedback")["target"]
     n_particles = run.cfg.sampling.n_particles or run.cfg.sampling.n_paths
-    cfg = run.sde_config(mode="feedback", n_paths=n_particles)
+    cfg = run.sde_config(n_particles)
     final = Ensemble(positions=simulate_sde(
         spec, cfg, uniform_ensemble(g, n_particles, cfg.seed),
         target=target).terminal)

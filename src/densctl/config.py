@@ -6,10 +6,11 @@ section and, in reading order, each of its keys with the reader that
 checks and converts its value; the allowed-key messages come from it.
 Unknown sections and unknown keys are rejected rather than ignored so that typos surface as
 exit-code-2 errors instead of silently running with defaults, and so
-are values out of range: every number must be finite (the JSON
-extensions NaN and Infinity are refused), time steps and horizons
-positive, seeds below the reserved streams, and points of the grid's
-dimension inside its closed box. All expressions are strings in the
+are sections that are not JSON objects and values out of range: every
+number must be finite (the JSON extensions NaN and Infinity are
+refused), time steps and horizons positive, no horizon below its step,
+seeds below the reserved streams, and points of the grid's dimension
+inside its closed box. All expressions are strings in the
 x1, x2, ... grammar.
 """
 from __future__ import annotations
@@ -23,7 +24,10 @@ from .errors import ConfigError
 from .expressions import ExpressionError, parse_expression
 from .grid import Grid
 from .model import ProblemSpec
-from .sampling import DRIFT_MODES, INIT_STREAM
+from .sampling import INIT_STREAM
+
+# the [sampling] mode of `sample paths`: the drift it integrates
+DRIFT_MODES = ("uncontrolled", "steady", "feedback")
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,9 @@ def _read(section: str, data: dict, grid: Grid | None = None,
     `required`, or other than exactly one of the keys `one_of` (checked
     where the first of them is read) raises ConfigError."""
     table = _SECTIONS[section]
+    if not isinstance(data, dict):
+        raise ConfigError(f"[{section}] must be a JSON object, "
+                          f"got {json.dumps(data)}")
     extra = set(data) - set(table)
     if extra:
         raise ConfigError(
@@ -241,6 +248,9 @@ def parse_config(text: str, path: str = "<memory>") -> RunConfig:
         raise ConfigError(f"invalid problem: {e}") from e
 
     solver = SolverOptions(**_read("solver", data.get("solver", {})))
+    if solver.T is not None and solver.dt is not None and solver.T < solver.dt:
+        raise ConfigError(f"[solver] T = {solver.T:g} is below one step "
+                          f"dt = {solver.dt:g}")
     sampling = SamplingOptions(**_read("sampling", data.get("sampling", {}),
                                        grid))
     if sampling.T < sampling.dt:

@@ -117,25 +117,6 @@ def eval_scalar_field(expr: Expr, grid: Grid) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def eval_matrix(exprs: list[list[Expr]], points: np.ndarray) -> np.ndarray:
-    """Evaluate a matrix of expressions at points (m, dim) -> (m, r, c)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    r = len(exprs)
-    c = len(exprs[0])
-    out = np.empty((points.shape[0], r, c))
-    for i in range(r):
-        if len(exprs[i]) != c:
-            raise FieldError("ragged matrix of expressions")
-        for j in range(c):
-            out[:, i, j] = evaluate(exprs[i][j], points)
-    return out
-
-
-def noise_to_tensor(sigma_vals: np.ndarray) -> np.ndarray:
-    """Sigma = sigma sigma^T pointwise, sigma of shape (m, n, p)."""
-    return np.einsum("kip,kjp->kij", sigma_vals, sigma_vals)
-
-
 # ---------------------------------------------------------------------------
 # numerical derivatives on the grid
 

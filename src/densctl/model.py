@@ -15,6 +15,10 @@ the solvers and the commands all read the fields off the spec, so no
 caller evaluates a field twice or hands one down. `validate_spec`
 evaluates every field a command reads, in both modes, so a spec that
 passes it fails no later field evaluation.
+
+Sigma is compiled once per spec, into `ProblemSpec.diffusion`, which
+`diffusion_field` reads on the nodes and the SDE engine along the
+paths, so both form Sigma by the same operations.
 """
 from __future__ import annotations
 
@@ -23,11 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, SamplingError
 from .expressions import (
     EXPR_TYPES,
     BinOp,
     Expr,
+    Num,
+    compile_body,
+    derivative,
     evaluate,
     free_variables,
     parse_expression,
@@ -39,10 +46,8 @@ from .fields import (
     TensorField,
     VectorField,
     _check_finite,
-    eval_matrix,
     gradient_values,
     laplacian_values,
-    noise_to_tensor,
     tensor_divergence_values,
 )
 from .grid import Grid
@@ -130,7 +135,10 @@ class ProblemSpec:
         FieldError naming the field."""
         coords = self.grid.node_coords()
         if name == "diffusion":
-            vals = self.diffusion_at(coords)
+            d = self.diffusion
+            with np.errstate(all="ignore"):
+                # node-major, the layout every grid solver reads
+                vals = np.ascontiguousarray(d.tensor(d.matrix(coords)))
             _check_finite(vals, self.grid, "diffusion tensor")
             return TensorField(self.grid, vals)
         vals = evaluate(getattr(self, name), coords)
@@ -158,52 +166,138 @@ class ProblemSpec:
             raise ModelError("forward-mode problem has no target density")
         return self._field("target")
 
-    def diffusion_at(self, points: np.ndarray) -> np.ndarray:
-        """Sigma(x) at arbitrary points, shape (m_pts, n, n)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.Sigma is not None:
-            return eval_matrix(self.Sigma, points)
-        return noise_to_tensor(eval_matrix(self.sigma, points))
-
-    def noise_at(self, points: np.ndarray) -> np.ndarray:
-        """Noise factor sigma(x) at points, shape (m_pts, n, m).
-
-        When only Sigma is specified the factor is the pointwise
-        Cholesky root, which is a valid sigma for simulation purposes;
-        a Sigma that is not positive definite raises SamplingError.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.sigma is not None:
-            return eval_matrix(self.sigma, points)
-        # the SDE engine's own root, so both factor Sigma alike; the
-        # import is local because sampling imports this module
-        from .sampling import _cholesky
-
-        root = _cholesky(eval_matrix(self.Sigma, points))
-        # in C order, as np.linalg.cholesky returned it
-        return np.ascontiguousarray(root)
-
-    def diffusion_exprs(self) -> ExprMatrix:
-        """Sigma as expression trees; sum_p sigma_ip sigma_kp when sigma
-        is given."""
-        if self.Sigma is not None:
-            return self.Sigma
-        s = self.sigma
-
-        def entry(i: int, k: int) -> Expr:
-            terms = [BinOp("*", si, sk) for si, sk in zip(s[i], s[k])]
-            return functools.reduce(lambda a, b: BinOp("+", a, b), terms)
-
-        return tuple(tuple(entry(i, k) for k in range(len(s)))
-                     for i in range(len(s)))
-
     def diffusion_field(self) -> TensorField:
         """Sigma on the grid nodes; a nonfinite entry raises FieldError."""
         return self._field("diffusion")
 
-    def diffusion_is_constant(self) -> bool:
-        mat = self.Sigma if self.Sigma is not None else self.sigma
-        return all(not free_variables(e) for row in mat for e in row)
+    @functools.cached_property
+    def diffusion(self) -> Diffusion:
+        """The compiled diffusion; a cache, so not in eq, hash or repr."""
+        return Diffusion(self)
+
+
+# ---------------------------------------------------------------------------
+# the compiled diffusion
+#
+# Point arrays are dimension-major: (P, n) points are the transpose of an
+# (n, P) array, and a (P, r, c) stack of matrices that of an (r, c, P)
+# array, so that every [:, i] or [:, i, j] is one contiguous run over the
+# points and each numpy call below runs P entries long. Points in row
+# order give the same bytes, only more slowly.
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for stacks A (P, r, c) and v (P, c), each entry summed in
+    column order, as a dimension-major (P, r)."""
+    rows = np.empty((A.shape[1], A.shape[0]))
+    for i, acc in enumerate(rows):
+        np.multiply(A[:, i, 0], v[:, 0], out=acc)
+        for j in range(1, A.shape[2]):
+            acc += A[:, i, j] * v[:, j]
+    return rows.T
+
+
+def _cholesky(A: np.ndarray, step: int | None = None) -> np.ndarray:
+    """Lower Cholesky roots of a stack A (P, n, n), column by column.
+
+    Each column is LAPACK's (the pivot's square root, then the entries
+    below scaled by its reciprocal), so for n <= 2 the roots equal
+    np.linalg.cholesky bit for bit. A pivot at or below zero raises
+    SamplingError, naming the time step when one is given; a NaN pivot
+    passes, and the path is then excluded as non-finite. The roots are
+    a dimension-major stack.
+    """
+    n = A.shape[1]
+    L = np.zeros((n, n, A.shape[0])).transpose(2, 0, 1)
+    for j in range(n):
+        d = A[:, j, j]
+        for k in range(j):
+            d = d - L[:, j, k] * L[:, j, k]
+        # min is NaN when any pivot is, so NaN takes the slow test too
+        if not np.minimum.reduce(d) > 0.0 and (d <= 0.0).any():
+            at = "" if step is None else f" at step {step}"
+            raise SamplingError(
+                f"Sigma is not positive definite{at} "
+                f"(pivot {j + 1} is {float(np.fmin.reduce(d)):.3g})")
+        np.sqrt(d, out=L[:, j, j])
+        if j + 1 < n:
+            r = 1.0 / L[:, j, j]
+        for i in range(j + 1, n):
+            s = A[:, i, j]
+            for k in range(j):
+                s = s - L[:, i, k] * L[:, j, k]
+            np.multiply(s, r, out=L[:, i, j])
+    return L
+
+
+class Diffusion:
+    """Sigma(x) = sigma(x) sigma(x)^T of one spec, compiled once.
+
+    The grid field and the SDE engine read Sigma here alike: `matrix`
+    evaluates the given matrix (sigma, n x m, or Sigma, n x n), with a
+    constant entry stored as a float and the others as bare compiled
+    closures, so the caller holds np.errstate; `tensor` forms Sigma from
+    it, with sigma given as sigma sigma^T summed in column order as
+    `_matvec` sums; `factor` is the noise factor, sigma itself or the
+    Cholesky root of Sigma; `divergence` is the symbolic div Sigma,
+    (div Sigma)_i = sum_k d Sigma_ik / dx_k, which with sigma given
+    differentiates the products of sigma sigma^T.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.given_sigma = given_sigma = spec.sigma is not None
+        mat = spec.sigma if given_sigma else spec.Sigma
+        n = len(mat)
+        self.shape = (n, len(mat[0]))
+        origin = np.zeros((1, n))
+        entries = [(i, j, e) for i, row in enumerate(mat)
+                   for j, e in enumerate(row)]
+        self.fixed = [(i, j, float(compile_body(e)(origin)[0]))
+                      for i, j, e in entries if not free_variables(e)]
+        self.entries = [(i, j, compile_body(e))
+                        for i, j, e in entries if free_variables(e)]
+        self.constant = not self.entries
+        # Sigma as trees: with sigma given, sum_p sigma_ip sigma_kp
+        Sig = mat if not given_sigma else [[functools.reduce(
+            lambda a, b: BinOp("+", a, b),
+            [BinOp("*", si, sk) for si, sk in zip(mat[i], mat[k])])
+            for k in range(n)] for i in range(n)]
+        # zero terms dropped
+        self.div = [[compile_body(d) for k in range(n)
+                     if (d := derivative(Sig[i][k], k + 1)) != Num(0.0)]
+                    for i in range(n)]
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """The given matrix at points x (P, n), a dimension-major stack."""
+        vals = np.empty(self.shape + (x.shape[0],)).transpose(2, 0, 1)
+        for i, j, c in self.fixed:
+            vals[:, i, j] = c
+        for i, j, f in self.entries:
+            vals[:, i, j] = f(x)
+        return vals
+
+    def tensor(self, vals: np.ndarray) -> np.ndarray:
+        """Sigma from the given matrix's values `vals`."""
+        if not self.given_sigma:
+            return vals
+        # column k of sigma sigma^T is sigma times row k of sigma
+        n = self.shape[0]
+        Sig = np.empty((n, n, vals.shape[0])).transpose(2, 0, 1)
+        for k in range(n):
+            Sig[:, :, k] = _matvec(vals, vals[:, k])
+        return Sig
+
+    def factor(self, vals: np.ndarray, step: int | None = None) -> np.ndarray:
+        """The noise factor from the given matrix's values `vals`; a
+        Sigma that is not positive definite raises SamplingError."""
+        return vals if self.given_sigma else _cholesky(vals, step)
+
+    def divergence(self, x: np.ndarray) -> np.ndarray:
+        """div Sigma at points x (P, n), dimension-major."""
+        rows = np.zeros((x.shape[1], x.shape[0]))
+        for terms, row in zip(self.div, rows):
+            for f in terms:
+                row += f(x)
+        return rows.T
 
 
 # ---------------------------------------------------------------------------

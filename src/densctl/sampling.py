@@ -1,8 +1,9 @@
 """SDE simulation and Monte Carlo estimators.
 
-`simulate_sde` is the one driver that integrates paths: every drift
-mode (uncontrolled, steady control, density feedback), every estimator
-and every sampling command goes through it.
+`simulate_sde` is the one driver that integrates paths: every
+estimator and every sampling command goes through it. Its drift follows
+the field it is given: none gives the uncontrolled drift, a `control`
+field the steady control and a `target` density the density feedback.
 
 Every path owns a counter-based random stream keyed by (seed, path
 index), so a path's result does not depend on which other paths run
@@ -44,9 +45,9 @@ contiguous and each numpy call runs its inner loop P entries long,
 where a row-major (P, 2) array would run it two entries long. The
 layout changes no arithmetic: every entry is computed by the same
 operations in the same order, so a path's bytes do not depend on it.
-A state-dependent sigma is a dimension-major (P, n, m) stack too, and
-sigma sigma^T is formed from explicit products summed in column order,
-as every matrix-vector product of the step is. The noise of one step
+Sigma, its noise factor and div Sigma are the spec's compiled
+diffusion, which forms sigma sigma^T from products summed in column
+order, as every matrix-vector product of the step is. The noise of one step
 is a strided column of the block; a step-major copy of the block costs
 as much as those reads and would double the block's memory.
 
@@ -56,9 +57,10 @@ expression trees, every tree becomes a bare closure (`compile_body`,
 whose variables the spec has already checked), and grid tables are
 read through an interpolant whose stencil is built once. One
 np.errstate covers the whole run instead of one per closure call. A
-state-dependent Sigma is factored by a column-by-column Cholesky over
-the stacked paths, which equals LAPACK bit for bit for n <= 2 and
-raises SamplingError, naming the step, at a pivot that is not positive.
+state-dependent Sigma is factored by the model's column-by-column
+Cholesky over the stacked paths, which equals LAPACK bit for bit for
+n <= 2 and raises SamplingError, naming the step, at a pivot that is
+not positive.
 A step is then array arithmetic and one in-box test on each axis's
 minimum and maximum, which also catches non-finite states; exclusion
 and reflection run only when that test fails.
@@ -67,14 +69,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SamplingError
 from .expressions import (
     Expr,
-    Num,
     compile_body,
     derivative,
     free_variables,
@@ -88,7 +89,7 @@ from .fields import (
     interpolant,
 )
 from .grid import Grid
-from .model import LAMBDA, ProblemSpec
+from .model import LAMBDA, ProblemSpec, _matvec
 
 INIT_STREAM = 2**64 - 2
 CHUNK_PATHS = 8192       # paths integrated side by side
@@ -97,16 +98,12 @@ BLOCK_STEPS = 256        # time steps of noise drawn at once
 # rests on a few heavy paths, so its stderr is not a valid error bar
 ESS_FLOOR = 0.05
 
-DRIFT_MODES = ("uncontrolled", "steady", "feedback")
-
-
 @dataclass(frozen=True)
 class SdeConfig:
     dt: float
     T: float
     n_paths: int
     seed: int
-    mode: str = "uncontrolled"
 
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("T", self.T)):
@@ -120,9 +117,6 @@ class SdeConfig:
         if not 0 <= int(self.seed) < INIT_STREAM:
             raise SamplingError(
                 f"seed must lie in [0, 2^64 - 3], got {self.seed}")
-        if self.mode not in DRIFT_MODES:
-            raise SamplingError(f"unknown drift mode {self.mode!r}; "
-                                f"use one of {DRIFT_MODES}")
 
     @property
     def n_steps(self) -> int:
@@ -220,56 +214,7 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# drift and noise evaluation along paths
-#
-# Path arrays are dimension-major: a (P, n) state or drift is the
-# transpose of an (n, P) array, and a (P, r, c) stack of matrices that of
-# an (r, c, P) array, so that every [:, i] or [:, i, j] is one contiguous
-# run over the paths and each numpy call below runs P entries long.
-
-def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A v for stacks A (P, r, c) and v (P, c), each entry summed in
-    column order, as a dimension-major (P, r)."""
-    rows = np.empty((A.shape[1], A.shape[0]))
-    for i, acc in enumerate(rows):
-        np.multiply(A[:, i, 0], v[:, 0], out=acc)
-        for j in range(1, A.shape[2]):
-            acc += A[:, i, j] * v[:, j]
-    return rows.T
-
-
-def _cholesky(A: np.ndarray, step: int | None = None) -> np.ndarray:
-    """Lower Cholesky roots of a stack A (P, n, n), column by column.
-
-    Each column is LAPACK's (the pivot's square root, then the entries
-    below scaled by its reciprocal), so for n <= 2 the roots equal
-    np.linalg.cholesky bit for bit. A pivot at or below zero raises,
-    naming the time step when one is given; a NaN pivot passes, and the
-    path is then excluded as non-finite. The roots are a dimension-major
-    stack.
-    """
-    n = A.shape[1]
-    L = np.zeros((n, n, A.shape[0])).transpose(2, 0, 1)
-    for j in range(n):
-        d = A[:, j, j]
-        for k in range(j):
-            d = d - L[:, j, k] * L[:, j, k]
-        # min is NaN when any pivot is, so NaN takes the slow test too
-        if not np.minimum.reduce(d) > 0.0 and (d <= 0.0).any():
-            at = "" if step is None else f" at step {step}"
-            raise SamplingError(
-                f"Sigma is not positive definite{at} "
-                f"(pivot {j + 1} is {float(np.fmin.reduce(d)):.3g})")
-        np.sqrt(d, out=L[:, j, j])
-        if j + 1 < n:
-            r = 1.0 / L[:, j, j]
-        for i in range(j + 1, n):
-            s = A[:, i, j]
-            for k in range(j):
-                s = s - L[:, i, k] * L[:, j, k]
-            np.multiply(s, r, out=L[:, i, j])
-    return L
-
+# drift and noise evaluation along paths, dimension-major as in model
 
 def _columns(fns: list, x: np.ndarray) -> np.ndarray:
     """Compiled scalar functions of x (P, n) as the columns of a
@@ -285,64 +230,42 @@ def _columns(fns: list, x: np.ndarray) -> np.ndarray:
 class _Dynamics:
     """The Euler-Maruyama increment of one run, compiled once.
 
-    grad(phi) and div Sigma are symbolic derivatives of the expression
-    trees (with sigma given, div Sigma differentiates the products of
-    sigma sigma^T); Sigma and sigma entries are compiled closures, or
-    floats where an entry is constant; the steady control or
-    grad(log p) table is read through an interpolant built once.
-    Constant diffusion folds -Sigma/2 and sqrt(dt) sigma into fixed
-    matrices. The closures are the bare compiled bodies, so the caller
-    holds np.errstate. Paths and increments are dimension-major.
+    The drift is div(Sigma)/2 + half * Sigma v + u: v is grad(phi), a
+    symbolic derivative, with half = -1/2, or grad(log p) with half =
+    +1/2 when the run is given a target slope table; u is the steady
+    control table when one is given. Tables are read through an
+    interpolant built once. Sigma, its noise factor and div Sigma come
+    from the spec's compiled diffusion; a constant diffusion folds
+    -Sigma/2 and sqrt(dt) sigma into fixed matrices. The closures are
+    the bare compiled bodies, so the caller holds np.errstate. Paths and
+    increments are dimension-major.
     """
 
     def __init__(self, spec: ProblemSpec, cfg: SdeConfig,
-                 table: np.ndarray | None = None):
+                 control: np.ndarray | None = None,
+                 slope: np.ndarray | None = None):
         self.grid = spec.grid
         # step constants as 0-d arrays, which numpy dispatches faster
         # than Python floats
         self.dt = np.array(cfg.dt)
         self.sqdt = np.array(np.sqrt(cfg.dt))
         n = spec.grid.dim
-        origin = np.zeros((1, n))
-        self.m = len(spec.sigma[0]) if spec.sigma is not None else n
-        read = None if table is None else interpolant(self.grid, table)
-        self.steady = read if cfg.mode == "steady" else None
-        gphi = [compile_body(derivative(spec.phi, k + 1)) for k in range(n)]
-        # the drift is div(Sigma)/2 + half * Sigma v, where v is grad(phi)
-        # with half = -1/2, or grad(log p) with half = +1/2 under feedback
-        if cfg.mode == "feedback":
-            self.half, self.v = np.array(0.5), read
-        else:
+        self.diffusion = d = spec.diffusion
+        self.m = d.shape[1]
+        self.steady = None if control is None else interpolant(self.grid,
+                                                               control)
+        if slope is None:
+            gphi = [compile_body(derivative(spec.phi, k + 1)) for k in range(n)]
             self.half, self.v = np.array(-0.5), lambda x: _columns(gphi, x)
-        if spec.diffusion_is_constant():
-            self.drift_matrix = self.half * spec.diffusion_at(origin)[0]
-            self.noise_matrix = self.sqdt * spec.noise_at(origin)[0]
+        else:
+            self.half, self.v = np.array(0.5), interpolant(self.grid, slope)
+        if d.constant:
+            vals = d.matrix(np.zeros((1, n)))
+            self.drift_matrix = self.half * d.tensor(vals)[0]
+            self.noise_matrix = self.sqdt * d.factor(vals)[0]
             self.increment = self._constant_increment
-            return
-        self.increment = self._state_increment
-        self.given_sigma = spec.sigma is not None
-        mat = spec.sigma if self.given_sigma else spec.Sigma
-        self.shape = (len(mat), len(mat[0]))
-        entries = [(i, j, e) for i, row in enumerate(mat)
-                   for j, e in enumerate(row)]
-        # a constant entry is written as a float, with no array per step
-        self.fixed = [(i, j, float(compile_body(e)(origin)[0]))
-                      for i, j, e in entries if not free_variables(e)]
-        self.entries = [(i, j, compile_body(e))
-                        for i, j, e in entries if free_variables(e)]
-        Sig = spec.diffusion_exprs()
-        # (div Sigma)_i = sum_k d Sigma_ik / dx_k, zero terms dropped
-        self.div = [[compile_body(d) for k in range(n)
-                     if (d := derivative(Sig[i][k], k + 1)) != Num(0.0)]
-                    for i in range(n)]
-
-    def div_sigma(self, x: np.ndarray) -> np.ndarray:
-        """div Sigma at paths x (P, n), for state-dependent diffusion."""
-        rows = np.zeros((x.shape[1], x.shape[0]))
-        for terms, row in zip(self.div, rows):
-            for f in terms:
-                row += f(x)
-        return rows.T
+        else:
+            self.increment = self._state_increment
 
     # increment(x, dw, step): b(x) dt + sigma(x) sqrt(dt) dw for paths
     # x (P, n) and normals dw (P, m) at time step `step`, as a fresh
@@ -362,23 +285,10 @@ class _Dynamics:
 
     def _state_increment(self, x: np.ndarray, dw: np.ndarray,
                          step: int) -> np.ndarray:
-        P = x.shape[0]
-        vals = np.empty(self.shape + (P,)).transpose(2, 0, 1)
-        for i, j, c in self.fixed:
-            vals[:, i, j] = c
-        for i, j, f in self.entries:
-            vals[:, i, j] = f(x)
-        if self.given_sigma:
-            # column k of sigma sigma^T is sigma times row k of sigma
-            n = self.shape[0]
-            Sig = np.empty((n, n, P)).transpose(2, 0, 1)
-            for k in range(n):
-                Sig[:, :, k] = _matvec(vals, vals[:, k])
-            root = vals
-        else:
-            # the noise factor is the Cholesky root of this step's Sigma
-            root, Sig = _cholesky(vals, step), vals
-        b = self.div_sigma(x)
+        d = self.diffusion
+        vals = d.matrix(x)
+        Sig, root = d.tensor(vals), d.factor(vals, step)
+        b = d.divergence(x)
         b *= 0.5
         drift = _matvec(Sig, self.v(x))
         drift *= self.half
@@ -518,27 +428,26 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 
     x0 is a single start point or an Ensemble (whose count then
     overrides cfg.n_paths), inside the closed box; path j draws from
-    stream stream_base + j. The steady mode adds the field `control` to
-    the passive drift. The feedback mode needs only the positive target
-    density `target`: its drift div(Sigma)/2 + (Sigma/2) grad(log p)
-    reads grad(log p), tabulated on the grid once. Only the terminal
-    states are kept. The running cost integral of (q - shift)/LAMBDA is
-    accumulated when cost_expr is given. A path is excluded when its
-    state or its cost integral is not finite; when every path is, the
-    SamplingError names the cost if no state blew up.
+    stream stream_base + j. The drift follows the fields given: with
+    neither it is the passive drift div(Sigma)/2 - (Sigma/2) grad(phi);
+    `control` adds a steady control field to it; the positive density
+    `target` alone gives the feedback drift div(Sigma)/2 + (Sigma/2)
+    grad(log p), with grad(log p) tabulated on the grid once. Both
+    together raise SamplingError. Only the terminal states are kept.
+    The running cost integral of (q - shift)/LAMBDA is accumulated when
+    cost_expr is given. A path is excluded when its state or its cost
+    integral is not finite; when every path is, the SamplingError names
+    the cost if no state blew up.
     """
     grid = spec.grid
-    table = None
-    if cfg.mode == "steady":
-        if control is None:
-            raise SamplingError("steady mode needs a `control` field")
-        table = control.values
-    elif cfg.mode == "feedback":
-        if target is None:
-            raise SamplingError("feedback mode needs a `target` density")
+    if control is not None and target is not None:
+        raise SamplingError("give a steady `control` or a feedback `target`, "
+                            "not both")
+    slope = None
+    if target is not None:
         if target.values.min() <= 0.0:
             raise SamplingError("feedback target density must be positive")
-        table = gradient_values(grid, np.log(target.values))
+        slope = gradient_values(grid, np.log(target.values))
 
     if not math.isfinite(cost_shift):
         raise SamplingError(f"cost_shift must be finite, got {cost_shift}")
@@ -549,7 +458,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
         if fv and max(fv) > grid.dim:
             raise SamplingError("cost expression uses variables beyond the grid")
 
-    dyn = _Dynamics(spec, cfg, table)
+    dyn = _Dynamics(spec, cfg, None if control is None else control.values,
+                    slope)
     x0_arr = _resolve_x0(x0, cfg.n_paths, grid.dim)
     terminal, cost, exited, blew_up = _integrate(
         dyn, cfg, x0_arr, stream_base, cost_expr, cost_shift)
@@ -596,10 +506,6 @@ def _mean_weight(cost: np.ndarray, estimator: str,
     return log_mean, rel, ess, degenerate
 
 
-def _uncontrolled(cfg: SdeConfig) -> SdeConfig:
-    return cfg if cfg.mode == "uncontrolled" else replace(cfg, mode="uncontrolled")
-
-
 def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
                                  cfg: SdeConfig,
                                  stream_base: int = 0) -> list[Estimate]:
@@ -621,7 +527,7 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
         raise SamplingError(f"start point has dimension {pts.shape[1]}, "
                             f"grid {spec.grid.dim}")
     starts = Ensemble(positions=np.repeat(pts, n_paths, axis=0))
-    batch = simulate_sde(spec, _uncontrolled(cfg), starts, cost_expr=q,
+    batch = simulate_sde(spec, cfg, starts, cost_expr=q,
                          cost_shift=c, stream_base=stream_base)
     estimates = []
     for i in range(pts.shape[0]):
@@ -654,7 +560,7 @@ def estimate_c_mc(spec: ProblemSpec, q, cfg: SdeConfig, y0) -> Estimate:
     taken in log space, so long horizons, whose weights underflow, still
     give an estimate.
     """
-    batch = simulate_sde(spec, _uncontrolled(cfg), y0, cost_expr=q,
+    batch = simulate_sde(spec, cfg, y0, cost_expr=q,
                          cost_shift=0.0)
     log_mean, rel, ess, degenerate = _mean_weight(
         batch.cost_integral[~batch.excluded], "cost")

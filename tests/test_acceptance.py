@@ -205,8 +205,7 @@ def test_07_inverse_round_trips(ou401):
 def test_08_path_integral_cross_validation(ou401, ou_hjb):
     q = ou401.q
     points = [-1.0, -0.5, 0.0, 0.5, 1.0]
-    cfg = dc.SdeConfig(dt=1e-3, T=5.0, n_paths=10_000, seed=2024,
-                       mode="uncontrolled")
+    cfg = dc.SdeConfig(dt=1e-3, T=5.0, n_paths=10_000, seed=2024)
 
     t0 = time.perf_counter()
     ests = [dc.path_integral_desirabilities(ou401, q, ou_hjb.c, [[y]], cfg,
@@ -248,8 +247,7 @@ def test_09_feedback_ensemble_reaches_target(ou401):
     target = dc.ScalarField(g, tgt)
     spec = dataclasses.replace(ou401, q=None,
                                target=dc.parse_expression("exp(-2*x1^2)"))
-    cfg = dc.SdeConfig(dt=1e-2, T=10.0, n_paths=100_000, seed=31,
-                       mode="feedback")
+    cfg = dc.SdeConfig(dt=1e-2, T=10.0, n_paths=100_000, seed=31)
 
     t0 = time.perf_counter()
     out = dc.simulate_sde(spec, cfg, dc.uniform_ensemble(g, cfg.n_paths,

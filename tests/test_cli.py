@@ -269,6 +269,32 @@ class TestRangeErrors:
         assert run(["evolve"] + args, tmp_path)[0] == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver, args", [
+        ({"dt": 5, "T": 1}, []), ({}, ["--dt", "5", "--T", "1"]),
+        ({"dt": 5}, ["--T", "1"]), ({"dt": 0.1, "T": 1}, ["--dt", "5"]),
+    ], ids=["config", "flags", "flag-T", "flag-dt"])
+    def test_evolve_horizon_below_its_step(self, tmp_path, capsys, solver,
+                                           args):
+        # refused before the eigensolve, as [sampling] refuses it
+        config = {**FORWARD, "solver": {**FORWARD["solver"], **solver}}
+        code, out = run(["evolve"] + args, tmp_path, config=config)
+        assert code == 2
+        where = "[solver]" if not args else "evolve horizon"
+        assert f"{where} T = 1 is below one step dt = 5" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [3, ["k"], "abc"])
+    @pytest.mark.parametrize("section", ["grid", "dynamics", "cost", "target",
+                                         "solver", "sampling", "output"])
+    def test_section_that_is_not_an_object(self, tmp_path, capsys, section,
+                                           value):
+        config = {**(INVERSE if section == "target" else FORWARD),
+                  section: value}
+        assert run(["check"], tmp_path, config=config)[0] == 2
+        assert (f"[{section}] must be a JSON object, got {json.dumps(value)}"
+                in capsys.readouterr().err)
+
     def test_perturb_beyond_the_grid_dimension(self, tmp_path, capsys):
         assert run(["evolve", "--perturb", "x2"], tmp_path)[0] == 2
         assert "--perturb uses x2" in capsys.readouterr().err

@@ -2,8 +2,8 @@
 
 Property tests over random expression trees and random problems: the
 compiled closure against a plain tree walk, the symbolic derivative
-against a central difference, the symbolic div Sigma of the SDE drift
-against the grid divergence, and the prebuilt stencil against a
+against a central difference, the symbolic div Sigma of the compiled
+diffusion against the grid divergence, and the prebuilt stencil against a
 from-scratch multilinear interpolation.
 """
 
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import densctl as dc
 from densctl.expressions import BinOp, Call, Neg, Num, Var, compile_body
 from densctl.fields import tensor_divergence_values
-from densctl.sampling import _Dynamics
 
 _FN_IMPL = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
@@ -176,13 +175,11 @@ _coef = st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: round(v, 3))
 
 
 def _div_sigma(spec):
-    c = dc.SdeConfig(dt=1e-3, T=1e-3, n_paths=1, seed=0)
-    return _Dynamics(spec, c).div_sigma(spec.grid.node_coords())
+    return spec.diffusion.divergence(spec.grid.node_coords())
 
 
 def _grid_div(spec):
-    g = spec.grid
-    return tensor_divergence_values(g, spec.diffusion_at(g.node_coords()))
+    return tensor_divergence_values(spec.grid, spec.diffusion_field().values)
 
 
 class TestDivSigma:
@@ -210,15 +207,15 @@ class TestDivSigma:
         err = np.abs(_div_sigma(spec) - _grid_div(spec)).max(axis=0)
         assert (err <= bound + 1e-12).all()
 
-    @given(st.lists(_coef, min_size=12, max_size=12))
+    @given(st.lists(_coef, min_size=18, max_size=18), st.sampled_from([2, 3]))
     @settings(max_examples=40, deadline=None)
-    def test_sigma_product_rule(self, c):
+    def test_sigma_product_rule(self, c, m):
         # linear sigma makes Sigma = sigma sigma^T quadratic, where the
-        # grid divergence has no truncation error
+        # grid divergence has no truncation error; sigma is 2 x m
         e = [f"{c[3 * i]} + {c[3 * i + 1]}*x1 + {c[3 * i + 2]}*x2"
-             for i in range(4)]
+             for i in range(2 * m)]
         spec = dc.ProblemSpec(grid=SIGMA2D_GRID, phi="0",
-                              sigma=[[e[0], e[1]], [e[2], e[3]]], q="0")
+                              sigma=[e[:m], e[m:]], q="0")
         np.testing.assert_allclose(_div_sigma(spec), _grid_div(spec),
                                    rtol=0, atol=1e-11)
 

@@ -9,7 +9,6 @@ from densctl.fields import (
     FieldError,
     _logsumexp,
     mixed_second_derivative_values,
-    noise_to_tensor,
     second_derivative_values,
     tensor_divergence_values,
 )
@@ -110,9 +109,11 @@ def test_field_shape_validation():
 
 
 def test_noise_to_tensor():
-    sig = np.zeros((9, 2, 2))
-    sig[:] = [[1.0, 0.0], [1.0, 2.0]]
-    Sigma = noise_to_tensor(sig)
+    # the noise matrix sigma becomes the diffusion tensor sigma sigma^T
+    spec = dc.ProblemSpec(grid=dc.Grid((-1.0, -1.0), (1.0, 1.0), (3, 3)),
+                          phi="x1^2 + x2^2", sigma=[["1", "0"], ["1", "2"]],
+                          q="0")
+    Sigma = spec.diffusion_field().values
     np.testing.assert_allclose(Sigma[0], [[1.0, 1.0], [1.0, 5.0]])
 
 

@@ -69,13 +69,32 @@ class TestDerivedQuantities:
         np.testing.assert_array_equal(u.values, np.tile([-0.5, -2.5],
                                                         (g.size, 1)))
 
+    def test_grid_Sigma_of_a_three_column_sigma(self):
+        # sigma sigma^T summed over the columns in order, as the SDE
+        # engine sums it: equal bit for bit at every node
+        g = dc.Grid((-2.0, -2.0), (2.0, 2.0), (9, 9))
+        rows = [["1 + x1^2/4", "0.3*sin(x2)", "0.5"],
+                ["0.2*x1*x2", "1 + cos(x1)/3", "x2/7"]]
+        spec = dc.ProblemSpec(grid=g, phi="x1^2 + x2^2", sigma=rows, q="0")
+        x = g.node_coords()
+        s = [[dc.evaluate(dc.parse_expression(e), x) for e in row]
+             for row in rows]
+        want = np.empty((g.size, 2, 2))
+        for i in range(2):
+            for k in range(2):
+                acc = s[i][0] * s[k][0]
+                for j in (1, 2):
+                    acc = acc + s[i][j] * s[k][j]
+                want[:, i, k] = acc
+        np.testing.assert_array_equal(spec.diffusion_field().values, want)
+
     def test_noise_factor_from_Sigma(self):
-        # only Sigma given: noise_at must return a valid factor
+        # only Sigma given: the noise factor must be a valid one
         g = grid1d(11)
         spec = dc.ProblemSpec(grid=g, phi="x1^2", Sigma=[["1 + x1^2"]], q="0")
-        pts = g.node_coords()
-        sig = spec.noise_at(pts)
-        Sig = spec.diffusion_at(pts)
+        d = spec.diffusion
+        sig = d.factor(d.matrix(g.node_coords()))
+        Sig = spec.diffusion_field().values
         np.testing.assert_allclose(
             np.einsum("nij,nkj->nik", sig, sig), Sig, atol=1e-12
         )

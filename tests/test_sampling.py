@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 import densctl as dc
 from densctl.errors import SamplingError
+from densctl.model import _cholesky
 from densctl.sampling import (
     ESS_FLOOR,
     INIT_STREAM,
-    _cholesky,
     _inside,
     _stream,
 )
@@ -40,7 +40,7 @@ def ou_hjb(ou401):
 
 
 def cfg(**kw):
-    base = dict(dt=1e-3, T=1.0, n_paths=256, seed=11, mode="uncontrolled")
+    base = dict(dt=1e-3, T=1.0, n_paths=256, seed=11)
     base.update(kw)
     return dc.SdeConfig(**base)
 
@@ -57,9 +57,6 @@ class TestConfig:
             cfg(seed=-1)
         with pytest.raises(SamplingError):
             cfg(seed=2**64 - 1)
-        for mode in ("warp", "steady-control", "density-feedback"):
-            with pytest.raises(SamplingError, match="unknown drift mode"):
-                cfg(mode=mode)
 
     @pytest.mark.parametrize("kw, message", [
         (dict(dt=np.nan, T=1.0), "dt must be finite and positive, got nan"),
@@ -82,15 +79,15 @@ class TestDeterminism:
                                                       monkeypatch):
         # a uniform start puts particles at the wall, so paths reflect
         ens = dc.uniform_ensemble(ou401.grid, 512, 3)
-        for mode in ("uncontrolled", "steady", "feedback"):
-            c = cfg(n_paths=512, T=0.2, mode=mode)
-            ref = dc.simulate_sde(ou401, c, ens, control=ou_hjb.u,
-                                  target=ou_hjb.p, cost_expr=ou401.q)
+        c = cfg(n_paths=512, T=0.2)
+        # the uncontrolled, steady and feedback drifts
+        for drift in ({}, {"control": ou_hjb.u}, {"target": ou_hjb.p}):
+            ref = dc.simulate_sde(ou401, c, ens, **drift, cost_expr=ou401.q)
             with monkeypatch.context() as m:
                 m.setattr(dc.sampling, "CHUNK_PATHS", 37)
                 m.setattr(dc.sampling, "BLOCK_STEPS", 16)
-                small = dc.simulate_sde(ou401, c, ens, control=ou_hjb.u,
-                                        target=ou_hjb.p, cost_expr=ou401.q)
+                small = dc.simulate_sde(ou401, c, ens, **drift,
+                                        cost_expr=ou401.q)
             assert ref.exited.any()
             np.testing.assert_array_equal(ref.terminal, small.terminal)
             np.testing.assert_array_equal(ref.cost_integral, small.cost_integral)
@@ -133,7 +130,7 @@ class TestDeterminism:
             Sigma=[["1 + x1^2/4", "0.5"], ["0.5", "1 + x2^2/4"]])
         target = dc.ScalarField(g, np.exp(-spec.phi_field().values))
         ens = dc.uniform_ensemble(g, 2048, 3)
-        c = cfg(dt=2e-3, T=0.512, n_paths=2048, mode="feedback")
+        c = cfg(dt=2e-3, T=0.512, n_paths=2048)
         tracemalloc.start()
         try:
             dc.simulate_sde(spec, c, ens, target=target, cost_expr=spec.q)
@@ -153,17 +150,35 @@ class TestDeterminism:
                               **diffusion)
         target = dc.ScalarField(g, np.exp(-spec.phi_field().values))
         ens = dc.uniform_ensemble(g, 300, 3)
-        for mode in ("uncontrolled", "feedback"):
-            c = cfg(dt=2e-3, T=0.1, n_paths=300, mode=mode)
-            ref = dc.simulate_sde(spec, c, ens, target=target, cost_expr=spec.q)
+        c = cfg(dt=2e-3, T=0.1, n_paths=300)
+        # the uncontrolled and feedback drifts
+        for drift in ({}, {"target": target}):
+            ref = dc.simulate_sde(spec, c, ens, **drift, cost_expr=spec.q)
             with monkeypatch.context() as m:
                 m.setattr(dc.sampling, "CHUNK_PATHS", 37)
                 m.setattr(dc.sampling, "BLOCK_STEPS", 16)
-                small = dc.simulate_sde(spec, c, ens, target=target,
+                small = dc.simulate_sde(spec, c, ens, **drift,
                                         cost_expr=spec.q)
             assert ref.exited.any()
             np.testing.assert_array_equal(ref.terminal, small.terminal)
             np.testing.assert_array_equal(ref.cost_integral, small.cost_integral)
+
+    def test_chunks_do_not_change_wide_sigma_results(self, monkeypatch):
+        # a 1 x 2 sigma: two noise columns drive one coordinate; the box
+        # is narrow so that paths reflect
+        g = dc.Grid((-1.5,), (1.5,), (31,))
+        spec = dc.ProblemSpec(grid=g, phi="x1^2", sigma=[["1", "0.5*x1"]],
+                              q="x1^2")
+        ens = dc.uniform_ensemble(g, 300, 3)
+        c = cfg(dt=2e-3, T=0.1, n_paths=300)
+        ref = dc.simulate_sde(spec, c, ens, cost_expr=spec.q)
+        with monkeypatch.context() as m:
+            m.setattr(dc.sampling, "CHUNK_PATHS", 37)
+            m.setattr(dc.sampling, "BLOCK_STEPS", 16)
+            small = dc.simulate_sde(spec, c, ens, cost_expr=spec.q)
+        assert ref.exited.any()
+        np.testing.assert_array_equal(ref.terminal, small.terminal)
+        np.testing.assert_array_equal(ref.cost_integral, small.cost_integral)
 
     def test_batched_desirability_matches_single_points(self, ou401, ou_hjb):
         c = cfg(n_paths=100, T=0.5)
@@ -217,26 +232,40 @@ class TestDriftModes:
         se = 0.5 * np.sqrt(2.0 / (c.n_paths - 1))
         assert abs(var - 0.5) <= 3 * se + 5e-3
 
+    def test_stationary_variance_under_a_wide_sigma(self):
+        # sigma = [1, x/2] gives Sigma = 1 + x^2/4, and exp(-x^2) stays
+        # stationary under the passive drift: variance 1/2
+        g = dc.Grid((-6.0,), (6.0,), (401,))
+        spec = dc.ProblemSpec(grid=g, phi="x1^2", sigma=[["1", "0.5*x1"]],
+                              q="0")
+        c = cfg(dt=2e-3, T=3.0, n_paths=20000, seed=7)
+        out = dc.simulate_sde(spec, c, x0=(0.0,))
+        var = out.terminal[:, 0].var(ddof=1)
+        se = 0.5 * np.sqrt(2.0 / (c.n_paths - 1))
+        assert abs(var - 0.5) <= 3 * se + 5e-3
+
     def test_steady_and_feedback_tables_agree(self, ou401, ou_hjb):
         # both modes realize the same total drift for the solved problem
         x0 = np.full((200, 1), 0.3)
-        a = dc.simulate_sde(ou401, cfg(mode="steady", n_paths=200, T=0.5),
+        a = dc.simulate_sde(ou401, cfg(n_paths=200, T=0.5),
                             dc.Ensemble(positions=x0), control=ou_hjb.u)
-        b = dc.simulate_sde(ou401, cfg(mode="feedback", n_paths=200, T=0.5),
+        b = dc.simulate_sde(ou401, cfg(n_paths=200, T=0.5),
                             dc.Ensemble(positions=x0), target=ou_hjb.p)
         assert np.abs(a.terminal - b.terminal).max() <= 1e-9
 
     def test_controlled_ensemble_contracts_to_target(self, ou401, ou_hjb):
         # controlled stationary density has variance 1/4
-        c = cfg(dt=1e-3, T=4.0, n_paths=20000, seed=19, mode="steady")
+        c = cfg(dt=1e-3, T=4.0, n_paths=20000, seed=19)
         out = dc.simulate_sde(ou401, c, x0=(0.0,), control=ou_hjb.u)
         var = out.terminal[:, 0].var(ddof=1)
         se = 0.25 * np.sqrt(2.0 / (c.n_paths - 1))
         assert abs(var - 0.25) <= 3 * se + 5e-3
 
-    def test_steady_mode_needs_a_control_table(self, ou401):
-        with pytest.raises(SamplingError):
-            dc.simulate_sde(ou401, cfg(mode="steady"), x0=(0.0,))
+    def test_control_and_target_together_are_refused(self, ou401, ou_hjb):
+        # the drift follows the field given, so two fields name two drifts
+        with pytest.raises(SamplingError, match="not both"):
+            dc.simulate_sde(ou401, cfg(), x0=(0.0,), control=ou_hjb.u,
+                            target=ou_hjb.p)
 
 
 class TestReflection:
@@ -295,7 +324,7 @@ class TestStartsOutsideTheBox:
             -ou401.grid.node_coords()[:, 0] ** 2))
         ens = dc.Ensemble(positions=[[0.0], [6.001], [1.0]])
         with pytest.raises(SamplingError, match=r"x = \[6.001\]"):
-            dc.simulate_sde(ou401, cfg(T=0.01, mode="feedback"), ens,
+            dc.simulate_sde(ou401, cfg(T=0.01), ens,
                             target=target)
 
     def test_starts_on_a_face_stay_legal(self, ou401):
@@ -549,8 +578,7 @@ class TestDensityFeedbackLoop:
         tgt = np.exp(-2 * x**2)
         tgt /= w @ tgt
         target = dc.ScalarField(g, tgt)
-        c = dc.SdeConfig(dt=1e-2, T=8.0, n_paths=20000, seed=9,
-                         mode="feedback")
+        c = dc.SdeConfig(dt=1e-2, T=8.0, n_paths=20000, seed=9)
         start = dc.uniform_ensemble(g, 20000, 9)
         out = dc.simulate_sde(ou401, c, start, target=target)
         # the ensemble at t = 0 and at t = 8
@@ -562,7 +590,7 @@ class TestDensityFeedbackLoop:
     def test_positivity_gate_on_target(self, ou401):
         g = ou401.grid
         bad = dc.ScalarField(g, np.zeros(g.size))
-        c = dc.SdeConfig(dt=1e-2, T=0.1, n_paths=10, seed=0, mode="feedback")
+        c = dc.SdeConfig(dt=1e-2, T=0.1, n_paths=10, seed=0)
         with pytest.raises(SamplingError):
             dc.simulate_sde(ou401, c, (0.0,), target=bad)
 
@@ -633,11 +661,14 @@ class TestStackedRoot:
         spec = dc.ProblemSpec(grid=dc.Grid((-1.0, -1.0), (1.0, 1.0), (5, 5)),
                               phi="x1^2 + x2^2",
                               Sigma=[["2", "1"], ["1", "2"]], q="0")
+        d = spec.diffusion
         pts = spec.grid.node_coords()
-        root = spec.noise_at(pts)
-        assert root.flags.c_contiguous
         np.testing.assert_array_equal(
-            root, np.linalg.cholesky(spec.diffusion_at(pts)))
+            d.factor(d.matrix(pts)),
+            np.linalg.cholesky(spec.diffusion_field().values))
+        # a constant diffusion's noise matrix is the root at one point, in
+        # C order as np.linalg.cholesky returns it
+        assert d.factor(d.matrix(pts[:1]))[0].flags.c_contiguous
 
     def test_indefinite_constant_sigma_is_a_densctl_error(self):
         spec = dc.ProblemSpec(grid=dc.Grid((-3.0, -3.0), (3.0, 3.0), (9, 9)),
@@ -695,12 +726,12 @@ class TestGoldenBits:
             return dc.simulate_sde(ou401, c, (0.5,), cost_expr=ou401.q)
         ens = dc.uniform_ensemble(g, 256, 3)
         if name == "steady":
-            return dc.simulate_sde(ou401, cfg(T=0.2, mode="steady"), ens,
+            return dc.simulate_sde(ou401, cfg(T=0.2), ens,
                                    control=dc.VectorField(g, -x),
                                    cost_expr=ou401.q)
         if name == "feedback":
             return dc.simulate_sde(
-                ou401, cfg(T=0.2, mode="feedback"), ens,
+                ou401, cfg(T=0.2), ens,
                 target=dc.ScalarField(g, np.exp(-x[:, 0] ** 2)))
         g2 = dc.Grid((-3.5, -3.5), (3.5, 3.5), (25, 25))
         spec = dc.ProblemSpec(
@@ -713,14 +744,14 @@ class TestGoldenBits:
             u = np.stack([-x2[:, 0] + 0.3 * x2[:, 1] ** 2,
                           np.sin(x2[:, 0]) - x2[:, 1]], axis=1)
             return dc.simulate_sde(
-                spec, cfg(dt=2e-3, T=0.1, n_paths=300, mode="steady"), ens2,
+                spec, cfg(dt=2e-3, T=0.1, n_paths=300), ens2,
                 control=dc.VectorField(g2, u), cost_expr=spec.q)
         if name == "sigma2d_feedback":
             # grad(log p) of a skewed target is a two-column table
             p = np.exp(-(x2[:, 0] ** 2 + x2[:, 0] * x2[:, 1] + x2[:, 1] ** 2)
                        / 2 - 0.1 * x2[:, 0])
             return dc.simulate_sde(
-                spec, cfg(dt=2e-3, T=0.1, n_paths=300, mode="feedback"),
+                spec, cfg(dt=2e-3, T=0.1, n_paths=300),
                 ens2, target=dc.ScalarField(g2, p), cost_expr=spec.q)
         if name == "sigma2d_sigma":
             # a state-dependent sigma with a constant entry
