@@ -250,6 +250,12 @@ def _evolve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, help="horizon")
 
 
+def _check_horizon(dt: float, T: float) -> None:
+    if T < dt:
+        raise ConfigError(f"evolve horizon T = {T:g} is below one step "
+                          f"dt = {dt:g}")
+
+
 def _check_evolve(run: _Run) -> None:
     """evolve's usage checks: --dt and --T finite and positive, a horizon
     no shorter than its step where both are set (a flag over its
@@ -263,9 +269,8 @@ def _check_evolve(run: _Run) -> None:
                               f"got {value}")
     dt = args.dt if args.dt is not None else run.cfg.solver.dt
     T = args.T if args.T is not None else run.cfg.solver.T
-    if dt is not None and T is not None and T < dt:
-        raise ConfigError(f"evolve horizon T = {T:g} is below one step "
-                          f"dt = {dt:g}")
+    if dt is not None and T is not None:
+        _check_horizon(dt, T)
     top = run.spec.grid.size - 1
     if args.mode_index is not None and not 1 <= args.mode_index <= top:
         raise ConfigError(f"--mode must lie between 1 and {top}, "
@@ -309,6 +314,8 @@ def cmd_evolve(run: _Run) -> int:
 
     dt = dt if dt is not None else (run.cfg.solver.dt or 0.1 / rate)
     T = T if T is not None else (run.cfg.solver.T or 5.0 / rate)
+    # a step or horizon left to default from the gap is known only now
+    _check_horizon(dt, T)
     traj = evolve_perturbation(gen, pt0, dt, T)
 
     pc = expand_in_eigenbasis(ScalarField(g, traj.densities[0]), s)

@@ -9,10 +9,12 @@ h-transform frame S = M - mu0 I with sqrt(mu) = x0, so the controlled
 generator is never reassembled. A perturbation f maps to
 y = sqrt(mu) f and a density p to y = (w/sqrt(mu)) p, and either way
 dy/dt = S y, so p/rho is never formed. Each step solves
-((2/dt) I - S) y' = ((2/dt) I + S) y through one LDL^T factor per call.
-The assembled S is negative semidefinite, so CN is unconditionally
-stable; the factor's inertia check still refuses an S with an
-eigenvalue above 2/dt, on which the steps would grow. The records are
+((2/dt) I - S) y' = ((2/dt) I + S) y through one factor per call, the
+eigensolver's `_shifted_lu`: a band Cholesky for narrow bands, a
+sparse LDL^T above. The assembled S is negative semidefinite, so CN is
+unconditionally stable; the factor still certifies that no eigenvalue
+of S lies above 2/dt, on which the steps would grow, and refuses
+such an S. The records are
 one vector operation each: the quadrature mass is sqrt(mu) . y, and
 the rho-weighted norm of the perturbation is |y - y_ref| with
 y_ref = sqrt(mu) for a density and 0 for a perturbation. Mass

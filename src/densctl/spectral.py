@@ -14,18 +14,23 @@ is the Doob h-transform D(1/x_0)(M - mu_0 I)D(x_0) of M, so the same
 eigensolve gives the controlled spectrum: eigenvalues mu_n - mu_0 and
 eigenfunctions y_n / x_0, rho-orthonormal under the controlled density
 p. Every eigensolve runs shift-invert Lanczos (ARPACK) about a shift
-just above a bound on the spectrum, through one sparse LU factored in
-symmetric mode without pivoting; dense eigh only serves k >= N - 1,
-which ARPACK cannot. The assembled stiffness is a graph Laplacian, so
-S is negative semidefinite and M has nonnegative off-diagonals; the
-factor's inertia still certifies that nothing lies above the shift,
-and refuses an operator too ill-conditioned to factor. The same factor
-of (shift I - M) then polishes the principal vector with a few
-inverse-power steps; (shift I - M) is an M-matrix, so the triangular
-solves keep a positive iterate positive, which is what the positivity
-gate checks. The gauge of Psi, one log-sum-exp and the floor
-PSI_LOG_FLOOR, is `_gauged_log_psi`, which the inverse design calls
-too; the control is the model's `control_law` at s = -grad v.
+just above a bound on the spectrum, through one factor of the shifted
+operator: LAPACK's band Cholesky up to half-bandwidth BAND_LIMIT (1D
+grids, 2D grids up to about 127 nodes on the last axis, 3D up to about
+10^3), a sparse LU in symmetric mode without pivoting above it; dense
+eigh only serves k >= N - 1, which ARPACK cannot. The assembled
+stiffness is a graph Laplacian, so S is negative semidefinite and M
+has nonnegative off-diagonals; the factor still certifies that nothing
+lies above the shift (the Cholesky exists, or the LDL^T has no
+negative pivot), and refuses an operator too ill-conditioned to
+factor. The same factor of (shift I - M) then polishes the principal
+vector with a few inverse-power steps; (shift I - M) is an M-matrix,
+so the triangular factors of either route have signed entries whose
+products never cancel, and the solves keep a positive iterate
+positive, which is what the positivity gate checks. The gauge of Psi,
+one log-sum-exp and the floor PSI_LOG_FLOOR, is `_gauged_log_psi`,
+which the inverse design calls too; the control is the model's
+`control_law` at s = -grad v.
 
 scipy is imported inside the functions that build, factor or solve,
 not with the module, so that commands that never assemble an operator
@@ -62,6 +67,8 @@ POLISH_MAX_STEPS = 30
 # nodes whose controlled density is below this fraction of its max
 RESIDUAL_MARGIN = 2
 RESIDUAL_DENSITY_FLOOR = 1e-8
+# widest half-bandwidth that _shifted_lu factors as a band
+BAND_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -95,14 +102,61 @@ def _symmetrized(op: GeneratorOperator) -> tuple[sp.csr_matrix, np.ndarray]:
     return S, sqmu
 
 
+class _BandCholesky:
+    """Cholesky factor of a symmetric band matrix in LAPACK's upper band
+    storage (pbtrf), solved through pbtrs."""
+
+    def __init__(self, factor: np.ndarray, pbtrs, half_bandwidth: int):
+        self.factor = factor
+        self.pbtrs = pbtrs
+        self.half_bandwidth = half_bandwidth
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.pbtrs(self.factor, b)[0]
+
+
 def _shifted_lu(A: sp.csr_matrix, shift: float):
-    """LU of shift I - A; for symmetric A an LDL^T, whose inertia is
-    checked so that no eigenvalue of A lies above shift."""
+    """Factor of shift I - A for symmetric A, certifying that no
+    eigenvalue of A lies above shift; the factor's `.solve` applies
+    (shift I - A)^-1.
+
+    Up to half-bandwidth BAND_LIMIT it is LAPACK's band Cholesky, which
+    fails exactly when shift I - A is not positive definite. Wider
+    bands, whose band fill outgrows SuperLU's, take a sparse LU in
+    symmetric mode without pivoting, an LDL^T whose negative pivots
+    count the eigenvalues above shift. The whole k = 8
+    solve_hjb_principal of the 2D cross-diffusion problem
+    Sigma = [[2, 1], [1, 2]], phi = |x|^2/2 on [-3, 3]^2 (best of three,
+    one BLAS thread, 2-vCPU host; peak RSS of the process) took:
+
+        grid    half-bandwidth   sparse LU          band Cholesky
+        97^2     98              0.19 s             0.12 s
+        129^2   130              0.33 s             0.27 s
+        193^2   194              0.77 s             0.78 s
+        257^2   258              2.0 s, 275 MB      2.9 s, 293 MB
+    """
     import scipy.sparse as sp
+    N = A.shape[0]
+    B = (sp.identity(N, format="csr") * shift - A).tocsr()
+    rows = np.repeat(np.arange(N), np.diff(B.indptr))
+    offset = B.indices - rows
+    b = int(np.abs(offset).max(initial=0))
+    if b <= BAND_LIMIT:
+        import scipy.linalg as sla
+        upper = offset >= 0
+        ab = np.zeros((b + 1, N), order="F")
+        ab[b - offset[upper], B.indices[upper]] = B.data[upper]
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        factor, info = pbtrf(ab, overwrite_ab=1)
+        if info:
+            raise SpectralError(
+                f"an eigenvalue above {shift:.6g}: the operator is "
+                "indefinite or too ill-conditioned to factor (Psi clipped "
+                "at PSI_LOG_FLOOR; shrink the domain)")
+        return _BandCholesky(factor, pbtrs, b)
     import scipy.sparse.linalg as spla
-    B = (sp.identity(A.shape[0], format="csr") * shift - A).tocsc()
-    lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     above = int(np.count_nonzero(lu.U.diagonal() < 0.0))
     if above:
         raise SpectralError(
@@ -110,6 +164,12 @@ def _shifted_lu(A: sp.csr_matrix, shift: float):
             "indefinite or too ill-conditioned to factor (Psi clipped at "
             "PSI_LOG_FLOOR; shrink the domain)")
     return lu
+
+
+def _factor_name(lu) -> str:
+    if isinstance(lu, _BandCholesky):
+        return f"band Cholesky (half-bandwidth {lu.half_bandwidth})"
+    return "sparse LU"
 
 
 def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
@@ -324,7 +384,7 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
         "eig_residual": resid,
         "min_eigvec": min_x,
         "path": ("eigh" if k >= g.size - 1 else "shift-invert") +
-                "+polish through one LU of (shift I - M)",
+                f"+polish through one {_factor_name(lu)} of (shift I - M)",
     }
     return HJBSolution(
         Psi=ScalarField(g, psi), c=float(c), v=ScalarField(g, v),

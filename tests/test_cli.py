@@ -284,6 +284,19 @@ class TestRangeErrors:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--dt", "5"], "T = 1.25134 is below one step dt = 5"),
+        (["--T", "0.001"], "T = 0.001 is below one step dt = 0.0250268"),
+    ], ids=["flag-dt", "flag-T"])
+    def test_evolve_horizon_below_its_defaulted_step(self, tmp_path, capsys,
+                                                     args, message):
+        # the other one defaults from the spectral gap, so the pair is
+        # refused after the eigensolve, still as a usage error
+        code, out = run(["evolve"] + args, tmp_path)
+        assert code == 2
+        assert f"evolve horizon {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [3, ["k"], "abc"])
     @pytest.mark.parametrize("section", ["grid", "dynamics", "cost", "target",
                                          "solver", "sampling", "output"])
@@ -569,6 +582,10 @@ class TestSolveOutputs:
         assert header.split(",")[0] == "x1"
         for col in ("Psi", "v", "p", "u1"):
             assert col in header
+        # a 1D grid is tridiagonal, so the band factor ran
+        assert summary["diagnostics"]["path"] == (
+            "shift-invert+polish through one band Cholesky "
+            "(half-bandwidth 1) of (shift I - M)")
 
     def test_manifest_fields(self, tmp_path):
         _, out = run(["solve"], tmp_path)

@@ -8,6 +8,9 @@ The quadratic cost q = 6x^2 has the exact pair c = 2, Psi = exp(-x^2/2),
 feedback u = -2x, stationary density N(0, 1/4).
 """
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import densctl as dc
+from densctl import spectral
 from densctl.errors import SpectralError
 
 from conftest import assemble, ou_spec
@@ -270,8 +274,16 @@ def _check_against_dense_reference(spec, k):
 
 
 @st.composite
-def _random_problem(draw):
+def _random_problem(draw, dim=2):
     coef = st.floats(0.2, 2.0)
+    if dim == 1:
+        n, half = draw(st.integers(9, 61)), draw(st.floats(2.0, 3.5))
+        phi = f"{draw(coef):.6f}*x1^2 + {draw(st.floats(0.0, 0.3)):.6f}*x1^4"
+        g = dc.Grid((-half,), (half,), (n,))
+        spec = dc.ProblemSpec(grid=g, phi=phi,
+                              Sigma=[[f"{draw(st.floats(0.4, 3.0)):.6f}"]],
+                              q=f"{draw(st.floats(0.0, 3.0)):.6f}*x1^2")
+        return spec, draw(st.integers(2, 6))
     n1, n2 = draw(st.integers(9, 15)), draw(st.integers(9, 15))
     half = draw(st.floats(2.0, 3.5))
     # Sigma = L L^T with L lower triangular and a positive diagonal
@@ -311,6 +323,76 @@ class TestDenseReference:
                               Sigma=[["2", "1"], ["1", "2"]],
                               q="x1^2 + x2^2")
         _check_against_dense_reference(spec, k)
+
+
+def _principal_operator(spec):
+    """M = S - D(q/LAMBDA), the matrix that the principal solve factors
+    shifted."""
+    S, _ = spectral._symmetrized(assemble(spec))
+    return (S - sp.diags(spec.q_field().values / dc.LAMBDA)).tocsr()
+
+
+class TestShiftedFactor:
+    """`_shifted_lu` factors a band of half-bandwidth up to BAND_LIMIT by
+    Cholesky and anything wider by sparse LU; both certify the same
+    shifts and solve alike."""
+
+    @given(st.sampled_from([1, 2]).flatmap(_random_problem),
+           st.booleans(), st.floats(0.0, 6.0))
+    @example(_STIFF_PROBLEM, True, 0.0)
+    @settings(max_examples=25, deadline=None)
+    def test_routes_agree_with_dense(self, problem, above, decades):
+        M = _principal_operator(problem[0])
+        dense = M.toarray()
+        vals = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+        # a shift at least 1e-6 |M| above, or below, the top eigenvalue
+        margin = 1e-6 * 10.0**decades * np.abs(vals).max()
+        shift = vals[-1] + (margin if above else -margin)
+        refusal = re.escape(f"above {shift:.6g}")
+        rhs = np.random.default_rng(0).standard_normal(M.shape[0])
+        ref = np.linalg.solve(shift * np.eye(M.shape[0]) - dense, rhs)
+        for limit, band in ((spectral.BAND_LIMIT, True), (-1, False)):
+            with mock.patch.object(spectral, "BAND_LIMIT", limit):
+                if not above:
+                    with pytest.raises(SpectralError, match=refusal):
+                        spectral._shifted_lu(M, shift)
+                    continue
+                lu = spectral._shifted_lu(M, shift)
+            assert isinstance(lu, spectral._BandCholesky) == band
+            x = lu.solve(rhs)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("b, band", [(128, True), (129, False)])
+    def test_route_boundary(self, b, band):
+        # shift I + L, L the graph Laplacian of the edges (i, i+1) and
+        # (i, i+b): symmetric positive definite with half-bandwidth b
+        N = 400
+        edges = [(i, i + 1) for i in range(N - 1)] + \
+            [(i, i + b) for i in range(N - b)]
+        rows, cols = np.array(edges).T
+        adj = sp.coo_matrix((np.ones(len(edges)), (rows, cols)), (N, N))
+        adj = (adj + adj.T).tocsr()
+        A = (adj - sp.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
+        lu = spectral._shifted_lu(A, 0.5)
+        assert isinstance(lu, spectral._BandCholesky) == band
+        if band:
+            assert lu.half_bandwidth == b
+        rhs = np.random.default_rng(1).standard_normal(N)
+        ref = np.linalg.solve(0.5 * np.eye(N) - A.toarray(), rhs)
+        assert np.linalg.norm(lu.solve(rhs) - ref) <= \
+            1e-10 * np.linalg.norm(ref)
+
+    def test_3d_grid_above_the_limit_reports_the_sparse_lu(self):
+        # 12^3 with a diagonal Sigma: half-bandwidth 144
+        g = dc.Grid((-3.0,) * 3, (3.0,) * 3, (12,) * 3)
+        root = [["sqrt(2)" if i == j else "0" for j in range(3)]
+                for i in range(3)]
+        spec = dc.ProblemSpec(grid=g, phi="x1^2 + x2^2 + x3^2", sigma=root,
+                              q="6*(x1^2 + x2^2 + x3^2)")
+        sol = dc.solve_hjb_principal(spec.diffusion_field(),
+                                     spec.phi_field(), spec.q_field(), k=2)
+        assert sol.diagnostics["path"] == \
+            "shift-invert+polish through one sparse LU of (shift I - M)"
 
 
 class TestWideBoxControlledSpectrum:
