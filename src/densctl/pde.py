@@ -9,12 +9,11 @@ h-transform frame S = M - mu0 I with sqrt(mu) = x0, so the controlled
 generator is never reassembled. A perturbation f maps to
 y = sqrt(mu) f and a density p to y = (w/sqrt(mu)) p, and either way
 dy/dt = S y, so p/rho is never formed. Each step solves
-((2/dt) I - S) y' = ((2/dt) I + S) y through one factor per call, the
-eigensolver's `_shifted_lu`: a band Cholesky for narrow bands, a
-sparse LDL^T above. The assembled S is negative semidefinite, so CN is
-unconditionally stable; the factor still certifies that no eigenvalue
-of S lies above 2/dt, on which the steps would grow, and refuses
-such an S. The records are
+((2/dt) I - S) y' = ((2/dt) I + S) y through one band Cholesky per
+call, the eigensolver's `_shifted_cholesky`. The assembled S is
+negative semidefinite, so CN is unconditionally stable; the Cholesky,
+which exists only while no eigenvalue of S lies above 2/dt, still
+refuses an S on which the steps would grow. The records are
 one vector operation each: the quadrature mass is sqrt(mu) . y, and
 the rho-weighted norm of the perturbation is |y - y_ref| with
 y_ref = sqrt(mu) for a density and 0 for a perturbation. Mass
@@ -32,7 +31,12 @@ import numpy as np
 from .errors import PdeError, SpectralError
 from .fields import ScalarField
 from .operators import AdjointOperator, GeneratorOperator
-from .spectral import HJBSolution, Spectrum, _shifted_lu, _symmetrized
+from .spectral import (
+    HJBSolution,
+    Spectrum,
+    _shifted_cholesky,
+    _symmetrized,
+)
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ def _crank_nicolson(grid, S, sqmu: np.ndarray, kind: str, values: np.ndarray,
         store_every = max(1, n_steps // 64)
     shift = 2.0 / dt
     try:
-        lu = _shifted_lu(S, shift)
+        chol = _shifted_cholesky(S, shift)
     except SpectralError as e:
         raise PdeError(f"Crank-Nicolson step refused at dt = {dt}: {e}") from e
     if kind == "density":
@@ -107,7 +111,7 @@ def _crank_nicolson(grid, S, sqmu: np.ndarray, kind: str, values: np.ndarray,
     mass[0] = sqmu @ y
     norm[0] = np.linalg.norm(y - y_ref)
     for k in range(1, n_steps + 1):
-        y = lu.solve(shift * y + S @ y)
+        y = chol.solve(shift * y + S @ y)
         mass[k] = sqmu @ y
         norm[k] = np.linalg.norm(y - y_ref)
         v = y / frame

@@ -14,23 +14,20 @@ is the Doob h-transform D(1/x_0)(M - mu_0 I)D(x_0) of M, so the same
 eigensolve gives the controlled spectrum: eigenvalues mu_n - mu_0 and
 eigenfunctions y_n / x_0, rho-orthonormal under the controlled density
 p. Every eigensolve runs shift-invert Lanczos (ARPACK) about a shift
-just above a bound on the spectrum, through one factor of the shifted
-operator: LAPACK's band Cholesky up to half-bandwidth BAND_LIMIT (1D
-grids, 2D grids up to about 127 nodes on the last axis, 3D up to about
-10^3), a sparse LU in symmetric mode without pivoting above it; dense
-eigh only serves k >= N - 1, which ARPACK cannot. The assembled
-stiffness is a graph Laplacian, so S is negative semidefinite and M
-has nonnegative off-diagonals; the factor still certifies that nothing
-lies above the shift (the Cholesky exists, or the LDL^T has no
-negative pivot), and refuses an operator too ill-conditioned to
-factor. The same factor of (shift I - M) then polishes the principal
-vector with a few inverse-power steps; (shift I - M) is an M-matrix,
-so the triangular factors of either route have signed entries whose
-products never cancel, and the solves keep a positive iterate
-positive, which is what the positivity gate checks. The gauge of Psi,
-one log-sum-exp and the floor PSI_LOG_FLOOR, is `_gauged_log_psi`,
-which the inverse design calls too; the control is the model's
-`control_law` at s = -grad v.
+just above a bound on the spectrum, through one LAPACK band Cholesky
+of the shifted operator; dense eigh only serves k >= N - 1, which
+ARPACK cannot. The assembled stiffness is a graph Laplacian, so S is
+negative semidefinite and M has nonnegative off-diagonals; the
+Cholesky still certifies that nothing lies above the shift, since it
+exists only for a positive definite matrix, and refuses an operator
+too ill-conditioned to factor. The same factor of (shift I - M) then
+polishes the principal vector with a few inverse-power steps;
+(shift I - M) is an M-matrix, so its Cholesky factor has nonpositive
+off-diagonals, products in the triangular solves never cancel, and
+the solves keep a positive iterate positive, which is what the
+positivity gate checks. The gauge of Psi, one log-sum-exp and the
+floor PSI_LOG_FLOOR, is `_gauged_log_psi`, which the inverse design
+calls too; the control is the model's `control_law` at s = -grad v.
 
 scipy is imported inside the functions that build, factor or solve,
 not with the module, so that commands that never assemble an operator
@@ -67,8 +64,6 @@ POLISH_MAX_STEPS = 30
 # nodes whose controlled density is below this fraction of its max
 RESIDUAL_MARGIN = 2
 RESIDUAL_DENSITY_FLOOR = 1e-8
-# widest half-bandwidth that _shifted_lu factors as a band
-BAND_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -115,61 +110,49 @@ class _BandCholesky:
         return self.pbtrs(self.factor, b)[0]
 
 
-def _shifted_lu(A: sp.csr_matrix, shift: float):
-    """Factor of shift I - A for symmetric A, certifying that no
-    eigenvalue of A lies above shift; the factor's `.solve` applies
-    (shift I - A)^-1.
+def _shifted_cholesky(A: sp.csr_matrix, shift: float) -> _BandCholesky:
+    """LAPACK's band Cholesky of shift I - A for symmetric A, whose
+    half-bandwidth is read off its nonzeros. The factor exists exactly
+    when shift I - A is positive definite, so it certifies that no
+    eigenvalue of A lies above shift.
 
-    Up to half-bandwidth BAND_LIMIT it is LAPACK's band Cholesky, which
-    fails exactly when shift I - A is not positive definite. Wider
-    bands, whose band fill outgrows SuperLU's, take a sparse LU in
-    symmetric mode without pivoting, an LDL^T whose negative pivots
-    count the eigenvalues above shift. The whole k = 8
-    solve_hjb_principal of the 2D cross-diffusion problem
-    Sigma = [[2, 1], [1, 2]], phi = |x|^2/2 on [-3, 3]^2 (best of three,
-    one BLAS thread, 2-vCPU host; peak RSS of the process) took:
+    It replaced a SuperLU LDL^T (symmetric mode, MMD ordering, no
+    pivoting). The whole k = 8 solve_hjb_principal with
+    phi = |x|^2/2, Sigma = [[2, 1], [1, 2]], q = 6|x|^2 on [-3, 3]^2
+    (best of three), and with phi = |x|^2, Sigma = [[2, 1, 0],
+    [1, 2, 0], [0, 0, 2]], q = 6|x|^2 on [-3, 3]^3 (one run), took
+    (one BLAS thread, 2-vCPU Xeon; peak RSS of the process):
 
         grid    half-bandwidth   sparse LU          band Cholesky
-        97^2     98              0.19 s             0.12 s
-        129^2   130              0.33 s             0.27 s
-        193^2   194              0.77 s             0.78 s
-        257^2   258              2.0 s, 275 MB      2.9 s, 293 MB
+        65^2      66             0.08 s             0.04 s
+        129^2    130             0.43 s             0.34 s
+        193^2    194             0.84 s             1.20 s
+        257^2    258             1.85 s, 277 MB     2.83 s, 298 MB
+        17^3     306             0.45 s, 95 MB      0.44 s, 84 MB
+        25^3     650             2.73 s, 242 MB     2.39 s, 166 MB
+        33^3    1122             10.8 s, 707 MB     7.5 s, 426 MB
+
+    The band loses only on the widest 2D grids (193^2 and up here),
+    where the LU's N log N fill beats the band's N^(3/2).
     """
+    import scipy.linalg as sla
     import scipy.sparse as sp
     N = A.shape[0]
     B = (sp.identity(N, format="csr") * shift - A).tocsr()
     rows = np.repeat(np.arange(N), np.diff(B.indptr))
     offset = B.indices - rows
     b = int(np.abs(offset).max(initial=0))
-    if b <= BAND_LIMIT:
-        import scipy.linalg as sla
-        upper = offset >= 0
-        ab = np.zeros((b + 1, N), order="F")
-        ab[b - offset[upper], B.indices[upper]] = B.data[upper]
-        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
-        factor, info = pbtrf(ab, overwrite_ab=1)
-        if info:
-            raise SpectralError(
-                f"an eigenvalue above {shift:.6g}: the operator is "
-                "indefinite or too ill-conditioned to factor (Psi clipped "
-                "at PSI_LOG_FLOOR; shrink the domain)")
-        return _BandCholesky(factor, pbtrs, b)
-    import scipy.sparse.linalg as spla
-    lu = spla.splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    above = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    if above:
+    upper = offset >= 0
+    ab = np.zeros((b + 1, N), order="F")
+    ab[b - offset[upper], B.indices[upper]] = B.data[upper]
+    pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+    factor, info = pbtrf(ab, overwrite_ab=1)
+    if info:
         raise SpectralError(
-            f"{above} eigenvalue(s) above {shift:.6g}: the operator is "
-            "indefinite or too ill-conditioned to factor (Psi clipped at "
+            f"an eigenvalue above {shift:.6g}: the operator is indefinite "
+            "or too ill-conditioned to factor (Psi clipped at "
             "PSI_LOG_FLOOR; shrink the domain)")
-    return lu
-
-
-def _factor_name(lu) -> str:
-    if isinstance(lu, _BandCholesky):
-        return f"band Cholesky (half-bandwidth {lu.half_bandwidth})"
-    return "sparse LU"
+    return _BandCholesky(factor, pbtrs, b)
 
 
 def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
@@ -193,14 +176,14 @@ def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
     scale = float(v0 * v0 @ np.abs(A.diagonal())) / float(v0 @ v0)
     sigma = bound + max(1e-6 * max(1.0, abs(bound)),
                         1e3 * np.finfo(float).eps * scale)
-    lu = _shifted_lu(A, sigma)
+    chol = _shifted_cholesky(A, sigma)
     if k >= N - 1:
         # ARPACK needs k < ncv < N, so it returns at most N - 2 pairs
         dense = A.toarray()
         dense = 0.5 * (dense + dense.T)
         vals, vecs = sla.eigh(dense, subset_by_index=[N - k, N - 1])
     else:
-        inv = spla.LinearOperator(A.shape, matvec=lambda x: -lu.solve(x),
+        inv = spla.LinearOperator(A.shape, matvec=lambda x: -chol.solve(x),
                                   dtype=float)
         try:
             vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
@@ -211,7 +194,7 @@ def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
                 f"shift-invert eigsh at shift {sigma:.6g} did not find "
                 f"{k} eigenpairs: {e}") from e
     order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order], lu
+    return vals[order], vecs[:, order], chol
 
 
 def _spectrum(grid, A: sp.csr_matrix, vals: np.ndarray, vecs: np.ndarray,
@@ -299,7 +282,7 @@ class HJBSolution:
         return S, self.x0
 
 
-def _purify_principal(lu, x: np.ndarray) -> np.ndarray:
+def _purify_principal(chol, x: np.ndarray) -> np.ndarray:
     """Inverse-power polish of the principal eigenvector through the LU
     factor of (shift I - M), shift above the spectrum of M, that the
     eigensolve used. It runs until no entry changes by more than
@@ -308,7 +291,7 @@ def _purify_principal(lu, x: np.ndarray) -> np.ndarray:
     each step contracts the other modes by (shift - mu0)/(shift - mu1).
     """
     for _ in range(POLISH_MAX_STEPS):
-        y = lu.solve(x)
+        y = chol.solve(x)
         y /= np.linalg.norm(y)
         if np.all(np.abs(y - x) <= POLISH_TOLERANCE * np.abs(y)):
             return y
@@ -350,12 +333,12 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     M = (S - sp.diags(q.values / LAMBDA)).tocsr()
 
     # S is negative semidefinite, so nothing in M lies above -min(q)/LAMBDA
-    vals, vecs, lu = _top_eigenpairs(M, -float(q.values.min()) / LAMBDA, k,
+    vals, vecs, chol = _top_eigenpairs(M, -float(q.values.min()) / LAMBDA, k,
                                      sqmu)
     # the Perron vector of the Metzler M is positive, and the polish
     # keeps a positive iterate positive, so rounding-level negative
     # entries of the Lanczos vector are dropped by starting from |x|
-    x = _purify_principal(lu, np.abs(vecs[:, 0]))
+    x = _purify_principal(chol, np.abs(vecs[:, 0]))
     mu0 = float(x @ (M @ x))
 
     min_x = float(x.min())
@@ -384,7 +367,8 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
         "eig_residual": resid,
         "min_eigvec": min_x,
         "path": ("eigh" if k >= g.size - 1 else "shift-invert") +
-                f"+polish through one {_factor_name(lu)} of (shift I - M)",
+                "+polish through one band Cholesky (half-bandwidth "
+                f"{chol.half_bandwidth}) of (shift I - M)",
     }
     return HJBSolution(
         Psi=ScalarField(g, psi), c=float(c), v=ScalarField(g, v),

@@ -582,7 +582,7 @@ class TestSolveOutputs:
         assert header.split(",")[0] == "x1"
         for col in ("Psi", "v", "p", "u1"):
             assert col in header
-        # a 1D grid is tridiagonal, so the band factor ran
+        # a 1D grid is tridiagonal
         assert summary["diagnostics"]["path"] == (
             "shift-invert+polish through one band Cholesky "
             "(half-bandwidth 1) of (shift I - M)")
@@ -637,17 +637,17 @@ class TestFactorCounts:
         import densctl
         from densctl import spectral
 
-        shifted_lu = spectral._shifted_lu
+        shifted_cholesky = spectral._shifted_cholesky
         shifts = []
 
         def counted(A, shift):
             shifts.append(shift)
-            return shifted_lu(A, shift)
+            return shifted_cholesky(A, shift)
 
         for m in pkgutil.iter_modules(densctl.__path__):
             mod = importlib.import_module(f"densctl.{m.name}")
-            if getattr(mod, "_shifted_lu", None) is shifted_lu:
-                monkeypatch.setattr(mod, "_shifted_lu", counted)
+            if getattr(mod, "_shifted_cholesky", None) is shifted_cholesky:
+                monkeypatch.setattr(mod, "_shifted_cholesky", counted)
         return shifts
 
     @pytest.mark.filterwarnings("ignore:target density mass")

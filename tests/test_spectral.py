@@ -9,7 +9,6 @@ feedback u = -2x, stationary density N(0, 1/4).
 """
 
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -333,37 +332,33 @@ def _principal_operator(spec):
 
 
 class TestShiftedFactor:
-    """`_shifted_lu` factors a band of half-bandwidth up to BAND_LIMIT by
-    Cholesky and anything wider by sparse LU; both certify the same
-    shifts and solve alike."""
+    """`_shifted_cholesky` reads the half-bandwidth off the nonzeros,
+    refuses exactly the shifts with an eigenvalue above them and solves
+    like a dense solve."""
 
     @given(st.sampled_from([1, 2]).flatmap(_random_problem),
            st.booleans(), st.floats(0.0, 6.0))
     @example(_STIFF_PROBLEM, True, 0.0)
-    @settings(max_examples=25, deadline=None)
-    def test_routes_agree_with_dense(self, problem, above, decades):
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_certifies_and_solves_like_dense(self, problem, above, decades):
         M = _principal_operator(problem[0])
         dense = M.toarray()
         vals = np.linalg.eigvalsh(0.5 * (dense + dense.T))
         # a shift at least 1e-6 |M| above, or below, the top eigenvalue
         margin = 1e-6 * 10.0**decades * np.abs(vals).max()
         shift = vals[-1] + (margin if above else -margin)
-        refusal = re.escape(f"above {shift:.6g}")
+        if not above:
+            with pytest.raises(SpectralError,
+                               match=re.escape(f"above {shift:.6g}")):
+                spectral._shifted_cholesky(M, shift)
+            return
         rhs = np.random.default_rng(0).standard_normal(M.shape[0])
         ref = np.linalg.solve(shift * np.eye(M.shape[0]) - dense, rhs)
-        for limit, band in ((spectral.BAND_LIMIT, True), (-1, False)):
-            with mock.patch.object(spectral, "BAND_LIMIT", limit):
-                if not above:
-                    with pytest.raises(SpectralError, match=refusal):
-                        spectral._shifted_lu(M, shift)
-                    continue
-                lu = spectral._shifted_lu(M, shift)
-            assert isinstance(lu, spectral._BandCholesky) == band
-            x = lu.solve(rhs)
-            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        x = spectral._shifted_cholesky(M, shift).solve(rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("b, band", [(128, True), (129, False)])
-    def test_route_boundary(self, b, band):
+    @pytest.mark.parametrize("b", [1, 129])
+    def test_half_bandwidth_read_off_the_nonzeros(self, b):
         # shift I + L, L the graph Laplacian of the edges (i, i+1) and
         # (i, i+b): symmetric positive definite with half-bandwidth b
         N = 400
@@ -373,17 +368,15 @@ class TestShiftedFactor:
         adj = sp.coo_matrix((np.ones(len(edges)), (rows, cols)), (N, N))
         adj = (adj + adj.T).tocsr()
         A = (adj - sp.diags(np.asarray(adj.sum(axis=1)).ravel())).tocsr()
-        lu = spectral._shifted_lu(A, 0.5)
-        assert isinstance(lu, spectral._BandCholesky) == band
-        if band:
-            assert lu.half_bandwidth == b
+        chol = spectral._shifted_cholesky(A, 0.5)
+        assert chol.half_bandwidth == b
         rhs = np.random.default_rng(1).standard_normal(N)
         ref = np.linalg.solve(0.5 * np.eye(N) - A.toarray(), rhs)
-        assert np.linalg.norm(lu.solve(rhs) - ref) <= \
+        assert np.linalg.norm(chol.solve(rhs) - ref) <= \
             1e-10 * np.linalg.norm(ref)
 
-    def test_3d_grid_above_the_limit_reports_the_sparse_lu(self):
-        # 12^3 with a diagonal Sigma: half-bandwidth 144
+    def test_3d_grid_reports_its_half_bandwidth(self):
+        # 12^3 with a diagonal Sigma: the x3 neighbours are 144 apart
         g = dc.Grid((-3.0,) * 3, (3.0,) * 3, (12,) * 3)
         root = [["sqrt(2)" if i == j else "0" for j in range(3)]
                 for i in range(3)]
@@ -391,8 +384,9 @@ class TestShiftedFactor:
                               q="6*(x1^2 + x2^2 + x3^2)")
         sol = dc.solve_hjb_principal(spec.diffusion_field(),
                                      spec.phi_field(), spec.q_field(), k=2)
-        assert sol.diagnostics["path"] == \
-            "shift-invert+polish through one sparse LU of (shift I - M)"
+        assert sol.diagnostics["path"] == (
+            "shift-invert+polish through one band Cholesky "
+            "(half-bandwidth 144) of (shift I - M)")
 
 
 class TestWideBoxControlledSpectrum:
