@@ -116,8 +116,8 @@ def _shifted_cholesky(A: sp.csr_matrix, shift: float) -> _BandCholesky:
     when shift I - A is positive definite, so it certifies that no
     eigenvalue of A lies above shift.
 
-    It replaced a SuperLU LDL^T (symmetric mode, MMD ordering, no
-    pivoting). The whole k = 8 solve_hjb_principal with
+    Against a sparse LDL^T (SuperLU in symmetric mode, MMD ordering, no
+    pivoting) in its place, the whole k = 8 solve_hjb_principal with
     phi = |x|^2/2, Sigma = [[2, 1], [1, 2]], q = 6|x|^2 on [-3, 3]^2
     (best of three), and with phi = |x|^2, Sigma = [[2, 1, 0],
     [1, 2, 0], [0, 0, 2]], q = 6|x|^2 on [-3, 3]^3 (one run), took
@@ -160,7 +160,7 @@ def _top_eigenpairs(A: sp.csr_matrix, bound: float, k: int, v0: np.ndarray):
     v0, the Lanczos start, should approximate the top vector.
 
     Also returns the one factor of (sigma I - A), sigma a little above
-    the bound, whose inertia certifies the bound; callers reuse it.
+    the bound, whose existence certifies the bound; callers reuse it.
     """
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
@@ -283,9 +283,9 @@ class HJBSolution:
 
 
 def _purify_principal(chol, x: np.ndarray) -> np.ndarray:
-    """Inverse-power polish of the principal eigenvector through the LU
-    factor of (shift I - M), shift above the spectrum of M, that the
-    eigensolve used. It runs until no entry changes by more than
+    """Inverse-power polish of the principal eigenvector through the
+    Cholesky factor of (shift I - M), shift above the spectrum of M,
+    that the eigensolve used. It runs until no entry changes by more than
     POLISH_TOLERANCE of itself, so that the tails, which set log Psi and
     the control far out, are accurate entrywise and not only in norm;
     each step contracts the other modes by (shift - mu0)/(shift - mu1).
