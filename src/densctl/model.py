@@ -402,7 +402,9 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
     The fields are read off the spec, which keeps them for the solves
     that follow: Sigma and phi in both modes, and q or the target. A
     field that fails to evaluate is a FAIL finding named after it,
-    never an exception.
+    never an exception. In forward mode q is also read at the cell
+    centres, where a non-finite value is a WARN: grid solves never read
+    it there, but sampled paths pass through.
     """
     findings: list[Finding] = []
 
@@ -481,6 +483,23 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
                 "cost-negative", "WARN",
                 f"q attains negative values (min {qf.values.min():.4g}); "
                 "average cost is shifted, solves still well posed"))
+        # Grid solves read q on the nodes only, but sampled paths also
+        # cross the cells between them: a pole there stops `sample`.
+        # Centres as lo + (hi - lo) (2i + 1) / (2 (c - 1)), so that the
+        # middle of a symmetric box is exactly 0.
+        g = spec.grid
+        mids = np.meshgrid(*(
+            lo + (hi - lo) * np.arange(1, 2 * c - 2, 2) / (2 * c - 2)
+            for lo, hi, c in zip(g.lows, g.highs, g.counts)), indexing="ij")
+        mids = np.stack([m.ravel() for m in mids], axis=1)
+        bad = np.flatnonzero(~np.isfinite(evaluate(spec.q, mids)))
+        if bad.size:
+            at = ", ".join(f"{c:.6g}" for c in mids[bad[0]])
+            findings.append(Finding(
+                "cost-between-nodes", "WARN",
+                f"q is not finite at {bad.size} of {len(mids)} cell centres, "
+                f"first at ({at}); grid solves read q on the nodes only, "
+                "sampled paths cross the cells"))
 
     if Phi is not None:
         e = Phi.values - Phi.values.min()

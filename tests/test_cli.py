@@ -91,6 +91,15 @@ class TestExitCodes:
         bad = dict(FORWARD, dynamics={"phi": "1", "sigma": [["sqrt(2)"]]})
         assert run(["check"], tmp_path, config=bad)[0] == 1
 
+    def test_check_warns_on_a_cost_pole_between_nodes(self, tmp_path):
+        pole = dict(FORWARD, grid={"lows": [-1.5], "highs": [1.5],
+                                   "counts": [10]}, cost={"q": "1/x1"})
+        code, out = run(["check"], tmp_path, config=pole)
+        assert code == 0
+        payload = json.loads((only_dir(out, "check") / "check.json").read_text())
+        assert "cost-between-nodes" in {
+            f["name"] for f in payload["findings"] if f["status"] == "WARN"}
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -154,6 +154,19 @@ class TestValidation:
         assert "cost-negative" in self.names(rep, "WARN")
         assert "cost-bounded-below" not in self.names(rep, "FAIL")
 
+    def test_pole_between_nodes_warns(self):
+        # no node at 0; the centre of the middle cell is 0
+        spec = dc.ProblemSpec(grid=grid1d(10, -1.5, 1.5), phi="x1^2",
+                              sigma=[["sqrt(2)"]], q="1/x1")
+        rep = dc.validate_spec(spec)
+        assert rep.passed
+        assert "cost-between-nodes" in self.names(rep, "WARN")
+        detail = next(f.detail for f in rep.findings
+                      if f.name == "cost-between-nodes")
+        assert "1 of 9 cell centres, first at (0)" in detail
+        assert "cost-between-nodes" not in {
+            f.name for f in dc.validate_spec(ou_spec(201)).findings}
+
     def test_flat_potential_confinement_fails(self):
         g = grid1d(201)
         spec = dc.ProblemSpec(grid=g, phi="1", sigma=[["sqrt(2)"]], q="x1^2")
