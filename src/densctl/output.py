@@ -98,11 +98,13 @@ def _tables() -> _Tables:
     with np.errstate(over="ignore"):
         near = pow10.astype(np.float64)
     # A double next to 10^E lies on the side of it that the finer pow10
-    # shows, unless the two are equal and pow10 is inexact.
+    # shows, unless the two are equal and pow10 is inexact; then exact
+    # integer arithmetic decides.
     up = near.astype(np.longdouble) < pow10
-    from fractions import Fraction   # rarely needed; not at import
     for i in np.flatnonzero((near == pow10) & ((e < 0) | (e > 27))):
-        up[i] = Fraction(float(near[i])) < Fraction(10) ** int(e[i])
+        n, d = float(near[i]).as_integer_ratio()
+        k = int(e[i])
+        up[i] = n < 10 ** k * d if k >= 0 else n * 10 ** -k < d
     # y * pow10[k] is rounded twice (the table entry, then the product),
     # by at most eps/2 each; the extra factor covers the second-order
     # terms and the rounding of the check itself in float64.
@@ -122,10 +124,14 @@ def _tables() -> _Tables:
     # before the point, or "0.", -E-1 zeros and all 17 after it.
     whole = np.where((e >= 0) & (e < 17), e, 0)
 
-    i4 = np.arange(10000, dtype=np.int16)
-    d4 = i4[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
-    end4 = np.where(i4 == 0, 0, 4 - np.argmax(d4[:, ::-1] != 0, axis=1))
-    end = np.where(end4 > 0, end4 + 4 * np.arange(4)[:, None], 0)
+    # Narrow integer types keep the tables' transient memory small.
+    i4 = np.arange(10000, dtype=np.int16)[:, None]
+    d4 = (i4 // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
+    end4 = (4 - np.argmax(d4[:, ::-1] != 0, axis=1)).astype(np.int8)
+    end4[0] = 0
+    end = np.where(end4 > 0, end4 + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0)
+    chars = np.zeros((10000, 8), np.uint8)
+    chars[:, :4] = d4 + ord("0")
 
     j = np.arange(24)
     p = np.arange(34)[:, None] % 17
@@ -135,8 +141,7 @@ def _tables() -> _Tables:
         margin=eps * (1 + 2.0 ** -40),
         slot=_words(slot).astype(_WORD), whole=whole,
         point=np.where((e >= -4) & (e < 0), 16, whole),
-        digits4=_words(np.pad(d4 + ord("0"), ((0, 0), (0, 4))))[:, 0],
-        end=end.astype(np.int8),
+        digits4=_words(chars)[:, 0], end=end,
         keep=_words(np.where(j[:16] < np.arange(17)[:, None], ff, 0)).T.copy(),
         low=_words(np.where((j < p) & (j < 16), ff, 0)).T.copy(),
         high=_words(np.where(j > p, ff, 0)).T.copy(),
@@ -217,10 +222,12 @@ def _format_rows(block: np.ndarray, tab: _Tables) -> bytes:
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """Write columns under a header, every value as format_float would.
 
-    The columns are stacked into one float64 table, then formatted a
-    block of about CSV_BLOCK_VALUES values (whole rows) at a time by the
-    bulk formatter described in the module docstring, so working memory
-    beyond the stacked table does not grow with the row count.
+    The columns are stacked into one float64 table and streamed to the
+    file a block of whole rows, about CSV_BLOCK_VALUES values, at a
+    time, so working memory beyond the table does not grow with the row
+    count. Each block's digits are computed in bulk and certified as
+    the module docstring describes; format_float writes the values the
+    certificate does not cover, and nan and +-inf.
     """
     if len(header) != len(columns):
         raise ValueError("header and column count differ")

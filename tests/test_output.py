@@ -155,6 +155,7 @@ def test_tables_are_exact():
 def test_working_memory_is_bounded():
     """Beyond the stacked table, the writer's peak allocation is the
     same for 10k and for 100k rows."""
+    output._tables()   # built on first use, once per process
     extra = []
     for rows in (10_000, 100_000):
         cols = list(np.random.default_rng(rows).standard_normal((3, rows)))
