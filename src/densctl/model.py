@@ -483,10 +483,8 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
                 "cost-negative", "WARN",
                 f"q attains negative values (min {qf.values.min():.4g}); "
                 "average cost is shifted, solves still well posed"))
-        # Grid solves read q on the nodes only, but sampled paths also
-        # cross the cells between them: a pole there stops `sample`.
         # Centres as lo + (hi - lo) (2i + 1) / (2 (c - 1)), so that the
-        # middle of a symmetric box is exactly 0.
+        # middle of a symmetric box, where poles tend to sit, is exactly 0.
         g = spec.grid
         mids = np.meshgrid(*(
             lo + (hi - lo) * np.arange(1, 2 * c - 2, 2) / (2 * c - 2)
