@@ -163,7 +163,8 @@ def _solve_forward(run: _Run, k: int = 1):
 # commands
 
 def cmd_check(run: _Run) -> int:
-    report = validate_spec(run.spec)
+    starts = np.array([run.x0(), *_queries(run)], dtype=float)
+    report = validate_spec(run.spec, starts)
     w = run.writer()
     w.json("check.json", report.as_dict())
     w.close()
@@ -402,7 +403,11 @@ def cmd_sample_paths(run: _Run) -> int:
     return 0
 
 
-def _default_queries(run: _Run) -> tuple[tuple[float, ...], ...]:
+def _queries(run: _Run) -> tuple[tuple[float, ...], ...]:
+    """The desirability query points: the configured ones, or five
+    along the first axis through x0."""
+    if run.cfg.sampling.queries:
+        return run.cfg.sampling.queries
     g = run.spec.grid
     center = run.x0()
     lo, hi = g.lows[0], g.highs[0]
@@ -418,7 +423,7 @@ def _degenerate_note(est) -> str:
 
 def cmd_sample_desirability(run: _Run) -> int:
     spec = run.spec
-    queries = run.cfg.sampling.queries or _default_queries(run)
+    queries = _queries(run)
     pts = np.array(queries, dtype=float)
     sol = _solve_forward(run)
     cfg = run.sde_config()

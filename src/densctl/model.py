@@ -396,7 +396,8 @@ def _shell_minima(values: np.ndarray, shells: np.ndarray, n: int) -> list[float]
     return [float(values[shells == s].min()) for s in range(n)]
 
 
-def validate_spec(spec: ProblemSpec) -> ValidationReport:
+def validate_spec(spec: ProblemSpec,
+                  starts: np.ndarray | None = None) -> ValidationReport:
     """Run the structural gates; FAIL findings block downstream solves.
 
     The fields are read off the spec, which keeps them for the solves
@@ -404,7 +405,9 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
     field that fails to evaluate is a FAIL finding named after it,
     never an exception. In forward mode q is also read at the cell
     centres, where a non-finite value is a WARN: grid solves never read
-    it there, but sampled paths pass through.
+    it there, but sampled paths pass through; and so at the sampler's
+    start points `starts` (k, n), when given, whose paths would have no
+    finite cost integral from their first step.
     """
     findings: list[Finding] = []
 
@@ -490,14 +493,18 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
             lo + (hi - lo) * np.arange(1, 2 * c - 2, 2) / (2 * c - 2)
             for lo, hi, c in zip(g.lows, g.highs, g.counts)), indexing="ij")
         mids = np.stack([m.ravel() for m in mids], axis=1)
-        bad = np.flatnonzero(~np.isfinite(evaluate(spec.q, mids)))
-        if bad.size:
-            at = ", ".join(f"{c:.6g}" for c in mids[bad[0]])
-            findings.append(Finding(
-                "cost-between-nodes", "WARN",
-                f"q is not finite at {bad.size} of {len(mids)} cell centres, "
-                f"first at ({at}); grid solves read q on the nodes only, "
-                "sampled paths cross the cells"))
+        reads = [("cost-between-nodes", mids, "cell centres", "grid solves "
+                  "read q on the nodes only, sampled paths cross the cells")]
+        if starts is not None:
+            reads.append(("cost-at-start", starts, "sampler start points",
+                          "paths started there have no finite cost integral"))
+        for name, pts, where, why in reads:
+            bad = np.flatnonzero(~np.isfinite(evaluate(spec.q, pts)))
+            if bad.size:
+                at = ", ".join(f"{c:.6g}" for c in pts[bad[0]])
+                findings.append(Finding(
+                    name, "WARN", f"q is not finite at {bad.size} of "
+                    f"{len(pts)} {where}, first at ({at}); {why}"))
 
     if Phi is not None:
         e = Phi.values - Phi.values.min()

@@ -5,17 +5,17 @@ estimator and every sampling command goes through it. Its drift follows
 the field it is given: none gives the uncontrolled drift, a `control`
 field the steady control and a `target` density the density feedback.
 
-Every path owns a counter-based random stream keyed by (seed, path
-index), so a path's result does not depend on which other paths run
-beside it: results are bit-identical for any chunking of the path range
-and any batching of start points. A stream is Philox with the 128-bit
-key [seed, stream id], handed to it directly (`_streams`, one key
-array per chunk), so building one draws no OS entropy; it is the
-stream of Philox(key=...). Two
-stream ids at the top of the 64-bit range are reserved: 2^64 - 2 draws
-initial ensembles, and 2^64 - 1 is unused but kept free, which is why
-user seeds must stay below 2^64 - 2. Reductions always run in
-path-index order.
+Path j of a run reads stream id stream_base + j. The ids are grouped
+GROUP_PATHS = 256 to a generator, SFC64 seeded by the fixed-width key
+(seed, id // 256) (`_stream`), which draws its noise step-major and
+dimension-major, (steps, m, 256) a block; id reads row id mod 256. So a
+path's noise does not depend on the paths beside it: results are
+bit-identical for any chunking, time block and batching of start
+points, as a chunk that cuts a group draws it in full and keeps its
+rows. Two ids at the top of the 64-bit range are reserved and keyed
+alike, above every group: 2^64 - 2 draws initial ensembles, and
+2^64 - 1 is unused but kept free, which is why user seeds must stay
+below 2^64 - 2. Reductions always run in path-index order.
 
 Integration is Euler-Maruyama with reflection at the box boundary
 (matching the zero-flux PDE boundary); reflected paths are flagged so
@@ -28,13 +28,12 @@ rule for a degenerate estimate. Running costs are weighed by
 the model's constant 1/LAMBDA, the noise-matched weight that makes the
 path-integral form exact, and use the left-endpoint rule, consistent
 with the weak order of the integrator.
-Noise is drawn in time blocks, so it takes
-CHUNK_PATHS * (BLOCK_STEPS * m + 8) floats however long the horizon
-(m noise dimensions); each path draws its block into one flat row, and
-the rows are padded by 8 floats so that the strided reads of one step's
-noise spread over the cache sets. There is no path recorder: a run
-keeps each path's terminal state, cost integral and flags, never its
-intermediate states, so no array grows with the number of steps.
+Noise is drawn in time blocks, so it takes CHUNK_PATHS * BLOCK_STEPS * m
+floats however long the horizon (m noise dimensions), with the paths
+rounded out to the whole groups of the largest chunk. There is no path
+recorder: a run keeps each path's terminal state, cost integral and
+flags, never its intermediate states, so no array grows with the
+number of steps.
 
 The step loop works dimension-major. A chunk's state is a (P, n) array
 in column order, the transpose of an (n, P) array, so each coordinate
@@ -47,9 +46,9 @@ layout changes no arithmetic: every entry is computed by the same
 operations in the same order, so a path's bytes do not depend on it.
 Sigma, its noise factor and div Sigma are the spec's compiled
 diffusion, which forms sigma sigma^T from products summed in column
-order, as every matrix-vector product of the step is. The noise of one step
-is a strided column of the block; a step-major copy of the block costs
-as much as those reads and would double the block's memory.
+order, as every matrix-vector product of the step is. Each step copies
+its noise, one (m, 256) slice per group, into one (m, P) buffer, which
+the step reads as a dimension-major (P, m).
 
 The drift, noise and cost of a run are compiled once, before the first
 step: grad(phi) and div(Sigma) are symbolic derivatives of the
@@ -92,6 +91,9 @@ from .grid import Grid
 from .model import LAMBDA, ProblemSpec, _matvec
 
 INIT_STREAM = 2**64 - 2
+# path streams served by one generator; part of the stream definition,
+# so changing it changes every sampled byte
+GROUP_PATHS = 256
 CHUNK_PATHS = 8192       # paths integrated side by side
 BLOCK_STEPS = 256        # time steps of noise drawn at once
 # an estimate whose Kish ESS is below this fraction of the paths it used
@@ -179,38 +181,14 @@ class Estimate:
 # ---------------------------------------------------------------------------
 # random streams
 
-class _Key(np.random.bit_generator.ISeedSequence):
-    """Hands Philox its 128-bit key, [seed, stream id], as given.
-
-    Philox(key=k) draws the same stream, but first builds a SeedSequence
-    from OS entropy that it never uses.
-    """
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
-
-
-_COUNTER0 = np.zeros(4, dtype=np.uint64)
-
-
-def _streams(seed: int, first: int, count: int) -> list:
-    """The counter-based Philox streams keyed by (seed, first + j) for
-    j < count; their keys are the rows of one array."""
-    keys = np.empty((count, 2), dtype=np.uint64)
-    keys[:, 0] = seed
-    keys[:, 1] = np.arange(first, first + count, dtype=np.uint64)
-    # the zero counter is Philox's default; handed over as an array it
-    # skips a conversion from a Python int per stream
-    return [np.random.Generator(np.random.Philox(_Key(key), counter=_COUNTER0))
-            for key in keys]
-
-
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    """The counter-based Philox stream keyed by (seed, stream_id)."""
-    return _streams(seed, stream_id, 1)[0]
+def _stream(seed: int, word: int) -> np.random.Generator:
+    """The SFC64 stream keyed by (seed, word): a path group's index, or
+    a reserved stream id. The key is four 32-bit words, fixed width, as
+    SeedSequence trims an integer or uint64 entropy to its minimal words,
+    so that (5, 7) and (5 + 7 * 2^32, 0) would draw one stream."""
+    key = np.array([seed & 0xffffffff, seed >> 32, word & 0xffffffff,
+                    word >> 32], dtype=np.uint32)
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +302,9 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     """Euler-Maruyama over all paths; the one step loop of the module.
 
     Paths run side by side in chunks of CHUNK_PATHS; each chunk draws
-    its noise BLOCK_STEPS steps at a time from per-path generators that
-    live for the whole chunk. One np.errstate covers the whole run, so
+    its noise BLOCK_STEPS steps at a time from the generators of the
+    path groups it touches, which live for the whole chunk, into one
+    preallocated block. One np.errstate covers the whole run, so
     the compiled bodies run bare. The cost integral is that of
     (cost_expr - cost_shift)/LAMBDA. Returns terminal states, cost
     integrals, and the flags of paths that exited the box and of paths
@@ -354,31 +333,38 @@ def _integrate(dyn: _Dynamics, cfg: SdeConfig, x0: np.ndarray,
     cost_scale = np.array(cfg.dt / LAMBDA)
     shift = np.array(cost_shift)
     m = dyn.m
-    # one flat row of BLOCK_STEPS * m normals per path, padded by one
-    # 64-byte cache line: with rows a power of two bytes long, a step's
-    # strided column of the block falls into a few cache sets only, and
-    # its reads miss the caches
-    noise = np.empty((min(CHUNK_PATHS, P), min(BLOCK_STEPS, n_steps) * m + 8))
+    G = GROUP_PATHS
+    chunks = [(lo, min(lo + CHUNK_PATHS, P)) for lo in range(0, P, CHUNK_PATHS)]
+    # the groups whose streams a chunk reads; a group it cuts is drawn
+    # in full, so the buffers hold the largest chunk's groups exactly
+    groups = [range((stream_base + lo) // G, (stream_base + hi - 1) // G + 1)
+              for lo, hi in chunks]
+    span = max(len(gs) for gs in groups)
+    noise = np.empty((span, min(BLOCK_STEPS, n_steps), m, G))
+    dw = np.empty((m, span * G))
+    dw_groups = dw.reshape(m, span, G)
     increment = dyn.increment
 
-    for lo in range(0, P, CHUNK_PATHS):
-        hi = min(lo + CHUNK_PATHS, P)
-        gens = _streams(cfg.seed, stream_base + lo, hi - lo)
+    for (lo, hi), gs in zip(chunks, groups):
+        gens = [_stream(cfg.seed, g) for g in gs]
+        ng = len(gens)
+        first = (stream_base + lo) % G
+        # path lo + j reads column first + j, as a (P, m) transposed view
+        step_noise = dw[:, first:first + hi - lo].T
         cost_chunk = cost[lo:hi]
         x = x0[lo:hi].copy(order="F")
         for k0 in range(0, n_steps, BLOCK_STEPS):
             steps = min(BLOCK_STEPS, n_steps - k0)
-            rows = noise[:hi - lo, :steps * m]
-            for gen, row in zip(gens, rows):
-                gen.standard_normal(out=row)
-            block = rows.reshape(hi - lo, steps, m)
+            for gen, rows in zip(gens, noise):
+                gen.standard_normal(out=rows[:steps])
             for b in range(steps):
+                np.copyto(dw_groups[:, :ng], noise[:ng, b].transpose(1, 0, 2))
                 if running_cost is not None:
                     r = running_cost(x)
                     r -= shift
                     r *= cost_scale
                     cost_chunk += r
-                x_new = increment(x, block[:, b], k0 + b)
+                x_new = increment(x, step_noise, k0 + b)
                 x_new += x
                 # one test per step; it also fails on NaN, so the
                 # exclusion and reflection below run only when needed
@@ -428,7 +414,8 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
 
     x0 is a single start point or an Ensemble (whose count then
     overrides cfg.n_paths), inside the closed box; path j draws from
-    stream stream_base + j. The drift follows the fields given: with
+    stream id stream_base + j, row (stream_base + j) mod 256 of its
+    group's stream. The drift follows the fields given: with
     neither it is the passive drift div(Sigma)/2 - (Sigma/2) grad(phi);
     `control` adds a steady control field to it; the positive density
     `target` alone gives the feedback drift div(Sigma)/2 + (Sigma/2)
@@ -515,9 +502,10 @@ def path_integral_desirabilities(spec: ProblemSpec, q, c: float, points,
     paths started at each point with terminal weight one; the estimates
     carry the usual scale gauge of the desirability, so compare ratios,
     not values. psi_hat is the mean weight and its stderr psi_hat times
-    the relative stderr of `_mean_weight`. Path j of point i draws stream
-    stream_base + i * n_paths + j, so each estimate equals a single-point
-    call with stream_base + i * n_paths.
+    the relative stderr of `_mean_weight`. Path j of point i draws
+    stream id stream_base + i * n_paths + j, so each estimate equals a
+    single-point call with stream_base + i * n_paths, even where the
+    points' paths share a group.
     """
     n_paths = cfg.n_paths
     if len(points) == 0:

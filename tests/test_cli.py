@@ -100,6 +100,30 @@ class TestExitCodes:
         assert "cost-between-nodes" in {
             f["name"] for f in payload["findings"] if f["status"] == "WARN"}
 
+    @pytest.mark.parametrize("sampling, warned", [
+        ({"x0": [0.1]}, "1 of 6 sampler start points, first at (0.1)"),
+        ({"x0": [0.5], "queries": [[0.5], [0.1]]},
+         "1 of 3 sampler start points, first at (0.1)"),
+        ({"x0": [0.5]}, None),
+    ], ids=["x0", "query", "neither"])
+    def test_check_warns_on_a_cost_pole_at_a_start_point(self, tmp_path,
+                                                         sampling, warned):
+        # the pole at 0.1 is neither a node nor a cell centre, so only
+        # the start points can show it
+        pole = dict(FORWARD, grid={"lows": [-1.5], "highs": [1.5],
+                                   "counts": [10]}, cost={"q": "1/(x1-0.1)"},
+                    sampling={**FORWARD["sampling"], **sampling})
+        code, out = run(["check"], tmp_path, config=pole)
+        assert code == 0
+        payload = json.loads((only_dir(out, "check") / "check.json").read_text())
+        warns = {f["name"]: f["detail"] for f in payload["findings"]
+                 if f["status"] == "WARN"}
+        assert "cost-between-nodes" not in warns
+        if warned is None:
+            assert "cost-at-start" not in warns
+        else:
+            assert warned in warns["cost-at-start"]
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -201,6 +201,37 @@ class TestDeterminism:
         single = dc.simulate_sde(ou401, cfg(n_paths=1), x0=(0.5,), stream_base=5)
         np.testing.assert_array_equal(full.terminal[5], single.terminal[0])
 
+    @given(base=st.one_of(st.integers(0, 2000),
+                          st.integers(2**32 - 700, 2**32 + 700),
+                          st.integers(2**56, 2**56 + 2000)),
+           P=st.integers(1, 600), chunk=st.one_of(st.just(37),
+                                                  st.integers(20, 700)),
+           block=st.integers(1, 64), wide=st.booleans())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_group_cuts_do_not_change_results(self, ou401, base, P, chunk,
+                                              block, wide):
+        # every path equals its row of a run that starts at the group
+        # boundary, whatever the chunks and blocks cut; the wide spec
+        # reads two noise columns
+        spec = ou401
+        if wide:
+            spec = dc.ProblemSpec(grid=dc.Grid((-1.5,), (1.5,), (31,)),
+                                  phi="x1^2", sigma=[["1", "0.5*x1"]],
+                                  q="x1^2")
+        skip = base % 256
+        starts = dc.uniform_ensemble(spec.grid, skip + P, 3).positions
+        c = cfg(T=0.05, n_paths=P)
+        ref = dc.simulate_sde(spec, c, dc.Ensemble(starts), cost_expr=spec.q,
+                              stream_base=base - skip)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dc.sampling, "CHUNK_PATHS", chunk)
+            m.setattr(dc.sampling, "BLOCK_STEPS", block)
+            got = dc.simulate_sde(spec, c, dc.Ensemble(starts[skip:]),
+                                  cost_expr=spec.q, stream_base=base)
+        for name in ("terminal", "cost_integral", "exited"):
+            assert getattr(got, name).tobytes() == \
+                getattr(ref, name)[skip:].tobytes(), name
+
     def test_uniform_ensemble_deterministic(self, ou401):
         g = ou401.grid
         a = dc.uniform_ensemble(g, 100, seed=3)
@@ -613,23 +644,83 @@ class TestEnsemble:
             dc.histogram_density(ens, ou401.grid)
 
 
+def _key(seed, word):
+    return np.array([seed & 0xffffffff, seed >> 32, word & 0xffffffff,
+                     word >> 32], dtype=np.uint32)
+
+
+def _group(seed, g):
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        _key(seed, g))))
+
+
+class _NoiseRecorder:
+    """Dynamics whose increment is zero and which keeps every step's
+    normals, so a run shows the noise each path reads."""
+
+    def __init__(self, m):
+        self.grid = dc.Grid((-1.0,), (1.0,), (5,))
+        self.m = m
+        self.seen = []
+
+    def increment(self, x, dw, step):
+        self.seen.append(dw.copy())
+        return np.zeros_like(x)
+
+
 class TestStreams:
-    # Philox(key=k) builds a seed sequence from OS entropy before it
-    # takes the key; _stream hands the key over directly. A numpy release
-    # that derived Philox's key differently would fail here.
+    """The stream definition: stream ids are grouped GROUP_PATHS = 256 to
+    a generator, SFC64 seeded by the four 32-bit words of (seed, group);
+    a group's noise is drawn step-major and dimension-major, and path j
+    reads row j mod 256 of its group. Reserved ids key a stream the same
+    way, and no path group reaches them."""
+
     @pytest.mark.parametrize("key", [
         (0, 0), (5, 2**64 - 1), (2**64 - 3, INIT_STREAM),
         *[tuple(int(v) for v in k) for k in np.random.default_rng(2).integers(
             0, 2**64, size=(4, 2), dtype=np.uint64)],
     ])
-    def test_stream_equals_philox_keyed_directly(self, key):
-        ref = np.random.Generator(np.random.Philox(
-            key=np.array(key, dtype=np.uint64)))
-        got = _stream(*key)
+    def test_stream_is_sfc64_of_the_fixed_width_key(self, key):
+        got, ref = _stream(*key), _group(*key)
         np.testing.assert_array_equal(got.standard_normal(10**4),
                                       ref.standard_normal(10**4))
         np.testing.assert_array_equal(got.integers(0, 2**40, size=10**3),
                                       ref.integers(0, 2**40, size=10**3))
+
+    def test_seed_and_group_words_do_not_collide(self):
+        # SeedSequence([5, 7]) and SeedSequence([5 + 7 * 2^32, 0]) seed
+        # one stream, as both trim to the words [5, 7]; fixed-width keys
+        # keep them apart
+        a = _stream(5, 7).standard_normal(16)
+        b = _stream(5 + 7 * 2**32, 0).standard_normal(16)
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, base, P, m, chunk, block", [
+        (11, 0, 300, 1, None, None),
+        (11, 250, 300, 2, 37, 16),
+        (2**64 - 3, 2**32 + 100, 520, 2, None, 16),
+        (7, 2**40 - 3, 40, 3, 37, None),
+    ])
+    def test_path_reads_its_group_row(self, seed, base, P, m, chunk, block):
+        steps = 40
+        dyn = _NoiseRecorder(m)
+        c = cfg(dt=0.01, T=steps * 0.01, n_paths=P, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk:
+                mp.setattr(dc.sampling, "CHUNK_PATHS", chunk)
+            if block:
+                mp.setattr(dc.sampling, "BLOCK_STEPS", block)
+            dc.sampling._integrate(dyn, c, np.zeros((P, 1)), base, None, 0.0)
+        ids = base + np.arange(P, dtype=object)
+        ref = {g: _group(seed, g).standard_normal((steps, m, 256))
+               for g in set(ids // 256)}
+        want = np.array([[ref[s // 256][b, :, s % 256] for s in ids]
+                         for b in range(steps)])
+        # the chunks run one after another, each over every step
+        seen = np.concatenate([np.stack(dyn.seen[i:i + steps])
+                               for i in range(0, len(dyn.seen), steps)],
+                              axis=1)
+        np.testing.assert_array_equal(seen, want)
 
 
 class TestStackedRoot:
@@ -688,33 +779,35 @@ class TestStackedRoot:
 
 class TestGoldenBits:
     """sha256 of the terminal, cost_integral and exited bytes of seven
-    small runs. The first four were recorded before the per-path
+    small runs. The first four were first recorded before the per-path
     streams, the step's error-state handling, the stacked Cholesky root
     and the in-place interpolant were reworked; the sigma2d_steady and
     sigma2d_feedback runs, which read a two-column table under a
     state-dependent Sigma, before the step loop went dimension-major;
     sigma2d_sigma, under a state-dependent sigma, when sigma sigma^T
-    became explicit products summed in column order. The runs need no
-    eigensolver, and
+    became explicit products summed in column order. All seven were
+    re-recorded, on purpose, when the per-path Philox streams gave way
+    to one SFC64 stream per group of 256 paths, drawn step-major; the
+    engine's arithmetic was unchanged. The runs need no eigensolver, and
     their matrix products are 1 x 1 or explicit, so BLAS and ARPACK do
     not enter the bits. Only a change that alters the definition of the
     random streams on purpose may re-record them."""
 
     GOLDEN = {
-        "uncontrolled": "de852c6c640e16916604843b159786e6"
-                        "6d2d4f27ef30b64d91be874739ca094a",
-        "steady": "870fdbade30373d85c9aa51a5982156c"
-                  "5af99a42529bb10cef12ed1e528759fa",
-        "feedback": "df5ab0e42bdf145227a666d00b6054fd"
-                    "1c465fa7940c49224b326ad67f75ed60",
-        "sigma2d": "39ded46b6f9f6aca9c4d5ef948c60766"
-                   "08a35b39cff16f252dc8f2e01d56c803",
-        "sigma2d_steady": "a107c54d5ee0a617c9be61a8826c8b3d"
-                          "5d8beea44155ef28458a6be0778d174f",
-        "sigma2d_feedback": "97ad7469d498382eff46e14f709eda3d"
-                            "a9b9ddff1fc5fa3fb8622b3481b82495",
-        "sigma2d_sigma": "84428563c83dd864d1454f92ea114b92"
-                         "69659497c3872fac7ba6cd45b542ab5a",
+        "uncontrolled": "7ea3c66bf5f57b32c6ebd56145048b41"
+                        "39252530c806a62306c9f7e4a8294baa",
+        "steady": "f19da46c05eafdd1d65533e17903dd81"
+                  "daba6e6c0f3d38190081c0dd67dae8a2",
+        "feedback": "469b2d26d75ae775c397965c026de900"
+                    "5f101bbb055162baa645ce1a27834725",
+        "sigma2d": "67f1426825185cd6889d90780998acb6"
+                   "263b547a39a9a6e4987aaf56e85af748",
+        "sigma2d_steady": "638cef5cb0f570cf60c41bb56803c437"
+                          "1cdd4b1e38d5d07c5940452df5cef2ed",
+        "sigma2d_feedback": "fa388d9e0a421f02752589e609c3bc98"
+                            "164a76d46a9663b6e547de72a9efb6dc",
+        "sigma2d_sigma": "2fd14a7bee3cf1c288bcd41acdfb9f79"
+                         "113acf20aff71b3d45aefc0235dc1ecf",
     }
 
     @staticmethod
