@@ -14,7 +14,10 @@ every run takes one path through `main`: the option checks of `_Run`
 and the command's own usage checks (exit 2), the command's mode
 requirement (exit 2), then, for every command but `check`, the gates
 that `check` reports (exit 1, printing the report), then the handler.
-So a run with a usage error and a failing gate exits 2.
+So a run with a usage error and a failing gate exits 2. Each handler
+ends in one `_Run.emit`, which hands its files, named columns for a
+CSV, to `output.write_run` and then prints its lines; the manifest's
+`started` is the moment `main` began the command.
 
 Flag precedence is flag > environment > config file; the recognized
 environment variables are DENSCTL_OUT, DENSCTL_SEED and DENSCTL_QUIET.
@@ -42,7 +45,7 @@ from .fields import ScalarField, eval_scalar_field, interpolate_values
 from .inverse import _normalized_target, control_from_target, roundtrip_verify
 from .model import validate_spec
 from .operators import assemble_generator
-from .output import RunWriter
+from .output import timestamp, write_run
 from .pde import (
     eigen_evolution,
     evolve_perturbation,
@@ -84,8 +87,9 @@ class _Run:
     """Resolved options for one command invocation, with its parsed
     arguments."""
 
-    def __init__(self, args, cfg: RunConfig):
+    def __init__(self, args, cfg: RunConfig, started: str | None = None):
         self.args = args
+        self.started = started or timestamp()
         # the artifact directory's prefix: the command's words, joined
         self.command = "-".join(filter(None, (getattr(args, "command", None),
                                               getattr(args, "kind", None))))
@@ -116,13 +120,17 @@ class _Run:
         if not self.quiet:
             print(msg)
 
-    def writer(self, **options) -> RunWriter:
-        """Artifact writer keyed by the command, the config and the
-        resolved options that change the artifacts; never by --out or
-        --quiet."""
-        return RunWriter(self.out_base, self.command, self.cfg.digest,
-                         dict(seed=self.seed, k=self.k, **options),
-                         seed=self.seed)
+    def emit(self, files: dict, lines, **options) -> None:
+        """Write the run's artifacts (see `output.write_run`), keyed by
+        the command, the config and the resolved options that change
+        them, never by --out or --quiet; then print `lines` and where
+        the artifacts went."""
+        run_dir = write_run(self.out_base, self.command, self.cfg.digest,
+                            dict(seed=self.seed, k=self.k, **options),
+                            self.seed, self.started, files)
+        for line in lines:
+            self.say(line)
+        self.say(f"artifacts in {run_dir}")
 
     def sde_config(self, n_paths: int | None = None) -> SdeConfig:
         s = self.cfg.sampling
@@ -153,6 +161,11 @@ def _gate(run: _Run) -> None:
             "constraint checks failed:\n" + "\n".join(report.lines()))
 
 
+def _columns(prefix: str, array: np.ndarray) -> dict:
+    """The columns prefix1..prefixn of an (N, n) array."""
+    return {f"{prefix}{i + 1}": array[:, i] for i in range(array.shape[1])}
+
+
 def _solve_forward(run: _Run, k: int = 1):
     spec = run.spec
     return solve_hjb_principal(spec.diffusion_field(), spec.phi_field(),
@@ -165,12 +178,7 @@ def _solve_forward(run: _Run, k: int = 1):
 def cmd_check(run: _Run) -> int:
     starts = np.array([run.x0(), *_queries(run)], dtype=float)
     report = validate_spec(run.spec, starts)
-    w = run.writer()
-    w.json("check.json", report.as_dict())
-    w.close()
-    for line in report.lines():
-        run.say(line)
-    run.say(f"artifacts in {w.dir}")
+    run.emit({"check.json": report.as_dict()}, report.lines())
     return 0 if report.passed else 1
 
 
@@ -181,34 +189,26 @@ def cmd_solve(run: _Run) -> int:
     ctrl = sol.controlled
     gap = spectral_gap(ctrl) if ctrl.k >= 2 else None
 
-    g = spec.grid
-    coords = g.node_coords()
-    header = [f"x{i + 1}" for i in range(g.dim)] + ["Psi", "v", "p"] + \
-        [f"u{i + 1}" for i in range(g.dim)]
-    cols = [coords[:, i] for i in range(g.dim)] + \
-        [sol.Psi.values, sol.v.values, sol.p.values] + \
-        [sol.u.values[:, i] for i in range(g.dim)]
-    w = run.writer()
-    w.csv("solution.csv", header, cols)
-    w.json("summary.json", {
-        "c": sol.c,
-        "controlled_gap": gap,
-        "hjb_residual_sup": residual,
-        "eigenvalues_controlled": ctrl.eigenvalues.tolist(),
-        "diagnostics": sol.diagnostics,
-    })
-    w.close()
-    run.say(f"c = {sol.c:.8g}   gap = "
-            f"{gap if gap is None else format(gap, '.6g')}   "
-            f"residual sup = {residual:.3e}")
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "solution.csv": {**_columns("x", spec.grid.node_coords()),
+                         "Psi": sol.Psi.values, "v": sol.v.values,
+                         "p": sol.p.values, **_columns("u", sol.u.values)},
+        "summary.json": {
+            "c": sol.c,
+            "controlled_gap": gap,
+            "hjb_residual_sup": residual,
+            "eigenvalues_controlled": ctrl.eigenvalues.tolist(),
+            "diagnostics": sol.diagnostics,
+        },
+    }, [f"c = {sol.c:.8g}   gap = "
+        f"{gap if gap is None else format(gap, '.6g')}   "
+        f"residual sup = {residual:.3e}"])
     return 0
 
 
 def cmd_spectrum(run: _Run) -> int:
     spec = run.spec
     controlled = run.args.controlled
-    g = spec.grid
     k = run.default_k()
     if controlled:
         s = _solve_forward(run, k).controlled
@@ -220,25 +220,22 @@ def cmd_spectrum(run: _Run) -> int:
     if k >= 2 and s.eigenvalues[1] < 0.0:
         gap = -float(s.eigenvalues[1])
 
-    coords = g.node_coords()
-    w = run.writer(controlled=controlled)
-    w.csv("eigenvalues.csv", ["index", "eigenvalue", "residual"],
-          [np.arange(k, dtype=float), s.eigenvalues, s.residuals])
-    w.csv("modes.csv",
-          [f"x{i + 1}" for i in range(g.dim)] + [f"mode{j}" for j in range(k)],
-          [coords[:, i] for i in range(g.dim)] + [s.functions[j] for j in range(k)])
-    w.json("summary.json", {
-        "operator": "controlled" if controlled else "uncontrolled",
-        "k": k,
-        "eigenvalues": s.eigenvalues.tolist(),
-        "spectral_gap": gap,
-        "max_residual": float(s.residuals.max()),
-    })
-    w.close()
-    run.say("eigenvalues: " +
-            ", ".join(f"{v:.6g}" for v in s.eigenvalues[:min(k, 8)]) +
-            (" ..." if k > 8 else ""))
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "eigenvalues.csv": {"index": np.arange(k, dtype=float),
+                            "eigenvalue": s.eigenvalues,
+                            "residual": s.residuals},
+        "modes.csv": {**_columns("x", spec.grid.node_coords()),
+                      **{f"mode{j}": s.functions[j] for j in range(k)}},
+        "summary.json": {
+            "operator": "controlled" if controlled else "uncontrolled",
+            "k": k,
+            "eigenvalues": s.eigenvalues.tolist(),
+            "spectral_gap": gap,
+            "max_residual": float(s.residuals.max()),
+        },
+    }, ["eigenvalues: " +
+        ", ".join(f"{v:.6g}" for v in s.eigenvalues[:min(k, 8)]) +
+        (" ..." if k > 8 else "")], controlled=controlled)
     return 0
 
 
@@ -330,28 +327,26 @@ def cmd_evolve(run: _Run) -> int:
 
     fitted = fit_decay_rate(traj.times, traj.norm_rho, 0.5 / rate, 3.0 / rate)
 
-    w = run.writer(perturb=perturb, mode=mode_index, dt=dt, T=T)
-    w.csv("trajectory.csv", ["t", "mass", "rho_norm"],
-          [traj.times, traj.mass, traj.norm_rho])
-    w.csv("densities.csv",
-          ["t"] + [f"p{i}" for i in range(g.size)],
-          [traj.density_times] +
-          [traj.densities[:, i] for i in range(g.size)])
-    w.json("summary.json", {
-        "fitted_rate": fitted,
-        "xi1": -rate,
-        "rate_relative_error": abs(fitted + rate) / rate,
-        "eigen_comparison_error": comparison,
-        "reconstruction_error": pc.reconstruction_error,
-        "dt": dt,
-        "T": T,
-        "projected": traj.projected,
-    })
-    w.close()
-    run.say(f"fitted rate {fitted:.6g} vs xi1 {-rate:.6g} "
-            f"(rel err {abs(fitted + rate) / rate:.2e}); "
-            f"eigen comparison {comparison:.2e}")
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "trajectory.csv": {"t": traj.times, "mass": traj.mass,
+                           "rho_norm": traj.norm_rho},
+        "densities.csv": {"t": traj.density_times,
+                          **{f"p{i}": traj.densities[:, i]
+                             for i in range(g.size)}},
+        "summary.json": {
+            "fitted_rate": fitted,
+            "xi1": -rate,
+            "rate_relative_error": abs(fitted + rate) / rate,
+            "eigen_comparison_error": comparison,
+            "reconstruction_error": pc.reconstruction_error,
+            "dt": dt,
+            "T": T,
+            "projected": traj.projected,
+        },
+    }, [f"fitted rate {fitted:.6g} vs xi1 {-rate:.6g} "
+        f"(rel err {abs(fitted + rate) / rate:.2e}); "
+        f"eigen comparison {comparison:.2e}"],
+        perturb=perturb, mode=mode_index, dt=dt, T=T)
     return 0
 
 
@@ -380,26 +375,22 @@ def cmd_sample_paths(run: _Run) -> int:
     mode = run.cfg.sampling.mode
     batch = simulate_sde(spec, cfg, run.x0(), **_drift_input(run, mode),
                          cost_expr=spec.q if spec.mode == "forward" else None)
-    g = spec.grid
-    w = run.writer()
-    w.csv("terminal.csv",
-          [f"x{i + 1}" for i in range(g.dim)] + ["cost", "exited", "excluded"],
-          [batch.terminal[:, i] for i in range(g.dim)] +
-          [batch.cost_integral, batch.exited.astype(float),
-           batch.excluded.astype(float)])
-    w.json("summary.json", {
-        "seed": cfg.seed,
-        "mode": mode,
-        "n_paths": batch.n_paths,
-        "n_excluded": batch.n_excluded,
-        "n_exited": int(batch.exited.sum()),
-        "horizon": batch.horizon,
-        "dt": cfg.dt,
-    })
-    w.close()
-    run.say(f"{batch.n_paths} paths, {int(batch.exited.sum())} reflected, "
-            f"{batch.n_excluded} excluded")
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "terminal.csv": {**_columns("x", batch.terminal),
+                         "cost": batch.cost_integral,
+                         "exited": batch.exited.astype(float),
+                         "excluded": batch.excluded.astype(float)},
+        "summary.json": {
+            "seed": cfg.seed,
+            "mode": mode,
+            "n_paths": batch.n_paths,
+            "n_excluded": batch.n_excluded,
+            "n_exited": int(batch.exited.sum()),
+            "horizon": batch.horizon,
+            "dt": cfg.dt,
+        },
+    }, [f"{batch.n_paths} paths, {int(batch.exited.sum())} reflected, "
+        f"{batch.n_excluded} excluded"])
     return 0
 
 
@@ -431,32 +422,26 @@ def cmd_sample_desirability(run: _Run) -> int:
     est = path_integral_desirabilities(spec, spec.q, sol.c, pts, cfg)
     psi_grid = interpolate_values(spec.grid, sol.Psi.values, pts)
 
-    g = spec.grid
-    w = run.writer()
-    w.csv("desirability.csv",
-          [f"x{i + 1}" for i in range(g.dim)] +
-          ["psi_hat", "stderr", "n_used", "n_excluded", "psi_grid"],
-          [pts[:, i] for i in range(g.dim)] +
-          [np.array([e.value for e in est]),
-           np.array([e.stderr for e in est]),
-           np.array([float(e.n_used) for e in est]),
-           np.array([float(e.n_excluded) for e in est]),
-           psi_grid])
-    w.json("summary.json", {
-        "c": sol.c,
-        "seed": cfg.seed,
-        "n_paths": cfg.n_paths,
-        "T": cfg.T,
-        "dt": cfg.dt,
-        "degenerate": [e.degenerate for e in est],
-        "ess": [e.ess for e in est],
-    })
-    w.close()
-    for y, e in zip(queries, est):
-        label = ", ".join(f"{float(v):g}" for v in y)
-        run.say(f"psi_hat({label}) = {e.value:.6g} +- {e.stderr:.2g}"
-                f"{_degenerate_note(e)}")
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "desirability.csv": {
+            **_columns("x", pts),
+            "psi_hat": np.array([e.value for e in est]),
+            "stderr": np.array([e.stderr for e in est]),
+            "n_used": np.array([float(e.n_used) for e in est]),
+            "n_excluded": np.array([float(e.n_excluded) for e in est]),
+            "psi_grid": psi_grid},
+        "summary.json": {
+            "c": sol.c,
+            "seed": cfg.seed,
+            "n_paths": cfg.n_paths,
+            "T": cfg.T,
+            "dt": cfg.dt,
+            "degenerate": [e.degenerate for e in est],
+            "ess": [e.ess for e in est],
+        },
+    }, [f"psi_hat({', '.join(f'{float(v):g}' for v in y)}) = "
+        f"{e.value:.6g} +- {e.stderr:.2g}{_degenerate_note(e)}"
+        for y, e in zip(queries, est)])
     return 0
 
 
@@ -467,26 +452,25 @@ def cmd_sample_cost(run: _Run) -> int:
     sol = _solve_forward(run)
     est = estimate_c_mc(spec, spec.q, cfg, x0)
 
-    w = run.writer()
-    w.csv("cost.csv", ["c_hat", "stderr", "c_grid", "abs_error"],
-          [np.array([est.value]), np.array([est.stderr]),
-           np.array([sol.c]), np.array([abs(est.value - sol.c)])])
-    w.json("summary.json", {
-        "c_hat": est.value,
-        "stderr": est.stderr,
-        "c_grid": sol.c,
-        "n_used": est.n_used,
-        "n_excluded": est.n_excluded,
-        "seed": cfg.seed,
-        "T": cfg.T,
-        "dt": cfg.dt,
-        "degenerate": est.degenerate,
-        "ess": est.ess,
-    })
-    w.close()
-    run.say(f"c_hat = {est.value:.6g} +- {est.stderr:.2g} "
-            f"(grid c = {sol.c:.6g}){_degenerate_note(est)}")
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "cost.csv": {"c_hat": np.array([est.value]),
+                     "stderr": np.array([est.stderr]),
+                     "c_grid": np.array([sol.c]),
+                     "abs_error": np.array([abs(est.value - sol.c)])},
+        "summary.json": {
+            "c_hat": est.value,
+            "stderr": est.stderr,
+            "c_grid": sol.c,
+            "n_used": est.n_used,
+            "n_excluded": est.n_excluded,
+            "seed": cfg.seed,
+            "T": cfg.T,
+            "dt": cfg.dt,
+            "degenerate": est.degenerate,
+            "ess": est.ess,
+        },
+    }, [f"c_hat = {est.value:.6g} +- {est.stderr:.2g} "
+        f"(grid c = {sol.c:.6g}){_degenerate_note(est)}"])
     return 0
 
 
@@ -502,55 +486,40 @@ def cmd_sample_feedback(run: _Run) -> int:
     emp = histogram_density(final, g)
     tv = tv_distance(emp, target)
 
-    w = run.writer()
-    w.csv("ensemble.csv", [f"x{i + 1}" for i in range(g.dim)],
-          [final.positions[:, i] for i in range(g.dim)])
-    coords = g.node_coords()
-    w.csv("density.csv",
-          [f"x{i + 1}" for i in range(g.dim)] + ["p_target", "p_empirical"],
-          [coords[:, i] for i in range(g.dim)] + [target.values, emp.values])
-    w.json("summary.json", {
-        "tv_distance": tv,
-        "n_particles": n_particles,
-        "seed": cfg.seed,
-        "T": cfg.T,
-        "dt": cfg.dt,
-    })
-    w.close()
-    run.say(f"total variation to target after T = {cfg.T:g}: {tv:.4f}")
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "ensemble.csv": _columns("x", final.positions),
+        "density.csv": {**_columns("x", g.node_coords()),
+                        "p_target": target.values, "p_empirical": emp.values},
+        "summary.json": {
+            "tv_distance": tv,
+            "n_particles": n_particles,
+            "seed": cfg.seed,
+            "T": cfg.T,
+            "dt": cfg.dt,
+        },
+    }, [f"total variation to target after T = {cfg.T:g}: {tv:.4f}"])
     return 0
 
 
 def cmd_inverse(run: _Run) -> int:
     spec = run.spec
-    g = spec.grid
     rt = roundtrip_verify(spec.target_field(), spec)
     inv = rt.inverse
-
-    coords = g.node_coords()
-    w = run.writer()
-    w.csv("inverse.csv",
-          [f"x{i + 1}" for i in range(g.dim)] +
-          ["p_target", "Psi", "q"] +
-          [f"u{i + 1}" for i in range(g.dim)] + ["p_recovered"],
-          [coords[:, i] for i in range(g.dim)] +
-          [inv.target.values, inv.Psi.values, inv.q.values] +
-          [inv.u.values[:, i] for i in range(g.dim)] +
-          [rt.forward.p.values])
-    w.json("roundtrip.json", {
-        "density_sup_relative_error": rt.density_error,
-        "c_inverse": rt.c_inverse,
-        "c_forward": rt.c_forward,
-        "c_difference": rt.c_difference,
-        "control_sup_error": rt.control_error,
-        "controlled_gap": rt.controlled_gap,
-        "q_max": float(inv.q.values.max()),
-    })
-    w.close()
-    for line in rt.lines():
-        run.say(line)
-    run.say(f"artifacts in {w.dir}")
+    run.emit({
+        "inverse.csv": {**_columns("x", spec.grid.node_coords()),
+                        "p_target": inv.target.values, "Psi": inv.Psi.values,
+                        "q": inv.q.values, **_columns("u", inv.u.values),
+                        "p_recovered": rt.forward.p.values},
+        "roundtrip.json": {
+            "density_sup_relative_error": rt.density_error,
+            "c_inverse": rt.c_inverse,
+            "c_forward": rt.c_forward,
+            "c_difference": rt.c_difference,
+            "control_sup_error": rt.control_error,
+            "controlled_gap": rt.controlled_gap,
+            "q_max": float(inv.q.values.max()),
+        },
+    }, rt.lines())
     return 0
 
 
@@ -632,6 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = timestamp()
     args = _build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
     if command.kinds:
@@ -641,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
         config_path = getattr(args, "config", None)
         if config_path is None:
             raise ConfigError("--config is required")
-        run = _Run(args, load_config(config_path))
+        run = _Run(args, load_config(config_path), started)
         if command.check:
             command.check(run)
         need = command.mode(run) if callable(command.mode) else command.mode

@@ -1,4 +1,5 @@
-"""Run artifacts: deterministic CSV/JSON writers and the run manifest.
+"""Run artifacts: deterministic CSV/JSON writers and `write_run`, which
+writes one run's artifacts and its manifest in one call.
 
 CSV files carry a header row and floats written exactly as `%.17g`
 writes them, so they round-trip losslessly and are byte-identical
@@ -23,7 +24,6 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -260,71 +260,47 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_hash: str
-    seed: int | None = None
-    version: str = VERSION
-    started: str = ""
-    finished: str = ""
-    outputs: list[str] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": sorted(self.outputs),
-        }
+def timestamp() -> str:
+    """The current UTC time as the manifest writes it."""
+    return datetime.now(timezone.utc).isoformat()
 
 
-class RunWriter:
-    """Collects a run's artifacts in one directory and logs the manifest.
+def write_run(base_dir: str, command: str, config_hash: str, options: dict,
+              seed: int | None, started: str, files: dict) -> str:
+    """Write one run's artifacts and its manifest; return the directory.
 
-    The directory name is <command>-<first 12 hex of a hash over the
+    `files` maps each file name to its contents: a `.csv` name to a
+    dict of named columns, in column order, any other name to a JSON
+    object. The directory is <command>-<first 12 hex of a hash over the
     config hash and `options`>, where `options` holds every resolved
     option that changes the artifacts, so identical runs land in the
-    same place and reruns replace their own previous artifacts.
+    same place and reruns replace their own previous artifacts. Every
+    other regular file there, such as a previous run's leftovers, is
+    removed, so the directory holds exactly what the manifest lists.
+    The manifest's `started` is the caller's, and `finished` is stamped
+    after the last artifact.
     """
-
-    def __init__(self, base_dir: str, command: str, config_hash: str,
-                 options: dict, seed: int | None = None):
-        key = json.dumps({"config": config_hash, **options}, sort_keys=True)
-        self.dir = os.path.join(
-            base_dir, f"{command}-{sha256_bytes(key.encode())[:12]}")
-        os.makedirs(self.dir, exist_ok=True)
-        self.manifest = RunManifest(
-            command=command, config_hash=config_hash, seed=seed,
-            started=datetime.now(timezone.utc).isoformat())
-
-    def path(self, name: str) -> str:
-        return os.path.join(self.dir, name)
-
-    def csv(self, name: str, header: list[str], columns) -> str:
-        p = self.path(name)
-        write_csv(p, header, columns)
-        self.manifest.outputs.append(name)
-        return p
-
-    def json(self, name: str, obj) -> str:
-        p = self.path(name)
-        write_json(p, obj)
-        self.manifest.outputs.append(name)
-        return p
-
-    def close(self) -> str:
-        """Write the manifest and remove every other regular file that
-        this run did not write, such as a previous run's leftovers, so
-        the directory holds exactly what the manifest lists."""
-        keep = set(self.manifest.outputs) | {"manifest.json"}
-        for entry in os.scandir(self.dir):
-            if entry.is_file(follow_symlinks=False) and entry.name not in keep:
-                os.remove(entry.path)
-        self.manifest.finished = datetime.now(timezone.utc).isoformat()
-        p = self.path("manifest.json")
-        write_json(p, self.manifest.as_dict())
-        return self.dir
+    key = json.dumps({"config": config_hash, **options}, sort_keys=True)
+    run_dir = os.path.join(
+        base_dir, f"{command}-{sha256_bytes(key.encode())[:12]}")
+    os.makedirs(run_dir, exist_ok=True)
+    for name, contents in files.items():
+        path = os.path.join(run_dir, name)
+        if name.endswith(".csv"):
+            write_csv(path, list(contents), list(contents.values()))
+        else:
+            write_json(path, contents)
+    keep = set(files) | {"manifest.json"}
+    for entry in os.scandir(run_dir):
+        if entry.is_file(follow_symlinks=False) and entry.name not in keep:
+            os.remove(entry.path)
+    write_json(os.path.join(run_dir, "manifest.json"), {
+        "command": command,
+        "config_hash": config_hash,
+        "seed": seed,
+        "version": VERSION,
+        "started": started,
+        "finished": timestamp(),
+        "outputs": sorted(files),
+    })
+    return run_dir

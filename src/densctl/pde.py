@@ -64,10 +64,9 @@ def _step_count(dt: float, T: float) -> int:
     for name, value in (("dt", dt), ("T", T)):
         if not (math.isfinite(value) and value > 0.0):
             raise PdeError(f"{name} must be finite and positive, got {value}")
-    n = int(round(T / dt))
-    if n < 1:
-        raise PdeError(f"horizon T = {T} shorter than one step dt = {dt}")
-    return n
+    if T < dt:
+        raise PdeError(f"horizon T = {T:g} is below one step dt = {dt:g}")
+    return int(round(T / dt))
 
 
 def _frame(G: GeneratorOperator | HJBSolution):

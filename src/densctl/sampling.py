@@ -15,7 +15,8 @@ points, as a chunk that cuts a group draws it in full and keeps its
 rows. Two ids at the top of the 64-bit range are reserved and keyed
 alike, above every group: 2^64 - 2 draws initial ensembles, and
 2^64 - 1 is unused but kept free, which is why user seeds must stay
-below 2^64 - 2. Reductions always run in path-index order.
+below 2^64 - 2 and `simulate_sde` refuses a stream_base whose path ids
+would reach them. Reductions always run in path-index order.
 
 Integration is Euler-Maruyama with reflection at the box boundary
 (matching the zero-flux PDE boundary); reflected paths are flagged so
@@ -122,7 +123,7 @@ class SdeConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.T / self.dt)))
+        return int(round(self.T / self.dt))
 
     @property
     def horizon(self) -> float:
@@ -415,8 +416,9 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     x0 is a single start point or an Ensemble (whose count then
     overrides cfg.n_paths), inside the closed box; path j draws from
     stream id stream_base + j, row (stream_base + j) mod 256 of its
-    group's stream. The drift follows the fields given: with
-    neither it is the passive drift div(Sigma)/2 - (Sigma/2) grad(phi);
+    group's stream, and every id must lie below the reserved 2^64 - 2.
+    The drift follows the fields given: with neither it is the passive
+    drift div(Sigma)/2 - (Sigma/2) grad(phi);
     `control` adds a steady control field to it; the positive density
     `target` alone gives the feedback drift div(Sigma)/2 + (Sigma/2)
     grad(log p), with grad(log p) tabulated on the grid once. Both
@@ -448,6 +450,10 @@ def simulate_sde(spec: ProblemSpec, cfg: SdeConfig, x0,
     dyn = _Dynamics(spec, cfg, None if control is None else control.values,
                     slope)
     x0_arr = _resolve_x0(x0, cfg.n_paths, grid.dim)
+    if not 0 <= stream_base <= INIT_STREAM - x0_arr.shape[0]:
+        raise SamplingError(
+            f"stream_base = {stream_base} puts the {x0_arr.shape[0]} path "
+            "stream ids outside [0, 2^64 - 3]; 2^64 - 2 and up are reserved")
     terminal, cost, exited, blew_up = _integrate(
         dyn, cfg, x0_arr, stream_base, cost_expr, cost_shift)
     excluded = blew_up | ~np.isfinite(cost)

@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 import warnings
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from densctl import (
     path_integral_desirabilities,
     solve_inverse,
 )
-from densctl.cli import _build_parser, _drift_input, _Run, main
+from densctl import cli
+from densctl.cli import _COMMANDS, _build_parser, _drift_input, _Run, main
 from densctl.output import format_float
 
 FORWARD = {
@@ -925,6 +927,33 @@ class TestRunDirectories:
         m = json.loads((d / "manifest.json").read_text())
         assert sorted(m["outputs"] + ["manifest.json"]) == sorted(
             f.name for f in d.iterdir())
+
+    @pytest.mark.filterwarnings("ignore:target density mass")
+    @pytest.mark.parametrize("argv", [
+        [name, *([kind] if kind else [])]
+        for name, command in _COMMANDS.items()
+        for kind in command.kinds or [None]], ids="-".join)
+    def test_manifest_lists_the_directory_and_spans_the_command(
+            self, tmp_path, monkeypatch, argv):
+        # `check` validates the spec itself, every other command through
+        # the gate; either way the manifest's start precedes it
+        gated = []
+
+        def validate(*a, **kw):
+            gated.append(datetime.now(timezone.utc))
+            return validate_spec(*a, **kw)
+
+        validate_spec = cli.validate_spec
+        monkeypatch.setattr(cli, "validate_spec", validate)
+        code, out = run(argv, tmp_path,
+                        config=INVERSE if argv == ["inverse"] else FORWARD)
+        assert code == 0
+        d = only_dir(out, "-".join(argv))
+        m = json.loads((d / "manifest.json").read_text())
+        assert sorted(m["outputs"] + ["manifest.json"]) == sorted(
+            f.name for f in d.iterdir())
+        assert datetime.fromisoformat(m["started"]) <= gated[0] <= \
+            datetime.fromisoformat(m["finished"])
 
 
 class TestPrecedence:

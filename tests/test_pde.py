@@ -64,7 +64,8 @@ class TestMassAndPositivity:
         (0.01, np.inf, "T must be finite and positive, got inf"),
         (np.inf, 1.0, "dt must be finite and positive, got inf"),
         (0.01, np.nan, "T must be finite and positive, got nan"),
-    ], ids=["dt-nan", "T-inf", "dt-inf", "T-nan"])
+        (1.0, 0.6, "horizon T = 0.6 is below one step dt = 1"),
+    ], ids=["dt-nan", "T-inf", "dt-inf", "T-nan", "T-below-dt"])
     def test_nonfinite_step_or_horizon_refused(self, ou_op, dt, T, message):
         pt0 = dc.project_mass_zero(perturbed_density(ou_op), ou_op.rho)
         with pytest.raises(PdeError, match=message):

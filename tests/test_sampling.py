@@ -201,6 +201,25 @@ class TestDeterminism:
         single = dc.simulate_sde(ou401, cfg(n_paths=1), x0=(0.5,), stream_base=5)
         np.testing.assert_array_equal(full.terminal[5], single.terminal[0])
 
+    @pytest.mark.parametrize("base", [-1, 2**64 - 2, 2**64 + 5,
+                                      INIT_STREAM - 7])
+    def test_stream_base_reaching_the_reserved_ids_is_refused(self, ou401,
+                                                              base):
+        # eight paths read ids base .. base + 7, which must stay below
+        # the reserved init stream 2^64 - 2, for both callers
+        with pytest.raises(SamplingError, match="stream_base"):
+            dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01), x0=(0.5,),
+                            stream_base=base)
+        with pytest.raises(SamplingError, match="stream_base"):
+            dc.path_integral_desirabilities(
+                ou401, ou401.q, 2.0, [(0.0,), (0.5,)],
+                cfg(n_paths=4, T=0.01), stream_base=base)
+
+    def test_stream_base_may_reach_the_last_path_id(self, ou401):
+        batch = dc.simulate_sde(ou401, cfg(n_paths=8, T=0.01), x0=(0.5,),
+                                stream_base=INIT_STREAM - 8)
+        assert batch.n_paths == 8
+
     @given(base=st.one_of(st.integers(0, 2000),
                           st.integers(2**32 - 700, 2**32 + 700),
                           st.integers(2**56, 2**56 + 2000)),
