@@ -44,8 +44,6 @@ from .inverse import (
     InverseSolution,
     RoundtripReport,
     control_from_target,
-    cost_from_target,
-    desirability_from_target,
     roundtrip_verify,
     solve_inverse,
 )
@@ -110,8 +108,7 @@ __all__ = [
     "ScalarField",
     "adjoint_of", "apply", "assemble_generator", "confinement_report",
     "compile_expression", "control_from_target", "control_law",
-    "cost_from_target", "derivative",
-    "controlled_operator", "desirability_from_target", "drift_from_potential",
+    "derivative", "controlled_operator", "drift_from_potential",
     "eig_generator", "eigen_evolution", "estimate_c_mc",
     "eval_scalar_field", "evaluate", "evolve_fp",
     "evolve_perturbation", "expand_in_eigenbasis", "fit_decay_rate",

@@ -341,6 +341,7 @@ def cmd_evolve(run: _Run) -> int:
             "reconstruction_error": pc.reconstruction_error,
             "dt": dt,
             "T": T,
+            "horizon": float(traj.times[-1]),
             "projected": traj.projected,
         },
     }, [f"fitted rate {fitted:.6g} vs xi1 {-rate:.6g} "
@@ -435,6 +436,7 @@ def cmd_sample_desirability(run: _Run) -> int:
             "seed": cfg.seed,
             "n_paths": cfg.n_paths,
             "T": cfg.T,
+            "horizon": cfg.horizon,
             "dt": cfg.dt,
             "degenerate": [e.degenerate for e in est],
             "ess": [e.ess for e in est],
@@ -465,6 +467,7 @@ def cmd_sample_cost(run: _Run) -> int:
             "n_excluded": est.n_excluded,
             "seed": cfg.seed,
             "T": cfg.T,
+            "horizon": cfg.horizon,
             "dt": cfg.dt,
             "degenerate": est.degenerate,
             "ess": est.ess,
@@ -495,6 +498,7 @@ def cmd_sample_feedback(run: _Run) -> int:
             "n_particles": n_particles,
             "seed": cfg.seed,
             "T": cfg.T,
+            "horizon": cfg.horizon,
             "dt": cfg.dt,
         },
     }, [f"total variation to target after T = {cfg.T:g}: {tv:.4f}"])

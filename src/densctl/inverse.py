@@ -10,7 +10,9 @@ involved; every step is a direct evaluation, so the round trip through
 the forward solver is the natural correctness check. The gauge of Psi
 is the forward solver's, `spectral._gauged_log_psi`. Sigma, phi and the
 target are read off the spec, which evaluates each once, so the design
-and its round trip take no field from the caller.
+and its round trip take no field from the caller. Each run makes one
+design, `_design`, over one assembled generator G0 of (Sigma, phi), and
+the round trip's forward solve runs on that same G0.
 """
 from __future__ import annotations
 
@@ -27,11 +29,11 @@ from .fields import (
     gradient_values,
 )
 from .model import LAMBDA, ProblemSpec, control_law
-from .operators import apply, assemble_generator
+from .operators import GeneratorOperator, assemble_generator
 from .spectral import (
     HJBSolution,
     _gauged_log_psi,
-    solve_hjb_principal,
+    _solve_principal,
     spectral_gap,
 )
 
@@ -61,53 +63,6 @@ def _check_log_curvature(grid, log_p: np.ndarray) -> None:
             "grid or smooth the target", stacklevel=3)
 
 
-def desirability_from_target(p_inf: ScalarField, phi: ScalarField) -> ScalarField:
-    """Desirability whose stationary density is the target.
-
-    Psi = sqrt(p exp(phi)), rescaled so the quadrature of Psi^2 exp(-phi)
-    is one. The target is renormalized to unit mass first (with a
-    warning) since the construction assumes a probability density.
-    """
-    g = p_inf.grid
-    if phi.grid != g:
-        raise InverseError("target and phi live on different grids")
-    p = _normalized_target(p_inf)
-    mass = float(g.quadrature_weights() @ p_inf.values)
-    if abs(mass - 1.0) > 1e-8:
-        warnings.warn(f"target density mass {mass:.6g} != 1, renormalizing",
-                      stacklevel=2)
-    log_p = np.log(p)
-    _check_log_curvature(g, log_p)
-    return ScalarField(g, np.exp(_gauged_log_psi(0.5 * (log_p + phi.values),
-                                                 phi)))
-
-
-def cost_from_target(Psi: ScalarField, phi: ScalarField,
-                     Sigma: TensorField) -> tuple[ScalarField, float]:
-    """State cost that makes Psi the principal desirability.
-
-    Rearranges the stationary value identity to q~ = LAMBDA (G0 Psi)/Psi
-    with G0 the uncontrolled generator of (Sigma, phi), then fixes the
-    additive gauge c = -min q~ so that min q = 0. The returned c is the
-    optimal average cost of the synthesized forward problem.
-    """
-    g = Psi.grid
-    if phi.grid != g or Sigma.grid != g:
-        raise InverseError("Psi, phi and Sigma must share one grid")
-    floor = PSI_DIVISION_FLOOR * float(Psi.values.max())
-    tiny = Psi.values < floor
-    if tiny.any():
-        nodes = np.flatnonzero(tiny)[:8]
-        raise InverseError(
-            f"desirability below {floor:.3e} at {int(tiny.sum())} nodes "
-            f"(first {nodes.tolist()}); the cost quotient would blow up "
-            "there, shrink the domain or raise the target floor")
-    op = assemble_generator(Sigma, phi)
-    q_raw = LAMBDA * apply(op, Psi).values / Psi.values
-    c = -float(q_raw.min())
-    return ScalarField(g, q_raw + c), c
-
-
 def control_from_target(p_inf: ScalarField, phi: ScalarField,
                         Sigma: TensorField) -> VectorField:
     """Steady feedback control u = (Sigma/LAMBDA)(grad log p + grad phi).
@@ -132,27 +87,47 @@ class InverseSolution:
     c: float = 0.0
     v: ScalarField = field(repr=False, default=None)
     u: VectorField = field(repr=False, default=None)
-    diagnostics: dict = field(repr=False, default_factory=dict)
 
     @property
     def grid(self):
         return self.target.grid
 
 
-def _design(p_inf: ScalarField, phi: ScalarField,
-            Sigma: TensorField) -> InverseSolution:
-    g = p_inf.grid
-    Psi = desirability_from_target(p_inf, phi)
-    q, c = cost_from_target(Psi, phi, Sigma)
-    u = control_from_target(p_inf, phi, Sigma)
-    v = ScalarField(g, -LAMBDA * np.log(Psi.values))
-    p_norm = ScalarField(g, _normalized_target(p_inf))
-    diag = {
-        "target_mass": float(g.quadrature_weights() @ p_inf.values),
-        "q_max": float(q.values.max()),
-    }
-    return InverseSolution(target=p_norm, Psi=Psi, q=q, c=c, v=v, u=u,
-                           diagnostics=diag)
+def _design(p_inf: ScalarField, op: GeneratorOperator) -> InverseSolution:
+    """The whole design over the uncontrolled generator `op` of
+    (Sigma, phi). The target is renormalized to unit mass, with a
+    warning, since the construction assumes a probability density.
+    Psi = sqrt(p exp(phi)) in the forward solver's gauge; the cost is
+    q~ = LAMBDA (G0 Psi)/Psi shifted by c = -min q~, so that min q = 0
+    and c is the optimal average cost of the synthesized forward
+    problem; v = -LAMBDA log Psi; u is `control_from_target`."""
+    g, phi = op.grid, op.Phi
+    if p_inf.grid != g:
+        raise InverseError("target grid does not match the problem grid")
+    p = _normalized_target(p_inf)
+    mass = float(g.quadrature_weights() @ p_inf.values)
+    if abs(mass - 1.0) > 1e-8:
+        warnings.warn(f"target density mass {mass:.6g} != 1, renormalizing",
+                      stacklevel=2)
+    log_p = np.log(p)
+    _check_log_curvature(g, log_p)
+    psi = np.exp(_gauged_log_psi(0.5 * (log_p + phi.values), phi))
+
+    floor = PSI_DIVISION_FLOOR * float(psi.max())
+    tiny = psi < floor
+    if tiny.any():
+        nodes = np.flatnonzero(tiny)[:8]
+        raise InverseError(
+            f"desirability below {floor:.3e} at {int(tiny.sum())} nodes "
+            f"(first {nodes.tolist()}); the cost quotient would blow up "
+            "there, shrink the domain or raise the target floor")
+    q_raw = LAMBDA * (op.G @ psi) / psi
+    c = -float(q_raw.min())
+    return InverseSolution(
+        target=ScalarField(g, p), Psi=ScalarField(g, psi),
+        q=ScalarField(g, q_raw + c), c=c,
+        v=ScalarField(g, -LAMBDA * np.log(psi)),
+        u=control_from_target(p_inf, phi, op.Sigma))
 
 
 def solve_inverse(spec: ProblemSpec) -> InverseSolution:
@@ -165,8 +140,8 @@ def solve_inverse(spec: ProblemSpec) -> InverseSolution:
     if spec.mode != "inverse":
         raise InverseError("problem has a cost q; inverse design needs a "
                            "target density instead")
-    return _design(spec.target_field(), spec.phi_field(),
-                   spec.diffusion_field())
+    op = assemble_generator(spec.diffusion_field(), spec.phi_field())
+    return _design(spec.target_field(), op)
 
 
 @dataclass(frozen=True)
@@ -199,19 +174,16 @@ def roundtrip_verify(p_inf: ScalarField, spec: ProblemSpec) -> RoundtripReport:
     Compares the recovered stationary density, control and average cost
     against the inverse-design values and reports the spectral gap of
     the controlled generator, which certifies exponential stability of
-    the target.
+    the target. The design and the forward solve share one assembled
+    generator.
     """
-    g = p_inf.grid
-    if g != spec.grid:
-        raise InverseError("target grid does not match the problem grid")
-    Sigma = spec.diffusion_field()
-    phi = spec.phi_field()
-    inv = _design(p_inf, phi, Sigma)
-    forward = solve_hjb_principal(Sigma, phi, inv.q, k=2)
+    op = assemble_generator(spec.diffusion_field(), spec.phi_field())
+    inv = _design(p_inf, op)
+    forward = _solve_principal(op, inv.q, k=2)
 
     p_norm = inv.target.values
     dens_err = float(np.abs(forward.p.values - p_norm).max() / p_norm.max())
-    mask = g.interior_mask(2)
+    mask = op.grid.interior_mask(2)
     du = np.abs(forward.u.values - inv.u.values)[mask].max()
     ctrl_err = float(du / max(1.0, float(np.abs(inv.u.values).max())))
 

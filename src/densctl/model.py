@@ -375,10 +375,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(f.status != "FAIL" for f in self.findings)
 
-    @property
-    def warnings(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.status == "WARN")
-
     def lines(self) -> list[str]:
         return [f"{f.status:4s} {f.name}: {f.detail}" for f in self.findings]
 

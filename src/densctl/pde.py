@@ -56,9 +56,6 @@ class DensityTrajectory:
     def n_steps(self) -> int:
         return int(self.times.shape[0]) - 1
 
-    def final(self) -> ScalarField:
-        return ScalarField(self.grid, self.densities[-1])
-
 
 def _step_count(dt: float, T: float) -> int:
     for name, value in (("dt", dt), ("T", T)):

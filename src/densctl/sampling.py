@@ -70,6 +70,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -115,6 +116,10 @@ class SdeConfig:
                     f"{name} must be finite and positive, got {value}")
         if self.T < self.dt:
             raise SamplingError(f"T = {self.T} is below one step dt = {self.dt}")
+        for name, value in (("n_paths", self.n_paths), ("seed", self.seed)):
+            # numpy integers count; bools, floats and strings do not
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise SamplingError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise SamplingError("need at least one path")
         if not 0 <= int(self.seed) < INIT_STREAM:

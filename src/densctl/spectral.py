@@ -325,10 +325,16 @@ def solve_hjb_principal(Sigma: TensorField, phi: ScalarField, q: ScalarField,
     g = phi.grid
     if q.grid != g or Sigma.grid != g:
         raise SpectralError("Sigma, phi, q must share one grid")
-    _check_k(k, g.size)
+    return _solve_principal(assemble_generator(Sigma, phi), q, k)
 
+
+def _solve_principal(op: GeneratorOperator, q: ScalarField,
+                     k: int) -> HJBSolution:
+    """`solve_hjb_principal` on the uncontrolled generator `op`, already
+    assembled from (Sigma, phi), and q on its grid."""
     import scipy.sparse as sp
-    op = assemble_generator(Sigma, phi)
+    g, phi, Sigma = op.grid, op.Phi, op.Sigma
+    _check_k(k, g.size)
     S, sqmu = _symmetrized(op)
     M = (S - sp.diags(q.values / LAMBDA)).tocsr()
 

@@ -660,6 +660,30 @@ class TestEvolveOutputs:
         assert (d / "densities.csv").exists()
 
 
+class TestIntegratedHorizon:
+    """summary.json records the time integrated, a whole number of steps,
+    beside the requested T, which T/dt rounds away from."""
+
+    def test_evolve(self, tmp_path):
+        # 1.0 / 0.07 rounds to 14 steps, which end at t = 0.98
+        code, out = run(["evolve", "--dt", "0.07", "--T", "1.0"], tmp_path)
+        assert code == 0
+        s = json.loads((only_dir(out, "evolve") / "summary.json").read_text())
+        assert s["T"] == 1.0
+        assert s["horizon"] == pytest.approx(0.98, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["desirability", "cost", "feedback"])
+    def test_sample(self, tmp_path, kind):
+        # 0.1 / 0.03 rounds to 3 steps, which end at t = 0.09
+        config = _with_sampling(FORWARD, dt=0.03, T=0.1, n_paths=50)
+        code, out = run(["sample", kind], tmp_path, config=config)
+        assert code == 0
+        s = json.loads((only_dir(out, f"sample-{kind}") /
+                        "summary.json").read_text())
+        assert s["T"] == 0.1
+        assert s["horizon"] == pytest.approx(0.09, rel=1e-12)
+
+
 class TestFactorCounts:
     """Each forward solve factors (shift I - M) once, and that factor
     serves the eigensolve, the polish and the controlled spectrum."""

@@ -194,6 +194,33 @@ class TestRoundtrip:
         assert rep.controlled_gap > 0
 
 
+class TestOneAssembly:
+    """The design and the round trip's forward solve share one assembled
+    generator of (Sigma, phi)."""
+
+    @pytest.fixture
+    def assemblies(self, monkeypatch):
+        from densctl import inverse, operators, spectral
+        calls = []
+
+        def counted(Sigma, Phi):
+            calls.append(Sigma.grid)
+            return operators.assemble_generator(Sigma, Phi)
+
+        for mod in (inverse, spectral):
+            monkeypatch.setattr(mod, "assemble_generator", counted)
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:target density mass")
+    @pytest.mark.parametrize("design", [
+        lambda spec: dc.solve_inverse(spec),
+        lambda spec: dc.roundtrip_verify(spec.target_field(), spec),
+    ], ids=["solve_inverse", "roundtrip_verify"])
+    def test_one_assembly(self, assemblies, design):
+        design(gauss_spec(201))
+        assert len(assemblies) == 1
+
+
 class TestGatesAndWarnings:
     def test_forward_spec_rejected(self):
         with pytest.raises(InverseError):

@@ -68,6 +68,20 @@ class TestConfig:
         with pytest.raises(SamplingError, match=message):
             cfg(**kw)
 
+    @pytest.mark.parametrize("kw", [
+        dict(seed=1.5), dict(n_paths=10.5), dict(seed=True),
+        dict(n_paths=True), dict(seed="3"), dict(n_paths=np.float64(8.0)),
+    ], ids=["seed-float", "paths-float", "seed-bool", "paths-bool",
+            "seed-str", "paths-numpy-float"])
+    def test_non_integer_seed_or_path_count(self, kw):
+        # refused here, not as a TypeError deep in the engine
+        with pytest.raises(SamplingError, match="must be an integer"):
+            cfg(**kw)
+
+    def test_numpy_integers_are_integers(self):
+        c = cfg(seed=np.uint64(7), n_paths=np.int64(3))
+        assert (c.seed, c.n_paths) == (7, 3)
+
     def test_step_count_rounding(self):
         c = cfg(dt=0.1, T=1.0)
         assert c.n_steps == 10
